@@ -601,10 +601,30 @@ def _trace_critical(param: MapParam, start: SpherePoint, max_iter: int,
 
 
 def _transient_length(pts: list[SpherePoint], cycle: Cycle, eps: float) -> int:
-    for k, pt in enumerate(pts):
-        if any(chordal_distance(pt, cp) <= eps for cp in cycle.points):
-            return k
+    # a vectorized prefilter at twice the radius picks the candidates, over
+    # chunks that double in size so a short transient stays cheap; the exact
+    # scalar test then decides them in orbit order
+    CZ, CW = _unit_pairs(cycle.points)
+    cnorm = np.hypot(np.abs(CZ), np.abs(CW))
+    start, size = 0, 16
+    while start < len(pts):
+        chunk = pts[start:start + size]
+        Z, W = _unit_pairs(chunk)
+        cross = np.abs(Z[:, None] * CW[None, :] - CZ[None, :] * W[:, None])
+        bound = (2.0 * eps) * np.hypot(np.abs(Z), np.abs(W))[:, None] * cnorm[None, :]
+        for k in np.flatnonzero((cross <= bound).any(axis=1)):
+            if any(chordal_distance(chunk[k], cp) <= eps for cp in cycle.points):
+                return start + int(k)
+        start += size
+        size *= 2
     return len(pts) - 1
+
+
+def _unit_pairs(pts) -> tuple[np.ndarray, np.ndarray]:
+    """Projective pairs of the points, scaled to unit max magnitude."""
+    pairs = np.array([pt.homogeneous() for pt in pts], dtype=complex)
+    pairs /= np.abs(pairs).max(axis=1, keepdims=True)
+    return pairs[:, 0], pairs[:, 1]
 
 
 # ---------------------------------------------------------------------------

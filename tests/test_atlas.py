@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from qubit_chaos.atlas import (
+    BLOCK_PIXELS,
+    RETIRE_CHECKPOINT,
     ConfigurationError,
     Raster,
     Sweep,
@@ -18,9 +21,14 @@ from qubit_chaos.atlas import (
     write_ppm,
     write_sidecar,
     write_sweep_csv,
+    _certified_period,
+    _pair_from_point,
+    _pair_step,
+    _pair_tail,
+    _period_block,
 )
 from qubit_chaos.orbits import critical_orbits, make_cycle
-from qubit_chaos.sphere import INF, MapParam, SpherePoint
+from qubit_chaos.sphere import INF, MapParam, SpherePoint, as_point
 
 P0 = MapParam(0j)
 P1 = MapParam(1 + 0j)
@@ -168,6 +176,97 @@ def test_parameter_raster_transient_guard():
     win = Window.from_bounds(0.0, 1.0, 0.0, 1.0, 3, 3)
     with pytest.raises(ValueError):
         render_parameter_space(win, transient=10, max_period=64)
+
+
+def test_parameter_raster_argument_guards():
+    win = Window.from_bounds(0.0, 1.0, 0.0, 1.0, 3, 3)
+    for eps in (float("nan"), 0.0, -1e-6, 1.0, 2.0, float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            render_parameter_space(win, transient=300, eps=eps)
+    for max_period in (0, -3):
+        with pytest.raises(ValueError, match="max_period"):
+            render_parameter_space(win, transient=300, max_period=max_period)
+
+
+# ---------------------------------------------------------------------------
+# early retirement against straight iteration
+
+def _orbit_start(p, z0):
+    z, w = _pair_from_point(as_point(z0))
+    return np.full(p.shape, z, dtype=complex), np.full(p.shape, w, dtype=complex)
+
+
+def _straight_periods(p, z0, transient, max_period, eps):
+    """Every pixel iterated the full transient, then the tail-lag scan."""
+    pc = np.conj(p)
+    Z, W = _orbit_start(p, z0)
+    for _ in range(transient):
+        Z, W = _pair_step(p, pc, Z, W)
+    tail_len = 2 * max_period + 1
+    tails = [(Z, W, np.abs(Z) ** 2 + np.abs(W) ** 2)]
+    for _ in range(tail_len - 1):
+        Z, W = _pair_step(p, pc, Z, W)
+        tails.append((Z, W, np.abs(Z) ** 2 + np.abs(W) ** 2))
+    eps2 = eps * eps
+    period = np.full(p.shape, -1, dtype=np.int32)
+    for q in range(1, max_period + 1):
+        ok = period < 0
+        for k in range(q):
+            za, wa, na = tails[tail_len - 1 - k]
+            zb, wb, nb = tails[tail_len - 1 - k - q]
+            ok = ok & (np.abs(za * wb - zb * wa) ** 2 < eps2 * na * nb)
+        period[ok] = q
+    return period
+
+
+def _retired_at_checkpoint(p, z0, max_period, eps):
+    pc = np.conj(p)
+    Z, W = _orbit_start(p, z0)
+    for _ in range(RETIRE_CHECKPOINT):
+        Z, W = _pair_step(p, pc, Z, W)
+    Zs, Ws = _pair_tail(p, pc, Z, W, 2 * max_period + 1)
+    return _certified_period(p, pc, Zs, Ws, max_period, eps * eps) > 0
+
+
+def _check_retiring_kernel(p, z0=0j, transient=2000, max_period=64, eps=1e-6):
+    """Assert the retiring kernel equals straight iteration pixel for pixel,
+    with every numpy warning raised; returns the per-pixel retirement mask."""
+    retired = np.zeros(p.shape, dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in range(0, p.size, BLOCK_PIXELS):
+            block = p[s:s + BLOCK_PIXELS]
+            got = _period_block(block, as_point(z0), transient, max_period, eps * eps)
+            want = _straight_periods(block, z0, transient, max_period, eps)
+            assert np.array_equal(got, want), (
+                f"{np.count_nonzero(got != want)} pixels differ from straight iteration")
+            retired[s:s + BLOCK_PIXELS] = _retired_at_checkpoint(block, z0, max_period, eps)
+    return retired
+
+
+def test_retirement_exact_on_period_doubling_arc():
+    # period-2 parameters beside the arc where the 2-cycle doubles: a loose
+    # certificate (tight radius eps/2) retires 100 of these pixels with
+    # period 6, which straight iteration settles to 2
+    win = Window.from_bounds(0.63, 0.73, 1.54, 1.64, 48, 48)
+    retired = _check_retiring_kernel(win.grid().ravel())
+    assert 0 < retired.sum() < retired.size
+
+
+@pytest.mark.parametrize("z0", [0j, INF])
+def test_retirement_exact_around_superattracting_p1(z0):
+    win = Window.from_bounds(0.9, 1.1, -0.1, 0.1, 25, 25)
+    grid = win.grid().ravel()
+    retired = _check_retiring_kernel(grid, z0=z0)
+    # the 2-cycle {-1, inf} passes through the critical point inf, so the
+    # multiplier is exactly 0 (log -inf) and must certify, not become NaN
+    assert grid[312] == 1.0 and retired[312]
+
+
+def test_retirement_exact_on_default_window_rows():
+    grid = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 500, 500).grid()[::5].ravel()
+    retired = _check_retiring_kernel(grid)
+    assert retired.mean() > 0.8
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,14 @@ def test_usage_errors_exit_two(outdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--eps=nan", "--eps=0", "--eps=2", "--eps=inf",
+                                  "--max-period=0", "--max-period=-3"])
+def test_params_invalid_numbers_exit_two(outdir, capsys, flag):
+    assert run(["params", "--res=4x4", flag, "--out=bad"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (outdir / "bad.ppm").exists()
+
+
 def test_degree_guard_exits_two(outdir, capsys):
     assert run(["cycles", "--p", "0+0i", "--n", "9", "--out", "big"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -272,6 +272,15 @@ def test_critical_report_misiurewicz_parameter():
     assert report.cycles[0].stability == REPELLING
 
 
+def test_critical_report_long_transient_period_42():
+    # both critical orbits need thousands of steps to reach a period-42
+    # cycle; the transient is the first orbit point within eps of the cycle
+    report = critical_orbits(MapParam(-0.49608783851868493 + 0.4467536251564276j))
+    assert report.hyperbolic is True
+    assert [(r.transient, r.steps, r.cycle.period) for r in report.critical] == [
+        (2738, 4127, 42), (3908, 8255, 42)]
+
+
 def test_at_most_two_attracting_or_neutral_cycles():
     rng = np.random.default_rng(17)
     for _ in range(60):
