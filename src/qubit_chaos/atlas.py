@@ -16,21 +16,25 @@ z = Z/W, renormalized to unit max magnitude each step.  The pair form makes
 the step polynomial -- numerator Z**2 + p W**2, denominator W**2 - conj(p)
 Z**2 -- so there is no division, no overflow, and the point at infinity is
 the exact pair (1, 0).  All arithmetic commutes bit-for-bit with complex
-conjugation, which is what makes mirror-symmetry tests exact.
+conjugation, which is what makes mirror-symmetry tests exact.  One in-place
+kernel, :func:`_pair_step`, steps a stacked (2, n) pair array for all three
+pipelines, with preallocated scratch and no temporaries.
 
-The parameter raster retires a pixel early once its period is certified:
-at a checkpoint inside the transient it needs a tight lag match, a wide
-miss at every smaller lag and a contracting multiplier (the RETIRE_*
-constants below).  The rule never changes a period -- the tests check it
-pixel for pixel against straight iteration -- it only skips iterations, most
-of them for the ~87% of the default window that settles within a few
-hundred steps.
+The parameter raster runs in two phases.  First every block iterates to a
+checkpoint inside the transient and retires each pixel whose period is
+certified there: a tight lag match, a wide miss at every smaller lag and a
+contracting multiplier (the RETIRE_* constants below).  Then the survivors
+of all blocks, ~13% of the default window, are pooled in pixel order into
+fresh full blocks that run the rest of the transient and the lag scan.
+Retirement never changes a period -- the tests check it pixel for pixel
+against straight iteration -- it only skips iterations.
 
 Rasters are computed in fixed-size pixel blocks.  The block decomposition
-never depends on the worker count, and blocks do not communicate, so output
-is bit-identical no matter how many threads run (``workers`` only caps the
-pool).  Rerunning any pipeline with an identical config reproduces the
-payload bit-for-bit.
+never depends on the worker count (the pooled survivors are the pixels that
+did not certify, whoever ran their block), and arithmetic is elementwise
+within a block, so output is bit-identical no matter how many threads run
+(``workers`` only caps the pool).  Rerunning any pipeline with an identical
+config reproduces the payload bit-for-bit.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import colorsys
 import json
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -158,21 +163,54 @@ class Sweep:
 # ---------------------------------------------------------------------------
 # projective-pair kernel
 
-def _pair_step(p, pc, Z, W):
-    Z2 = Z * Z
-    W2 = W * W
-    Zn = Z2 + p * W2
-    Wn = W2 - pc * Z2
-    # the pair never vanishes jointly (the two quadratics have no common
-    # root), so renormalizing to unit max magnitude is always safe
-    m = np.maximum(np.abs(Zn), np.abs(Wn))
-    return Zn / m, Wn / m
+def _pair_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch buffers for :func:`_pair_step` on n stacked pairs."""
+    return np.empty((2, n), dtype=complex), np.empty((2, n))
+
+
+def _pair_step(P, S, scratch, out=None):
+    """One map step of the stacked pairs ``S = [Z, W]``, written in place.
+
+    ``P`` is ``[p, -conj(p)]`` (shape (2, n), or (2, 1) for one parameter),
+    ``scratch`` comes from :func:`_pair_scratch` and the result goes to
+    ``out`` (default ``S``; any other ``out`` leaves ``S`` untouched).  The
+    new pair is (Z**2 + p W**2, W**2 - conj(p) Z**2): one product gives
+    Z**2 and W**2, one more p W**2 and -conj(p) Z**2, and adding the
+    negated product equals subtracting it bit for bit.  The two quadratics
+    have no common root, so the pair never vanishes and is renormalized to
+    unit max magnitude.  Multiplying by 1/m is numpy's complex division by
+    the real m with the division hoisted out: nonzero values equal Zn / m
+    bit for bit, and at most the sign of an exact zero differs.
+    """
+    S2, A = scratch
+    if out is None:
+        out = S
+    np.multiply(S, S, out=S2)
+    np.multiply(P, S2[::-1], out=out)
+    out += S2
+    np.abs(out, out=A)
+    m = np.maximum(A[0], A[1], out=A[0])
+    np.divide(1.0, m, out=m)
+    out *= m
+    return out
 
 
 def _pair_from_point(pt: SpherePoint) -> tuple[complex, complex]:
     Z, W = pt.homogeneous()
     m = max(abs(Z), abs(W))
     return Z / m, W / m
+
+
+def _pair_params(p: np.ndarray) -> np.ndarray:
+    """The ``P = [p, -conj(p)]`` argument of :func:`_pair_step`."""
+    return np.stack((p, -np.conj(p)))
+
+
+def _pair_start(z0: SpherePoint, n: int) -> np.ndarray:
+    """The stacked pair of z0, repeated n times."""
+    S = np.empty((2, n), dtype=complex)
+    S[0], S[1] = _pair_from_point(z0)
+    return S
 
 
 def _target_pairs(cycles: Sequence[Cycle]):
@@ -184,18 +222,23 @@ def _target_pairs(cycles: Sequence[Cycle]):
     return targets
 
 
-def _capture_block(p: complex, Z: np.ndarray, W: np.ndarray, targets,
-                   eps2: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Steps-to-capture for one pixel block against fixed target points."""
-    n = Z.size
+def _capture_block(p: complex, S: np.ndarray, targets, eps2: float,
+                   max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Steps-to-capture for one block of stacked pairs against fixed targets."""
+    n = S.shape[1]
     steps = np.full(n, max_iter, dtype=np.int32)
     period = np.full(n, -1, dtype=np.int32)
     captured = np.zeros(n, dtype=bool)
     alive = np.arange(n)
-    pc = p.conjugate()
+    P = np.array([[p], [-p.conjugate()]])
+    # flat so that the scratch for the live pixels is contiguous: strided
+    # views cost more per call, and late steps are many calls on few pixels
+    S2, A = np.empty(2 * n, dtype=complex), np.empty(2 * n)
+    scratch = S2.reshape(2, n), A.reshape(2, n)
     for k in range(max_iter + 1):
         if k:
-            Z, W = _pair_step(p, pc, Z, W)
+            _pair_step(P, S, scratch)
+        Z, W = S
         norm = np.abs(Z) ** 2 + np.abs(W) ** 2
         hit = np.zeros(Z.shape, dtype=bool)
         per = np.full(Z.shape, -1, dtype=np.int32)
@@ -210,39 +253,44 @@ def _capture_block(p: complex, Z: np.ndarray, W: np.ndarray, targets,
             period[sel] = per[hit]
             captured[sel] = True
             keep = ~hit
-            Z, W, alive = Z[keep], W[keep], alive[keep]
+            alive = alive[keep]
             if alive.size == 0:
                 break
+            # compress, not S[:, keep], which is several times slower
+            S = np.compress(keep, S, axis=1)
+            live2 = 2 * alive.size
+            scratch = S2[:live2].reshape(2, -1), A[:live2].reshape(2, -1)
     return np.where(captured, steps, max_iter), np.where(captured, period, -1)
 
 
-def _pair_tail(p, pc, Z, W, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """``length`` consecutive states from (Z, W), one row per state."""
-    Zs = np.empty((length,) + Z.shape, dtype=complex)
-    Ws = np.empty_like(Zs)
-    Zs[0], Ws[0] = Z, W
-    for i in range(1, length):
-        Z, W = _pair_step(p, pc, Z, W)
-        Zs[i], Ws[i] = Z, W
-    return Zs, Ws
+def _pair_tail(P, S, scratch, window: np.ndarray) -> None:
+    """Fill ``window`` (rows of stacked pairs) with consecutive states from S."""
+    window[0] = S
+    for i in range(1, len(window)):
+        _pair_step(P, window[i - 1], scratch, out=window[i])
 
 
 def _lag_scan(Zs, Ws, max_period: int, eps2: float) -> np.ndarray:
     """Smallest lag whose last q pairs all match within eps, or -1."""
     tail_len = len(Zs)
-    norms = [np.abs(Z) ** 2 + np.abs(W) ** 2 for Z, W in zip(Zs, Ws)]
     period = np.full(Zs.shape[1:], -1, dtype=np.int32)
+    open_ = np.arange(period.size)  # pixels with no matching lag yet
     for q in range(1, max_period + 1):
-        ok = period < 0
-        if not ok.any():
-            break
+        idx = open_
         for k in range(q):
             a, b = tail_len - 1 - k, tail_len - 1 - k - q
-            cross = np.abs(Zs[a] * Ws[b] - Zs[b] * Ws[a]) ** 2
-            ok = ok & (cross < eps2 * norms[a] * norms[b])
-            if not ok.any():
+            za, wa, zb, wb = Zs[a, idx], Ws[a, idx], Zs[b, idx], Ws[b, idx]
+            cross = np.abs(za * wb - zb * wa) ** 2
+            na = np.abs(za) ** 2 + np.abs(wa) ** 2
+            nb = np.abs(zb) ** 2 + np.abs(wb) ** 2
+            idx = idx[cross < eps2 * na * nb]
+            if idx.size == 0:
                 break
-        period[ok] = q
+        if idx.size:
+            period[idx] = q
+            open_ = open_[period[open_] < 0]
+            if open_.size == 0:
+                break
     return period
 
 
@@ -302,49 +350,32 @@ def _certified_period(p, pc, Zs, Ws, max_period: int, eps2: float) -> np.ndarray
     return q0
 
 
-def _period_block(p: np.ndarray, z0: SpherePoint, transient: int,
-                  max_period: int, eps2: float) -> np.ndarray:
-    """Settled period per parameter value (vectorized tail-lag scan).
+def _run_blocks(total: int, workers: Optional[int], fn, out_arrays,
+                buffers: Optional[queue.SimpleQueue] = None, make_buffer=lambda: None):
+    """Apply fn(start, stop, buffer) over fixed-size blocks, assembling the
+    results into out_arrays along their last axis.
 
-    Pixels certified at the checkpoint (:func:`_certified_period`) retire
-    there; the rest continue from the last checkpoint-window state, so their
-    orbit is the uninterrupted one.  The window is freed before they do.
+    A block takes a buffer from ``buffers`` or, when none is free, a new one
+    from ``make_buffer()``, and puts it back once its results are copied out.
+    At most one buffer per worker is ever made, and runs passing the same
+    ``buffers`` queue reuse them.
     """
-    pc = np.conj(p)
-    z, w = _pair_from_point(z0)
-    Z = np.full(p.shape, z, dtype=complex)
-    W = np.full(p.shape, w, dtype=complex)
-    tail_len = 2 * max_period + 1
-    period = np.full(p.shape, -1, dtype=np.int32)
-    live = slice(None)
-    done = 0
-    if RETIRE_CHECKPOINT + tail_len - 1 <= transient:
-        for _ in range(RETIRE_CHECKPOINT):
-            Z, W = _pair_step(p, pc, Z, W)
-        Zs, Ws = _pair_tail(p, pc, Z, W, tail_len)
-        period = _certified_period(p, pc, Zs, Ws, max_period, eps2)
-        live = np.flatnonzero(period < 0)
-        p, pc, Z, W = p[live], pc[live], Zs[-1, live], Ws[-1, live]
-        del Zs, Ws
-        done = RETIRE_CHECKPOINT + tail_len - 1
-    for _ in range(transient - done):
-        Z, W = _pair_step(p, pc, Z, W)
-    period[live] = _lag_scan(*_pair_tail(p, pc, Z, W, tail_len), max_period, eps2)
-    return period
-
-
-def _run_blocks(total: int, workers: Optional[int], fn, out_arrays):
-    """Apply fn(start, stop) over fixed-size blocks, assembling into out_arrays."""
+    if buffers is None:
+        buffers = queue.SimpleQueue()
     blocks = [(s, min(s + BLOCK_PIXELS, total)) for s in range(0, total, BLOCK_PIXELS)]
 
     def run(block):
         start, stop = block
-        results = fn(start, stop)
-        for out, res in zip(out_arrays, results):
-            out[start:stop] = res
+        try:
+            buf = buffers.get_nowait()
+        except queue.Empty:
+            buf = make_buffer()
+        for out, res in zip(out_arrays, fn(start, stop, buf)):
+            out[..., start:stop] = res
+        buffers.put(buf)
 
     nworkers = workers if workers else min(8, os.cpu_count() or 1)
-    if nworkers <= 1 or len(blocks) == 1:
+    if nworkers <= 1 or len(blocks) <= 1:
         for b in blocks:
             run(b)
     else:
@@ -365,8 +396,13 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     ``eps`` is the capture radius in sqrt-overlap units.  A pixel's
     ``steps`` entry is the first iteration count at which it came within
     eps of a target point (0 = already there); unconverged pixels carry
-    steps = max_iter and period = -1.
+    steps = max_iter and period = -1.  Requires 0 < eps < 1 and
+    max_iter >= 0; ValueError otherwise.
     """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be finite and in (0, 1), got {eps!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     if cycles is None:
         report = critical_orbits(param)
         cycles = report.attracting_cycles()
@@ -379,14 +415,14 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     eps2 = eps * eps
     grid = window.grid().ravel()
     m0 = np.maximum(np.abs(grid), 1.0)
-    Z0 = grid / m0
-    W0 = (1.0 / m0).astype(complex)
+    S0 = np.empty((2, grid.size), dtype=complex)
+    np.divide(grid, m0, out=S0[0])
+    np.divide(1.0, m0, out=S0[1])
     steps = np.empty(grid.size, dtype=np.int32)
     period = np.empty(grid.size, dtype=np.int32)
 
-    def block(start, stop):
-        return _capture_block(param.p, Z0[start:stop].copy(), W0[start:stop].copy(),
-                              targets, eps2, max_iter)
+    def block(start, stop, _):
+        return _capture_block(param.p, S0[:, start:stop].copy(), targets, eps2, max_iter)
 
     _run_blocks(grid.size, workers, block, (steps, period))
     shape = (window.ny, window.nx)
@@ -416,14 +452,20 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     lag are marked unconverged.  Requires 0 < eps < 1, max_period >= 1 and
     transient >= 2*max_period; ValueError otherwise.
 
-    A pixel whose orbit is already certified to have settled stops early:
-    at step RETIRE_CHECKPOINT it retires with period q0 if q0 is the
-    smallest lag matching within RETIRE_TIGHT*eps, every smaller lag misses
-    by more than RETIRE_MARGIN*eps, and the multiplier over those q0 states
-    has modulus at most 1 - RETIRE_CONTRACTION.  Retirement never changes a
-    period: it is the one the full transient and scan report.  So ``steps``
-    still records transient + 2*max_period for every pixel, the depth the
-    period stands for.
+    The raster runs in two phases, each over fixed blocks of BLOCK_PIXELS
+    pixels.  In the first, a pixel whose orbit is already certified to have
+    settled stops early: at step RETIRE_CHECKPOINT it retires with period
+    q0 if q0 is the smallest lag matching within RETIRE_TIGHT*eps, every
+    smaller lag misses by more than RETIRE_MARGIN*eps, and the multiplier
+    over those q0 states has modulus at most 1 - RETIRE_CONTRACTION.  In the
+    second, the pixels left over from every block are pooled in pixel order,
+    with their last checkpoint-window state, into fresh full blocks that run
+    the rest of the transient and the lag scan, so their orbit is the
+    uninterrupted one.  (With a transient too short for the checkpoint
+    window, every pixel runs the second phase from z0.)  Retirement never
+    changes a period: it is the one the full transient and scan report.  So
+    ``steps`` still records transient + 2*max_period for every pixel, the
+    depth the period stands for.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be finite and in (0, 1), got {eps!r}")
@@ -433,13 +475,67 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
         raise ValueError("transient must be at least 2*max_period")
     z0 = as_point(z0)
     eps2 = eps * eps
-    grid = window.grid().ravel()
-    period = np.empty(grid.size, dtype=np.int32)
+    total = window.nx * window.ny
+    re, im = window.real_axis(), window.imag_axis()
 
-    def block(start, stop):
-        return (_period_block(grid[start:stop], z0, transient, max_period, eps2),)
+    def params_at(idx):
+        """Parameters of the flat pixel indices idx, as window.grid() has them
+        (formed per block: the whole grid would raise the peak memory)."""
+        return re[idx % window.nx] + 1j * im[idx // window.nx]
 
-    _run_blocks(grid.size, workers, block, (period,))
+    tail_len = 2 * max_period + 1
+    # one window of tail states plus step scratch per worker, kept through
+    # both phases: a fresh window per block inflates peak RSS through heap
+    # retention
+    buffers = queue.SimpleQueue()
+    cols = min(BLOCK_PIXELS, total)
+
+    def make_buffer():
+        return np.empty((tail_len, 2, cols), dtype=complex), _pair_scratch(cols)
+
+    def fit(buf, n):
+        win, (S2, A) = buf
+        return win[:, :, :n], (S2[:, :n], A[:, :n])
+
+    period = np.full(total, -1, dtype=np.int32)
+    done = 0
+    if RETIRE_CHECKPOINT + tail_len - 1 <= transient:
+        # per block: the pixels left uncertified and their last window state
+        left = [None] * -(-total // BLOCK_PIXELS)
+
+        def checkpoint(start, stop, buf):
+            p = params_at(np.arange(start, stop))
+            P, S = _pair_params(p), _pair_start(z0, p.size)
+            win, scratch = fit(buf, p.size)
+            for _ in range(RETIRE_CHECKPOINT):
+                _pair_step(P, S, scratch)
+            _pair_tail(P, S, scratch, win)
+            q0 = _certified_period(p, np.conj(p), win[:, 0], win[:, 1], max_period, eps2)
+            live = np.flatnonzero(q0 < 0)
+            left[start // BLOCK_PIXELS] = start + live, win[-1][:, live]
+            return (q0,)
+
+        _run_blocks(total, workers, checkpoint, (period,), buffers, make_buffer)
+        live = np.concatenate([idx for idx, _ in left])
+        S_live = np.concatenate([S for _, S in left], axis=1)
+        del left
+        done = RETIRE_CHECKPOINT + tail_len - 1
+    else:
+        live = np.arange(total)
+        S_live = _pair_start(z0, total)
+
+    def survivors(start, stop, buf):
+        p = params_at(live[start:stop])
+        P, S = _pair_params(p), S_live[:, start:stop].copy()
+        win, scratch = fit(buf, p.size)
+        for _ in range(transient - done):
+            _pair_step(P, S, scratch)
+        _pair_tail(P, S, scratch, win)
+        return (_lag_scan(win[:, 0], win[:, 1], max_period, eps2),)
+
+    settled = np.empty(live.size, dtype=np.int32)
+    _run_blocks(live.size, workers, survivors, (settled,), buffers, make_buffer)
+    period[live] = settled
     shape = (window.ny, window.nx)
     period = period.reshape(shape)
     steps = np.full(shape, transient + 2 * max_period, dtype=np.int32)
@@ -467,20 +563,20 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
         raise ValueError("need at least one sample")
     if record < 1:
         raise ValueError("need at least one recorded step")
+    if transient < 0:
+        raise ValueError(f"transient must be at least 0, got {transient}")
     t = np.arange(samples) / (samples - 1) if samples > 1 else np.zeros(1)
     p = np.asarray(start) + t * (np.asarray(end) - np.asarray(start))
     p = p.astype(complex)
-    pc = np.conj(p)
     z0 = as_point(z0)
-    z, w = _pair_from_point(z0)
-    Z = np.full(p.shape, z, dtype=complex)
-    W = np.full(p.shape, w, dtype=complex)
+    P, S = _pair_params(p), _pair_start(z0, samples)
+    scratch = _pair_scratch(samples)
     for _ in range(transient):
-        Z, W = _pair_step(p, pc, Z, W)
+        _pair_step(P, S, scratch)
     abs_z = np.empty((samples, record), dtype=float)
     is_inf = np.empty((samples, record), dtype=bool)
     for k in range(record):
-        Z, W = _pair_step(p, pc, Z, W)
+        Z, W = _pair_step(P, S, scratch)
         aw = np.abs(W)
         flag = aw == 0.0
         with np.errstate(divide="ignore", over="ignore"):
@@ -504,11 +600,12 @@ def julia_grayscale(raster: Raster, max_iter: Optional[int] = None) -> np.ndarra
 
     Captured pixels map monotonically dark-to-light as
     floor(255 * steps / max_iter), clipped to 254 so the white level stays
-    reserved for non-convergence.
+    reserved for non-convergence.  With max_iter = 0 every captured pixel
+    started on a target and is black.
     """
     if max_iter is None:
         max_iter = int(raster.config.get("max_iter", raster.steps.max() or 1))
-    gray = np.floor(255.0 * raster.steps / max_iter).astype(np.int64)
+    gray = np.floor(255.0 * raster.steps / max(max_iter, 1)).astype(np.int64)
     gray = np.minimum(gray, 254)
     return np.where(raster.converged, gray, 255).astype(np.uint8)
 

@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -23,9 +24,9 @@ from qubit_chaos.atlas import (
     write_sweep_csv,
     _certified_period,
     _pair_from_point,
+    _pair_params,
+    _pair_scratch,
     _pair_step,
-    _pair_tail,
-    _period_block,
 )
 from qubit_chaos.orbits import critical_orbits, make_cycle
 from qubit_chaos.sphere import INF, MapParam, SpherePoint, as_point
@@ -137,6 +138,16 @@ def test_julia_explicit_cycle_override():
     }
 
 
+def test_julia_argument_guards():
+    win = Window.from_bounds(-1.0, 1.0, -1.0, 1.0, 4, 4)
+    for eps in (float("nan"), 0.0, -1e-6, 1.0, 2.0, float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            render_julia(P1, win, eps=eps)
+    with pytest.raises(ValueError, match="max_iter"):
+        render_julia(P1, win, max_iter=-1)
+    assert render_julia(P1, win, max_iter=0).steps.max() == 0
+
+
 def test_julia_config_records_inputs():
     win = Window.from_bounds(-1.0, 1.0, -1.0, 1.0, 4, 4)
     raster = render_julia(P1, win, max_iter=60, eps=1e-5)
@@ -172,6 +183,38 @@ def test_parameter_raster_deterministic_across_workers():
     assert np.array_equal(a.converged, b.converged)
 
 
+def test_parameter_raster_pooling_deterministic_across_workers():
+    # more than one block, a transient past the checkpoint window, and
+    # uncertified pixels in every block, so survivors from several blocks
+    # are pooled together
+    win = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 100, 100)
+    transient, max_period = 300, 8
+    assert win.nx * win.ny > BLOCK_PIXELS
+    assert transient >= RETIRE_CHECKPOINT + 2 * max_period
+    left = ~_retired_at_checkpoint(win.grid().ravel(), 0j, max_period, 1e-6)
+    assert left[:BLOCK_PIXELS].any() and left[BLOCK_PIXELS:].any()
+    a, b, c = (render_parameter_space(win, transient=transient, max_period=max_period,
+                                      workers=n) for n in (1, 2, 3))
+    assert np.array_equal(a.period, b.period)
+    assert np.array_equal(a.period, c.period)
+
+
+def test_parameter_raster_shared_buffers_under_thread_switching():
+    # blocks share per-worker window buffers: more workers than cores and
+    # a short switch interval make any two blocks writing one buffer at
+    # once show up as changed periods
+    win = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 120, 150)
+    kw = dict(transient=300, max_period=8)
+    want = render_parameter_space(win, workers=1, **kw).period
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = render_parameter_space(win, workers=4, **kw).period
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+
+
 def test_parameter_raster_transient_guard():
     win = Window.from_bounds(0.0, 1.0, 0.0, 1.0, 3, 3)
     with pytest.raises(ValueError):
@@ -189,11 +232,32 @@ def test_parameter_raster_argument_guards():
 
 
 # ---------------------------------------------------------------------------
-# early retirement against straight iteration
+# the pair kernel and early retirement against straight iteration
+
+def _division_step(p, pc, Z, W):
+    """Reference map step on separate Z, W arrays, normalized by division."""
+    Z2 = Z * Z
+    W2 = W * W
+    Zn = Z2 + p * W2
+    Wn = W2 - pc * Z2
+    m = np.maximum(np.abs(Zn), np.abs(Wn))
+    return Zn / m, Wn / m
+
 
 def _orbit_start(p, z0):
     z, w = _pair_from_point(as_point(z0))
     return np.full(p.shape, z, dtype=complex), np.full(p.shape, w, dtype=complex)
+
+
+def _reference_tail(p, Z, W, length):
+    """``length`` consecutive states from (Z, W) by the division step."""
+    pc = np.conj(p)
+    Zs, Ws = [Z], [W]
+    for _ in range(length - 1):
+        Z, W = _division_step(p, pc, Z, W)
+        Zs.append(Z)
+        Ws.append(W)
+    return np.array(Zs), np.array(Ws)
 
 
 def _straight_periods(p, z0, transient, max_period, eps):
@@ -201,12 +265,10 @@ def _straight_periods(p, z0, transient, max_period, eps):
     pc = np.conj(p)
     Z, W = _orbit_start(p, z0)
     for _ in range(transient):
-        Z, W = _pair_step(p, pc, Z, W)
+        Z, W = _division_step(p, pc, Z, W)
     tail_len = 2 * max_period + 1
-    tails = [(Z, W, np.abs(Z) ** 2 + np.abs(W) ** 2)]
-    for _ in range(tail_len - 1):
-        Z, W = _pair_step(p, pc, Z, W)
-        tails.append((Z, W, np.abs(Z) ** 2 + np.abs(W) ** 2))
+    Zs, Ws = _reference_tail(p, Z, W, tail_len)
+    tails = [(za, wa, np.abs(za) ** 2 + np.abs(wa) ** 2) for za, wa in zip(Zs, Ws)]
     eps2 = eps * eps
     period = np.full(p.shape, -1, dtype=np.int32)
     for q in range(1, max_period + 1):
@@ -223,50 +285,89 @@ def _retired_at_checkpoint(p, z0, max_period, eps):
     pc = np.conj(p)
     Z, W = _orbit_start(p, z0)
     for _ in range(RETIRE_CHECKPOINT):
-        Z, W = _pair_step(p, pc, Z, W)
-    Zs, Ws = _pair_tail(p, pc, Z, W, 2 * max_period + 1)
+        Z, W = _division_step(p, pc, Z, W)
+    Zs, Ws = _reference_tail(p, Z, W, 2 * max_period + 1)
     return _certified_period(p, pc, Zs, Ws, max_period, eps * eps) > 0
 
 
-def _check_retiring_kernel(p, z0=0j, transient=2000, max_period=64, eps=1e-6):
-    """Assert the retiring kernel equals straight iteration pixel for pixel,
-    with every numpy warning raised; returns the per-pixel retirement mask."""
+def _check_retiring_kernel(window, z0=0j, transient=2000, max_period=64, eps=1e-6):
+    """Assert render_parameter_space equals straight iteration pixel for
+    pixel, with every numpy warning raised; returns the per-pixel mask of
+    pixels retired at the checkpoint."""
+    p = window.grid().ravel()
     retired = np.zeros(p.shape, dtype=bool)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        got = render_parameter_space(window, z0=z0, transient=transient,
+                                     max_period=max_period, eps=eps, workers=2)
+        got = got.period.ravel()
         for s in range(0, p.size, BLOCK_PIXELS):
             block = p[s:s + BLOCK_PIXELS]
-            got = _period_block(block, as_point(z0), transient, max_period, eps * eps)
             want = _straight_periods(block, z0, transient, max_period, eps)
-            assert np.array_equal(got, want), (
-                f"{np.count_nonzero(got != want)} pixels differ from straight iteration")
+            assert np.array_equal(got[s:s + BLOCK_PIXELS], want), (
+                f"{np.count_nonzero(got[s:s + BLOCK_PIXELS] != want)} pixels "
+                "differ from straight iteration")
             retired[s:s + BLOCK_PIXELS] = _retired_at_checkpoint(block, z0, max_period, eps)
     return retired
+
+
+def _assert_kernel_tracks_division(p, Z, W, steps):
+    P = _pair_params(np.atleast_1d(p))  # (2, 1) for one parameter, as in julia
+    S = np.stack((Z, W))
+    scratch = _pair_scratch(Z.size)
+    out = np.empty_like(S)
+    pc = np.conj(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(steps):
+            Z, W = _division_step(p, pc, Z, W)
+            _pair_step(P, S, scratch, out=out)   # the tail form leaves S alone
+            _pair_step(P, S, scratch)
+            assert np.array_equal(S, out), k
+            assert np.array_equal(S[0], Z) and np.array_equal(S[1], W), k
+
+
+def test_pair_kernel_equals_division_form_on_julia_orbits():
+    grid = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 40, 40).grid().ravel()
+    m0 = np.maximum(np.abs(grid), 1.0)
+    for p in (1.0 + 0j, 0.3 + 0.3j, -0.2 + 0.7j):
+        _assert_kernel_tracks_division(p, grid / m0, (1.0 / m0).astype(complex), 300)
+
+
+def test_pair_kernel_equals_division_form_on_sweep_orbits():
+    p = np.linspace(0.0, 2.0, 200) * 1j
+    _assert_kernel_tracks_division(p, *_orbit_start(p, 0j), 2000)
+
+
+@pytest.mark.parametrize("z0", [0j, INF])
+def test_pair_kernel_equals_division_form_on_params_orbits(z0):
+    p = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 50, 50).grid().ravel()
+    _assert_kernel_tracks_division(p, *_orbit_start(p, z0), 500)
 
 
 def test_retirement_exact_on_period_doubling_arc():
     # period-2 parameters beside the arc where the 2-cycle doubles: a loose
     # certificate (tight radius eps/2) retires 100 of these pixels with
     # period 6, which straight iteration settles to 2
-    win = Window.from_bounds(0.63, 0.73, 1.54, 1.64, 48, 48)
-    retired = _check_retiring_kernel(win.grid().ravel())
+    retired = _check_retiring_kernel(Window.from_bounds(0.63, 0.73, 1.54, 1.64, 48, 48))
     assert 0 < retired.sum() < retired.size
 
 
 @pytest.mark.parametrize("z0", [0j, INF])
 def test_retirement_exact_around_superattracting_p1(z0):
     win = Window.from_bounds(0.9, 1.1, -0.1, 0.1, 25, 25)
-    grid = win.grid().ravel()
-    retired = _check_retiring_kernel(grid, z0=z0)
+    retired = _check_retiring_kernel(win, z0=z0)
     # the 2-cycle {-1, inf} passes through the critical point inf, so the
     # multiplier is exactly 0 (log -inf) and must certify, not become NaN
-    assert grid[312] == 1.0 and retired[312]
+    assert win.grid().ravel()[312] == 1.0 and retired[312]
 
 
 def test_retirement_exact_on_default_window_rows():
-    grid = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 500, 500).grid()[::5].ravel()
-    retired = _check_retiring_kernel(grid)
+    # the default window at 150 of its 500 rows: more survivors than one
+    # block holds, so they are pooled into two
+    retired = _check_retiring_kernel(Window.from_bounds(0.0, 3.0, 0.0, 3.0, 500, 150))
     assert retired.mean() > 0.8
+    assert (~retired).sum() > BLOCK_PIXELS
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +421,8 @@ def test_sweep_argument_guards():
         bifurcation_sweep(samples=0)
     with pytest.raises(ValueError):
         bifurcation_sweep(record=0)
+    with pytest.raises(ValueError, match="transient"):
+        bifurcation_sweep(samples=4, transient=-5)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +457,14 @@ def test_grayscale_cap_below_white():
     gray = julia_grayscale(raster)
     assert gray[0, 0] == 254  # converged at the last moment stays off white
     assert gray[0, 1] == 255
+
+
+def test_grayscale_zero_max_iter():
+    raster = _tiny_raster([[0, 0]], [[True, False]], [[1, -1]], 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gray = julia_grayscale(raster)
+    assert gray.tolist() == [[0, 255]]
 
 
 def test_period_palette_shape_and_anchor():

@@ -102,6 +102,19 @@ def test_params_invalid_numbers_exit_two(outdir, capsys, flag):
     assert not (outdir / "bad.ppm").exists()
 
 
+@pytest.mark.parametrize("flag", ["--eps=0", "--eps=nan", "--max-iter=-1"])
+def test_julia_invalid_numbers_exit_two(outdir, capsys, flag):
+    assert run(["julia", "--p=1", "--res=8", flag, "--out=bad"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (outdir / "bad.pgm").exists()
+
+
+def test_sweep_negative_transient_exits_two(outdir, capsys):
+    assert run(["sweep", "--samples=4", "--transient=-5", "--out=bad"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (outdir / "bad.csv").exists()
+
+
 def test_degree_guard_exits_two(outdir, capsys):
     assert run(["cycles", "--p", "0+0i", "--n", "9", "--out", "big"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -239,12 +252,11 @@ def test_job_config_round_trip():
 
 
 def test_sidecar_argv_reruns_bit_identical(outdir):
-    rc = run(["julia", "--p=-0.2+0.7i", "--window=-2,2,-2,2",
-              "--res", "12", "--max-iter", "30", "--out", "first"])
-    assert rc == 1 or rc == 0
-    if rc == 1:  # parameter landed outside any stable region; pick another
-        pytest.skip("chosen parameter has no attracting cycle")
+    assert run(["julia", "--p=1", "--window=-2,2,-2,2",
+                "--res", "12", "--max-iter", "30", "--out", "first"]) == 0
     original = (outdir / "first.pgm").read_bytes()
+    pixels = original.split(b"\n", 3)[3]
+    assert len(pixels) == 144 and min(pixels) < 255  # not an all-white image
     job = JobConfig.from_json_dict(read_sidecar(outdir / "first.pgm")["job"])
     rerun = dataclasses.replace(job, out="second")
     assert run(config_to_argv(rerun)) == 0
