@@ -11,14 +11,9 @@ Three instruments:
 * :func:`bifurcation_sweep` -- |z| samples recorded after a long transient
   along a line segment of parameters (CSV).
 
-The vector kernel tracks every pixel as a projective pair (Z, W) with
-z = Z/W, renormalized to unit max magnitude each step.  The pair form makes
-the step polynomial -- numerator Z**2 + p W**2, denominator W**2 - conj(p)
-Z**2 -- so there is no division, no overflow, and the point at infinity is
-the exact pair (1, 0).  All arithmetic commutes bit-for-bit with complex
-conjugation, which is what makes mirror-symmetry tests exact.  One in-place
-kernel, :func:`_pair_step`, steps a stacked (2, n) pair array for all three
-pipelines, with preallocated scratch and no temporaries.
+Every pipeline steps projective pairs through the in-place kernel of
+:mod:`qubit_chaos.kernel`; the julia raster runs its capture loop, the one
+``classify_basin`` runs with the roundoff certificate on.
 
 The parameter raster runs in two phases.  First every block iterates to a
 checkpoint inside the transient and retires each pixel whose period is
@@ -50,6 +45,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .kernel import (
+    _capture,
+    _check_capture_args,
+    _pair_params,
+    _pair_rate,
+    _pair_scratch,
+    _pair_start,
+    _pair_step,
+    _start_pairs,
+    _target_pairs,
+)
 from .orbits import ConfigurationError, Cycle, critical_orbits
 from .sphere import MapParam, SpherePoint, as_point
 
@@ -161,107 +167,7 @@ class Sweep:
 
 
 # ---------------------------------------------------------------------------
-# projective-pair kernel
-
-def _pair_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch buffers for :func:`_pair_step` on n stacked pairs."""
-    return np.empty((2, n), dtype=complex), np.empty((2, n))
-
-
-def _pair_step(P, S, scratch, out=None):
-    """One map step of the stacked pairs ``S = [Z, W]``, written in place.
-
-    ``P`` is ``[p, -conj(p)]`` (shape (2, n), or (2, 1) for one parameter),
-    ``scratch`` comes from :func:`_pair_scratch` and the result goes to
-    ``out`` (default ``S``; any other ``out`` leaves ``S`` untouched).  The
-    new pair is (Z**2 + p W**2, W**2 - conj(p) Z**2): one product gives
-    Z**2 and W**2, one more p W**2 and -conj(p) Z**2, and adding the
-    negated product equals subtracting it bit for bit.  The two quadratics
-    have no common root, so the pair never vanishes and is renormalized to
-    unit max magnitude.  Multiplying by 1/m is numpy's complex division by
-    the real m with the division hoisted out: nonzero values equal Zn / m
-    bit for bit, and at most the sign of an exact zero differs.
-    """
-    S2, A = scratch
-    if out is None:
-        out = S
-    np.multiply(S, S, out=S2)
-    np.multiply(P, S2[::-1], out=out)
-    out += S2
-    np.abs(out, out=A)
-    m = np.maximum(A[0], A[1], out=A[0])
-    np.divide(1.0, m, out=m)
-    out *= m
-    return out
-
-
-def _pair_from_point(pt: SpherePoint) -> tuple[complex, complex]:
-    Z, W = pt.homogeneous()
-    m = max(abs(Z), abs(W))
-    return Z / m, W / m
-
-
-def _pair_params(p: np.ndarray) -> np.ndarray:
-    """The ``P = [p, -conj(p)]`` argument of :func:`_pair_step`."""
-    return np.stack((p, -np.conj(p)))
-
-
-def _pair_start(z0: SpherePoint, n: int) -> np.ndarray:
-    """The stacked pair of z0, repeated n times."""
-    S = np.empty((2, n), dtype=complex)
-    S[0], S[1] = _pair_from_point(z0)
-    return S
-
-
-def _target_pairs(cycles: Sequence[Cycle]):
-    targets = []
-    for cycle in cycles:
-        for pt in cycle.points:
-            tz, tw = _pair_from_point(pt)
-            targets.append((tz, tw, abs(tz) ** 2 + abs(tw) ** 2, cycle.period))
-    return targets
-
-
-def _capture_block(p: complex, S: np.ndarray, targets, eps2: float,
-                   max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Steps-to-capture for one block of stacked pairs against fixed targets."""
-    n = S.shape[1]
-    steps = np.full(n, max_iter, dtype=np.int32)
-    period = np.full(n, -1, dtype=np.int32)
-    captured = np.zeros(n, dtype=bool)
-    alive = np.arange(n)
-    P = np.array([[p], [-p.conjugate()]])
-    # flat so that the scratch for the live pixels is contiguous: strided
-    # views cost more per call, and late steps are many calls on few pixels
-    S2, A = np.empty(2 * n, dtype=complex), np.empty(2 * n)
-    scratch = S2.reshape(2, n), A.reshape(2, n)
-    for k in range(max_iter + 1):
-        if k:
-            _pair_step(P, S, scratch)
-        Z, W = S
-        norm = np.abs(Z) ** 2 + np.abs(W) ** 2
-        hit = np.zeros(Z.shape, dtype=bool)
-        per = np.full(Z.shape, -1, dtype=np.int32)
-        for tz, tw, tn, tq in targets:
-            cross = np.abs(Z * tw - tz * W) ** 2
-            new = (cross < eps2 * tn * norm) & ~hit
-            per[new] = tq
-            hit |= new
-        if hit.any():
-            sel = alive[hit]
-            steps[sel] = k
-            period[sel] = per[hit]
-            captured[sel] = True
-            keep = ~hit
-            alive = alive[keep]
-            if alive.size == 0:
-                break
-            # compress, not S[:, keep], which is several times slower
-            S = np.compress(keep, S, axis=1)
-            live2 = 2 * alive.size
-            scratch = S2[:live2].reshape(2, -1), A[:live2].reshape(2, -1)
-    return np.where(captured, steps, max_iter), np.where(captured, period, -1)
-
+# parameter-raster kernel
 
 def _pair_tail(P, S, scratch, window: np.ndarray) -> None:
     """Fill ``window`` (rows of stacked pairs) with consecutive states from S."""
@@ -292,17 +198,6 @@ def _lag_scan(Zs, Ws, max_period: int, eps2: float) -> np.ndarray:
             if open_.size == 0:
                 break
     return period
-
-
-def _pair_rate(p, pc, Z, W):
-    """Spherical expansion rate of one step at the pair (Z, W), chart-free."""
-    aZ, aW = np.abs(Z), np.abs(W)
-    Z2 = Z * Z
-    W2 = W * W
-    Zn = Z2 + p * W2
-    Wn = W2 - pc * Z2
-    return (2.0 * (1.0 + np.abs(p) ** 2)) * aZ * aW * (aZ ** 2 + aW ** 2) / (
-        np.abs(Zn) ** 2 + np.abs(Wn) ** 2)
 
 
 def _certified_period(p, pc, Zs, Ws, max_period: int, eps2: float) -> np.ndarray:
@@ -399,10 +294,7 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     steps = max_iter and period = -1.  Requires 0 < eps < 1 and
     max_iter >= 0; ValueError otherwise.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be finite and in (0, 1), got {eps!r}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
+    _check_capture_args(eps, max_iter)
     if cycles is None:
         report = critical_orbits(param)
         cycles = report.attracting_cycles()
@@ -413,27 +305,25 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
             )
     targets = _target_pairs(cycles)
     eps2 = eps * eps
-    grid = window.grid().ravel()
-    m0 = np.maximum(np.abs(grid), 1.0)
-    S0 = np.empty((2, grid.size), dtype=complex)
-    np.divide(grid, m0, out=S0[0])
-    np.divide(1.0, m0, out=S0[1])
-    steps = np.empty(grid.size, dtype=np.int32)
-    period = np.empty(grid.size, dtype=np.int32)
+    S0 = _start_pairs(window.grid().ravel())
+    total = S0.shape[1]
+    steps, label = np.empty((2, total), dtype=np.int32)
 
     def block(start, stop, _):
-        return _capture_block(param.p, S0[:, start:stop].copy(), targets, eps2, max_iter)
+        return _capture(param.p, S0[:, start:stop].copy(), targets, eps2, max_iter)[:2]
 
-    _run_blocks(grid.size, workers, block, (steps, period))
+    _run_blocks(total, workers, block, (steps, label))
     shape = (window.ny, window.nx)
-    steps = steps.reshape(shape)
-    period = period.reshape(shape)
+    # label -1 (never captured) picks the trailing -1
+    period = np.array([c.period for c in cycles] + [-1], np.int32)[label].reshape(shape)
+    converged = period >= 0
+    steps = np.where(converged, steps.reshape(shape), max_iter)
     config = {
         "kind": "julia", "p": [param.p.real, param.p.imag],
         "window": window.to_json_dict(), "max_iter": max_iter, "eps": eps,
-        "targets": [[_fmt(tz), _fmt(tw), tq] for tz, tw, _, tq in targets],
+        "targets": [[_fmt(tz), _fmt(tw), cycles[i].period] for tz, tw, _, i in targets],
     }
-    return Raster(window, period >= 0, steps, period, config)
+    return Raster(window, converged, steps, period, config)
 
 
 def _fmt(c: complex) -> list[float]:

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .kernel import _capture, _check_capture_args, _pair_from_point, _start_pairs, _target_pairs
 from .roots import RootFindingError, aberth_roots, fixed_point_polynomial
 from .sphere import (
     INF,
@@ -604,12 +605,12 @@ def _transient_length(pts: list[SpherePoint], cycle: Cycle, eps: float) -> int:
     # a vectorized prefilter at twice the radius picks the candidates, over
     # chunks that double in size so a short transient stays cheap; the exact
     # scalar test then decides them in orbit order
-    CZ, CW = _unit_pairs(cycle.points)
+    CZ, CW = np.array([_pair_from_point(pt) for pt in cycle.points]).T
     cnorm = np.hypot(np.abs(CZ), np.abs(CW))
     start, size = 0, 16
     while start < len(pts):
         chunk = pts[start:start + size]
-        Z, W = _unit_pairs(chunk)
+        Z, W = np.array([_pair_from_point(pt) for pt in chunk]).T
         cross = np.abs(Z[:, None] * CW[None, :] - CZ[None, :] * W[:, None])
         bound = (2.0 * eps) * np.hypot(np.abs(Z), np.abs(W))[:, None] * cnorm[None, :]
         for k in np.flatnonzero((cross <= bound).any(axis=1)):
@@ -618,13 +619,6 @@ def _transient_length(pts: list[SpherePoint], cycle: Cycle, eps: float) -> int:
         start += size
         size *= 2
     return len(pts) - 1
-
-
-def _unit_pairs(pts) -> tuple[np.ndarray, np.ndarray]:
-    """Projective pairs of the points, scaled to unit max magnitude."""
-    pairs = np.array([pt.homogeneous() for pt in pts], dtype=complex)
-    pairs /= np.abs(pairs).max(axis=1, keepdims=True)
-    return pairs[:, 0], pairs[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +660,12 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     lands says nothing about where the true one goes, so they are reported
     unresolved rather than misfiled.  Orbits sitting exactly on a repelling
     invariant set (e.g. |z| = 1 under the pure squaring map) are the
-    canonical unresolved case.
+    canonical unresolved case.  The orbits run through the capture loop
+    ``render_julia`` uses (:func:`qubit_chaos.kernel._capture`); the
+    certificate is the only difference.  Requires 0 < eps < 1 and
+    max_iter >= 0; ValueError otherwise.
     """
+    _check_capture_args(eps, max_iter)
     pts = np.asarray(points, dtype=complex)
     if cycles is None:
         cycles = critical_orbits(param).attracting_cycles()
@@ -676,74 +674,10 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
                 f"no attracting cycle found at p={param.p}; "
                 "supply target cycles explicitly")
     cycles = tuple(cycles)
-
-    tz, tw, tlabel = [], [], []
-    for ci, cyc in enumerate(cycles):
-        for pt in cyc.points:
-            z, w = (1.0 + 0j, 0j) if pt.is_infinity else (pt.value, 1.0 + 0j)
-            m = max(abs(z), abs(w))
-            tz.append(z / m)
-            tw.append(w / m)
-            tlabel.append(ci)
-    tz, tw = np.asarray(tz), np.asarray(tw)
-    tlabel = np.asarray(tlabel)
-    tn2 = np.abs(tz) ** 2 + np.abs(tw) ** 2
-
-    flat = pts.ravel()
-    total = flat.size
-    finite = np.isfinite(flat)
-    Z = np.where(finite, flat, 1.0 + 0j)
-    W = np.where(finite, 1.0 + 0j, 0j)
-    norm = np.maximum(np.abs(Z), np.abs(W))
-    Z, W = Z / norm, W / norm
-
-    labels = np.full(total, -1, dtype=int)
-    steps = np.full(total, -1, dtype=int)
-    peak = np.zeros(total, dtype=float)
-
-    idx = np.arange(total)
-    log_e = np.zeros(total, dtype=float)
-    log_peak = np.zeros(total, dtype=float)
-    p = param.p
-    pc = np.conj(p)
-    gain = 1.0 + abs(p) ** 2
-    limit = math.log(eps / SEED_ROUNDOFF)
-    eps2 = eps * eps
-
-    for k in range(max_iter + 1):
-        if idx.size == 0:
-            break
-        na2 = np.abs(Z) ** 2 + np.abs(W) ** 2
-        cross2 = np.abs(Z[:, None] * tw[None, :] - W[:, None] * tz[None, :]) ** 2
-        hit = cross2 < (eps2 * na2[:, None]) * tn2[None, :]
-        got = hit.any(axis=1)
-        if got.any():
-            first = np.argmax(hit[got], axis=1)
-            certified = log_peak[got] <= limit
-            captured = idx[got]
-            labels[captured[certified]] = tlabel[first[certified]]
-            steps[captured[certified]] = k
-            peak[captured] = log_peak[got]
-            keep = ~got
-            idx, Z, W = idx[keep], Z[keep], W[keep]
-            log_e, log_peak, na2 = log_e[keep], log_peak[keep], na2[keep]
-            if idx.size == 0:
-                break
-        if k == max_iter:
-            peak[idx] = log_peak
-            break
-        Zn = Z * Z + p * (W * W)
-        Wn = W * W - pc * (Z * Z)
-        rate = (2.0 * gain) * np.abs(Z) * np.abs(W) * na2 / (
-            np.abs(Zn) ** 2 + np.abs(Wn) ** 2)
-        with np.errstate(divide="ignore"):
-            log_e = log_e + np.log(rate)
-        log_peak = np.maximum(log_peak, log_e)
-        norm = np.maximum(np.abs(Zn), np.abs(Wn))
-        Z, W = Zn / norm, Wn / norm
-
-    return BasinResult(labels.reshape(pts.shape), steps.reshape(pts.shape),
-                       peak.reshape(pts.shape), cycles)
+    steps, labels, peak = (a.reshape(pts.shape) for a in _capture(
+        param.p, _start_pairs(pts.ravel()), _target_pairs(cycles), eps * eps,
+        max_iter, limit=math.log(eps / SEED_ROUNDOFF)))
+    return BasinResult(labels.astype(int), steps.astype(int), peak, cycles)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,8 @@ from qubit_chaos.atlas import (
     write_sidecar,
     write_sweep_csv,
     _certified_period,
-    _pair_from_point,
-    _pair_params,
-    _pair_scratch,
-    _pair_step,
 )
+from qubit_chaos.kernel import _pair_from_point, _pair_params, _pair_scratch, _pair_step
 from qubit_chaos.orbits import critical_orbits, make_cycle
 from qubit_chaos.sphere import INF, MapParam, SpherePoint, as_point
 

@@ -1,16 +1,19 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qubit_chaos.atlas import Window, render_julia
 from qubit_chaos.orbits import (
     ATTRACTING,
     ATTRACTING_CLASSES,
     NEUTRAL_IRRATIONAL,
     NEUTRAL_PARABOLIC,
     REPELLING,
+    SEED_ROUNDOFF,
     SUPERATTRACTING,
     ConfigurationError,
     Orbit,
@@ -383,6 +386,136 @@ def test_classify_basin_agrees_with_scalar_orbits():
         assert label >= 0
         end = iterate_orbit(P1, z0, int(k)).points[-1]
         assert any(chordal_distance(end, cp) <= 1e-6 for cp in cycle_pts)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps": math.nan}, {"eps": 2.0}, {"eps": 0.0}, {"eps": 1.0}, {"eps": -1e-6},
+    {"eps": math.inf}, {"max_iter": -1},
+])
+def test_classify_basin_argument_guards(kwargs):
+    # unchecked, eps=nan resolved nothing, eps=2 put 2.0 (an exterior point)
+    # in the basin of 0 at step 0, eps=0 died in math.log and max_iter=-1
+    # returned all -1
+    with pytest.raises(ValueError):
+        classify_basin(P0, np.array([0.5, 2.0, 0.3 + 0.1j]), **kwargs)
+
+
+def _inline_classify(param, pts, cycles, max_iter, eps):
+    """The classifier's own loop before it ran through the shared capture
+    kernel: (n, targets) broadcast tests and a separate step and rate."""
+    tz, tw, tlabel = [], [], []
+    for ci, cyc in enumerate(cycles):
+        for pt in cyc.points:
+            z, w = (1.0 + 0j, 0j) if pt.is_infinity else (pt.value, 1.0 + 0j)
+            m = max(abs(z), abs(w))
+            tz.append(z / m)
+            tw.append(w / m)
+            tlabel.append(ci)
+    tz, tw, tlabel = np.asarray(tz), np.asarray(tw), np.asarray(tlabel)
+    tn2 = np.abs(tz) ** 2 + np.abs(tw) ** 2
+    flat = np.asarray(pts, dtype=complex).ravel()
+    finite = np.isfinite(flat)
+    Z = np.where(finite, flat, 1.0 + 0j)
+    W = np.where(finite, 1.0 + 0j, 0j)
+    norm = np.maximum(np.abs(Z), np.abs(W))
+    Z, W = Z / norm, W / norm
+    labels = np.full(flat.size, -1, dtype=int)
+    steps = np.full(flat.size, -1, dtype=int)
+    peak = np.zeros(flat.size)
+    idx = np.arange(flat.size)
+    log_e, log_peak = np.zeros(flat.size), np.zeros(flat.size)
+    p = param.p
+    pc = np.conj(p)
+    gain = 1.0 + abs(p) ** 2
+    limit = math.log(eps / SEED_ROUNDOFF)
+    eps2 = eps * eps
+    for k in range(max_iter + 1):
+        if idx.size == 0:
+            break
+        na2 = np.abs(Z) ** 2 + np.abs(W) ** 2
+        cross2 = np.abs(Z[:, None] * tw[None, :] - W[:, None] * tz[None, :]) ** 2
+        hit = cross2 < (eps2 * na2[:, None]) * tn2[None, :]
+        got = hit.any(axis=1)
+        if got.any():
+            first = np.argmax(hit[got], axis=1)
+            certified = log_peak[got] <= limit
+            captured = idx[got]
+            labels[captured[certified]] = tlabel[first[certified]]
+            steps[captured[certified]] = k
+            peak[captured] = log_peak[got]
+            keep = ~got
+            idx, Z, W = idx[keep], Z[keep], W[keep]
+            log_e, log_peak, na2 = log_e[keep], log_peak[keep], na2[keep]
+            if idx.size == 0:
+                break
+        if k == max_iter:
+            peak[idx] = log_peak
+            break
+        Zn = Z * Z + p * (W * W)
+        Wn = W * W - pc * (Z * Z)
+        rate = (2.0 * gain) * np.abs(Z) * np.abs(W) * na2 / (
+            np.abs(Zn) ** 2 + np.abs(Wn) ** 2)
+        with np.errstate(divide="ignore"):
+            log_e = log_e + np.log(rate)
+        log_peak = np.maximum(log_peak, log_e)
+        norm = np.maximum(np.abs(Zn), np.abs(Wn))
+        Z, W = Zn / norm, Wn / norm
+    return labels, steps, peak
+
+
+def _square(half, n):
+    return Window.from_bounds(-half, half, -half, half, n, n).grid()
+
+
+_P0_SET = np.concatenate([
+    [0j, np.inf, complex(np.nan, 0.0), 1.0, -1.0, 1j, -1j, 0.5, 2.0, 0.3 + 0.1j],
+    np.exp(2j * math.pi * np.arange(64) / 64),           # on the unit circle
+    np.linspace(0.01, 0.99, 40) * np.exp(0.7j * np.arange(40)),
+    np.linspace(1.01, 100.0, 40) * np.exp(1.3j * np.arange(40)),
+])
+
+
+@pytest.mark.parametrize("p, pts, max_iter, unresolved", [
+    (1.0 + 0j, _square(2.0, 400), 200, 16),     # captures the certificate refuses
+    (1.5 + 0j, _square(1.5, 200), 200, 8),
+    (0.3 + 0.3j, _square(1.5, 100), 1000, 0),
+    (0j, _P0_SET, 1000, 68),                    # the unit circle
+], ids=["p1", "p1.5", "p0.3+0.3i", "p0"])
+def test_classify_basin_equals_inline_loop(p, pts, max_iter, unresolved):
+    param = MapParam(p)
+    cycles = critical_orbits(param).attracting_cycles()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = classify_basin(param, pts, cycles=cycles, max_iter=max_iter)
+        labels, steps, peak = _inline_classify(param, pts, cycles, max_iter, 1e-6)
+    assert res.labels.dtype == labels.dtype and res.steps.dtype == steps.dtype
+    assert np.array_equal(res.labels.ravel(), labels)
+    assert np.array_equal(res.steps.ravel(), steps)
+    if complex(p).imag == 0.0:
+        assert np.array_equal(res.expansion_log_peak.ravel(), peak)
+    else:
+        # numpy rounds the complex scalar-array product p*W**2 by another
+        # path than the kernel's broadcast one, so the orbits part by an ulp
+        np.testing.assert_allclose(res.expansion_log_peak.ravel(), peak, rtol=0, atol=1e-9)
+    assert np.count_nonzero(labels < 0) == unresolved
+
+
+@pytest.mark.parametrize("p, half, n, max_iter", [
+    (1.0 + 0j, 2.0, 64, 200),
+    (1.5 + 0j, 1.5, 150, 200),        # 12 pixels captured but refused
+    (0.3 + 0.3j, 1.5, 48, 1000),
+])
+def test_classify_basin_agrees_with_julia_raster(p, half, n, max_iter):
+    param = MapParam(p)
+    window = Window.from_bounds(-half, half, -half, half, n, n)
+    raster = render_julia(param, window, max_iter=max_iter, workers=1)
+    res = classify_basin(param, window.grid(), max_iter=max_iter)
+    resolved = res.labels >= 0
+    assert not np.any(resolved & ~raster.converged)
+    assert np.array_equal(raster.steps[resolved], res.steps[resolved])
+    periods = np.array([c.period for c in res.cycles])
+    assert np.array_equal(raster.period[resolved], periods[res.labels[resolved]])
+    assert resolved.sum() > n * n // 2
 
 
 # ---------------------------------------------------------------------------
