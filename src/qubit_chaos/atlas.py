@@ -17,10 +17,11 @@ Every pipeline steps projective pairs through the in-place kernel of
 
 The parameter raster runs in two phases.  First every block iterates to a
 checkpoint inside the transient and retires each pixel whose period is
-certified there: a tight lag match, a wide miss at every smaller lag and a
-contracting multiplier (the RETIRE_* constants below).  Then the survivors
-of all blocks, ~13% of the default window, are pooled in pixel order into
-fresh full blocks that run the rest of the transient and the lag scan.
+certified there: the kernel's lag scan runs at a wide radius, then the lag
+it finds must pass a tight radius and a contracting multiplier (the
+RETIRE_* constants below).  Then the survivors of all blocks, ~13% of the
+default window, are pooled in pixel order into fresh full blocks that run
+the rest of the transient and the same lag scan at eps.
 Retirement never changes a period -- the tests check it pixel for pixel
 against straight iteration -- it only skips iterations.
 
@@ -48,26 +49,29 @@ import numpy as np
 from .kernel import (
     _capture,
     _check_capture_args,
+    _lag_scan,
     _pair_params,
     _pair_rate,
     _pair_scratch,
-    _pair_start,
     _pair_step,
+    _pairs_within,
+    _point_values,
     _start_pairs,
     _target_pairs,
 )
-from .orbits import ConfigurationError, Cycle, critical_orbits
-from .sphere import MapParam, SpherePoint, as_point
+from .orbits import ConfigurationError, Cycle, _fmt_point, critical_orbits
+from .sphere import MapParam, as_point
 
 BLOCK_PIXELS = 8192  # fixed split unit; independent of worker count
 
 PALETTE_VERSION = "period-hue-v1"
 
 # Early retirement in the parameter raster.  After RETIRE_CHECKPOINT steps
-# the next 2*max_period+1 states are scanned, and a pixel stops iterating
-# with period q0 only when all three hold:
-#   (a) q0 is the smallest lag whose matches all lie within RETIRE_TIGHT*eps;
-#   (b) every lag below q0 has a pair more than RETIRE_MARGIN*eps apart;
+# the next 2*max_period+1 states are scanned at the wide radius, and a pixel
+# stops iterating with period q0 only when all three hold:
+#   (a) q0 is the smallest lag whose matches all lie within RETIRE_MARGIN*eps,
+#       so every lag below q0 has a pair at least that far apart;
+#   (b) every match at lag q0 lies within RETIRE_TIGHT*eps;
 #   (c) the chart-free multiplier over the last q0 states has modulus at most
 #       1 - RETIRE_CONTRACTION (a critical hit gives 0 and certifies).
 # A cycle that attracts this strongly holds an orbit this close to it
@@ -176,72 +180,31 @@ def _pair_tail(P, S, scratch, window: np.ndarray) -> None:
         _pair_step(P, window[i - 1], scratch, out=window[i])
 
 
-def _lag_scan(Zs, Ws, max_period: int, eps2: float) -> np.ndarray:
-    """Smallest lag whose last q pairs all match within eps, or -1."""
-    tail_len = len(Zs)
-    period = np.full(Zs.shape[1:], -1, dtype=np.int32)
-    open_ = np.arange(period.size)  # pixels with no matching lag yet
-    for q in range(1, max_period + 1):
-        idx = open_
-        for k in range(q):
-            a, b = tail_len - 1 - k, tail_len - 1 - k - q
-            za, wa, zb, wb = Zs[a, idx], Ws[a, idx], Zs[b, idx], Ws[b, idx]
-            cross = np.abs(za * wb - zb * wa) ** 2
-            na = np.abs(za) ** 2 + np.abs(wa) ** 2
-            nb = np.abs(zb) ** 2 + np.abs(wb) ** 2
-            idx = idx[cross < eps2 * na * nb]
-            if idx.size == 0:
-                break
-        if idx.size:
-            period[idx] = q
-            open_ = open_[period[open_] < 0]
-            if open_.size == 0:
-                break
-    return period
+def _certified_period(p, T, max_period: int, eps2: float) -> np.ndarray:
+    """Period each pixel of the tail window T is certified to settle into,
+    or -1 (the RETIRE_* rule).
 
-
-def _certified_period(p, pc, Zs, Ws, max_period: int, eps2: float) -> np.ndarray:
-    """Period each pixel is certified to settle into, or -1 (RETIRE_* rule)."""
-    tail_len = len(Zs)
+    Scan at the wide radius, then check the tight radius and the
+    contraction: the lag scan at RETIRE_MARGIN*eps gives each pixel the
+    smallest lag q0 with no pair wide apart, and q0 stands only if all of
+    its q0 pairs match within RETIRE_TIGHT*eps and the multiplier over the
+    last q0 states has modulus at most 1 - RETIRE_CONTRACTION.
+    """
+    q0 = _lag_scan(T, max_period, eps2 * RETIRE_MARGIN ** 2)
+    last = len(T) - 1
     tight2 = eps2 * RETIRE_TIGHT ** 2
-    wide2 = eps2 * RETIRE_MARGIN ** 2
-    q0 = np.full(p.shape, -1, dtype=np.int32)
-    # pixels whose every lag so far failed by the wide margin
-    open_ = np.arange(p.size)
-    for q in range(1, max_period + 1):
-        if open_.size == 0:
-            break
-        pos = np.arange(open_.size)  # open pixels with no wide pair at lag q yet
-        tight = np.ones(open_.size, dtype=bool)
+    for q in np.unique(q0[q0 > 0]).tolist():
+        cols = np.flatnonzero(q0 == q)
+        pq = p.take(cols)
+        pcq = np.conj(pq)
+        tight = np.ones(cols.size, dtype=bool)
+        log_lam = np.zeros(cols.size)
         for k in range(q):
-            if pos.size == 0:
-                break
-            idx = open_[pos]
-            a, b = tail_len - 1 - k, tail_len - 1 - k - q
-            za, wa, zb, wb = Zs[a, idx], Ws[a, idx], Zs[b, idx], Ws[b, idx]
-            cross = np.abs(za * wb - zb * wa) ** 2
-            scale = (np.abs(za) ** 2 + np.abs(wa) ** 2) * (np.abs(zb) ** 2 + np.abs(wb) ** 2)
-            near = cross <= wide2 * scale
-            tight = tight[near] & (cross[near] < tight2 * scale[near])
-            pos = pos[near]
-        # no pair at lag q is wide apart: certify q if every pair is tight,
-        # otherwise the pixel sits too close to a match to call either way
-        q0[open_[pos[tight]]] = q
-        still = np.ones(open_.size, dtype=bool)
-        still[pos] = False
-        open_ = open_[still]
-    cand = np.flatnonzero(q0 > 0)
-    if cand.size:
-        qc = q0[cand]
-        log_lam = np.zeros(cand.size)
-        for j in range(int(qc.max())):
-            sel = np.flatnonzero(qc > j)
-            idx = cand[sel]
-            rate = _pair_rate(p[idx], pc[idx], Zs[tail_len - 1 - j, idx],
-                              Ws[tail_len - 1 - j, idx])
+            A = T[last - k].take(cols, axis=1)
+            tight &= _pairs_within(A, T[last - k - q].take(cols, axis=1), tight2)
             with np.errstate(divide="ignore"):  # a critical hit: log 0 = -inf
-                log_lam[sel] += np.log(rate)
-        q0[cand[log_lam > math.log1p(-RETIRE_CONTRACTION)]] = -1
+                log_lam += np.log(_pair_rate(pq, pcq, A[0], A[1]))
+        q0[cols[~tight | (log_lam > math.log1p(-RETIRE_CONTRACTION))]] = -1
     return q0
 
 
@@ -345,9 +308,9 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     The raster runs in two phases, each over fixed blocks of BLOCK_PIXELS
     pixels.  In the first, a pixel whose orbit is already certified to have
     settled stops early: at step RETIRE_CHECKPOINT it retires with period
-    q0 if q0 is the smallest lag matching within RETIRE_TIGHT*eps, every
-    smaller lag misses by more than RETIRE_MARGIN*eps, and the multiplier
-    over those q0 states has modulus at most 1 - RETIRE_CONTRACTION.  In the
+    q0 if q0 is the smallest lag matching within RETIRE_MARGIN*eps, all of
+    its matches lie within RETIRE_TIGHT*eps, and the multiplier over those
+    q0 states has modulus at most 1 - RETIRE_CONTRACTION.  In the
     second, the pixels left over from every block are pooled in pixel order,
     with their last checkpoint-window state, into fresh full blocks that run
     the rest of the transient and the lag scan, so their orbit is the
@@ -364,6 +327,7 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     if transient < 2 * max_period:
         raise ValueError("transient must be at least 2*max_period")
     z0 = as_point(z0)
+    S0 = _start_pairs(_point_values([z0]))
     eps2 = eps * eps
     total = window.nx * window.ny
     re, im = window.real_axis(), window.imag_axis()
@@ -395,12 +359,12 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
 
         def checkpoint(start, stop, buf):
             p = params_at(np.arange(start, stop))
-            P, S = _pair_params(p), _pair_start(z0, p.size)
+            P, S = _pair_params(p), np.repeat(S0, p.size, axis=1)
             win, scratch = fit(buf, p.size)
             for _ in range(RETIRE_CHECKPOINT):
                 _pair_step(P, S, scratch)
             _pair_tail(P, S, scratch, win)
-            q0 = _certified_period(p, np.conj(p), win[:, 0], win[:, 1], max_period, eps2)
+            q0 = _certified_period(p, win, max_period, eps2)
             live = np.flatnonzero(q0 < 0)
             left[start // BLOCK_PIXELS] = start + live, win[-1][:, live]
             return (q0,)
@@ -412,7 +376,7 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
         done = RETIRE_CHECKPOINT + tail_len - 1
     else:
         live = np.arange(total)
-        S_live = _pair_start(z0, total)
+        S_live = np.repeat(S0, total, axis=1)
 
     def survivors(start, stop, buf):
         p = params_at(live[start:stop])
@@ -421,7 +385,7 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
         for _ in range(transient - done):
             _pair_step(P, S, scratch)
         _pair_tail(P, S, scratch, win)
-        return (_lag_scan(win[:, 0], win[:, 1], max_period, eps2),)
+        return (_lag_scan(win, max_period, eps2),)
 
     settled = np.empty(live.size, dtype=np.int32)
     _run_blocks(live.size, workers, survivors, (settled,), buffers, make_buffer)
@@ -430,15 +394,11 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     period = period.reshape(shape)
     steps = np.full(shape, transient + 2 * max_period, dtype=np.int32)
     config = {
-        "kind": "parameter-space", "z0": _point_json(z0),
+        "kind": "parameter-space", "z0": _fmt_point(z0),
         "window": window.to_json_dict(), "transient": transient,
         "max_period": max_period, "eps": eps,
     }
     return Raster(window, period >= 0, steps, period, config)
-
-
-def _point_json(pt: SpherePoint):
-    return "inf" if pt.is_infinity else [pt.value.real, pt.value.imag]
 
 
 def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800,
@@ -459,7 +419,7 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     p = np.asarray(start) + t * (np.asarray(end) - np.asarray(start))
     p = p.astype(complex)
     z0 = as_point(z0)
-    P, S = _pair_params(p), _pair_start(z0, samples)
+    P, S = _pair_params(p), np.repeat(_start_pairs(_point_values([z0])), samples, axis=1)
     scratch = _pair_scratch(samples)
     for _ in range(transient):
         _pair_step(P, S, scratch)
@@ -477,7 +437,7 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     config = {
         "kind": "sweep", "start": _fmt(complex(start)), "end": _fmt(complex(end)),
         "samples": samples, "transient": transient, "record": record,
-        "z0": _point_json(z0),
+        "z0": _fmt_point(z0),
     }
     return Sweep(p, transient + 1, abs_z, is_inf, config)
 

@@ -23,11 +23,6 @@ from .sphere import INF, MapParam, SpherePoint, as_point
 # A state counts as pure when 1 - Tr(rho**2) is below this.
 PURITY_TOL = 1e-8
 
-# Pure states are identified with their sphere coordinate; the bridge
-# functions below convert in both directions.
-PureQubit = SpherePoint
-
-
 def validate_density(rho, dim: int = 2, *, herm_tol: float = 1e-12,
                      trace_tol: float = 1e-12, eig_floor: float = -1e-10) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity; return the array.

@@ -8,6 +8,9 @@ conjugation, which makes the mirror-symmetry tests exact.
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 from .sphere import SpherePoint
@@ -53,22 +56,45 @@ def _pair_rate(p, pc, Z, W):
         np.abs(Z2 + p * W2) ** 2 + np.abs(W2 - pc * Z2) ** 2)
 
 
-def _pair_from_point(pt: SpherePoint) -> tuple[complex, complex]:
-    Z, W = pt.homogeneous()
-    m = max(abs(Z), abs(W))
-    return Z / m, W / m
+def _pairs_within(A, B, eps2: float) -> np.ndarray:
+    """Whether the stacked pairs A and B lie within eps of each other, column
+    by column: |Za Wb - Zb Wa|**2 < eps2 * na * nb, with na = |Za|**2 + |Wa|**2."""
+    (za, wa), (zb, wb) = A, B
+    cross = np.abs(za * wb - zb * wa) ** 2
+    na = np.abs(za) ** 2 + np.abs(wa) ** 2
+    nb = np.abs(zb) ** 2 + np.abs(wb) ** 2
+    return cross < eps2 * na * nb
+
+
+def _lag_scan(T, max_period: int, eps2: float) -> np.ndarray:
+    """Smallest lag q whose last q pairs all match their pairs q states
+    earlier within eps, per column of the tail window T, or -1.
+
+    ``T`` holds consecutive states of stacked pairs, shape
+    (2*max_period+1, 2, n).  A column leaves the scan at its first matching
+    lag, and a lag stops at its first pair that misses.
+    """
+    last = len(T) - 1
+    period = np.full(T.shape[2], -1, dtype=np.int32)
+    open_ = np.arange(period.size)  # columns with no matching lag yet
+    for q in range(1, max_period + 1):
+        idx = open_
+        for k in range(q):
+            a = last - k
+            idx = idx[_pairs_within(T[a].take(idx, axis=1), T[a - q].take(idx, axis=1), eps2)]
+            if idx.size == 0:
+                break
+        if idx.size:
+            period[idx] = q
+            open_ = open_[period[open_] < 0]
+            if open_.size == 0:
+                break
+    return period
 
 
 def _pair_params(p: np.ndarray) -> np.ndarray:
     """The ``P = [p, -conj(p)]`` argument of :func:`_pair_step`."""
     return np.stack((p, -np.conj(p)))
-
-
-def _pair_start(z0: SpherePoint, n: int) -> np.ndarray:
-    """The stacked pair of z0, repeated n times."""
-    S = np.empty((2, n), dtype=complex)
-    S[0], S[1] = _pair_from_point(z0)
-    return S
 
 
 def _start_pairs(z: np.ndarray) -> np.ndarray:
@@ -83,13 +109,18 @@ def _start_pairs(z: np.ndarray) -> np.ndarray:
     return S
 
 
+def _point_values(pts: Sequence[SpherePoint]) -> np.ndarray:
+    """Complex values of the sphere points pts, inf for the point at infinity,
+    so that :func:`_start_pairs` makes every point into its pair."""
+    return np.array([math.inf if pt.is_infinity else pt.value for pt in pts], dtype=complex)
+
+
 def _target_pairs(cycles):
     """Capture targets ``(tz, tw, |tz|**2 + |tw|**2, cycle index)``, one per
     cycle point, in cycle order."""
     targets = []
     for i, cycle in enumerate(cycles):
-        for pt in cycle.points:
-            tz, tw = _pair_from_point(pt)
+        for tz, tw in _start_pairs(_point_values(cycle.points)).T.tolist():
             targets.append((tz, tw, abs(tz) ** 2 + abs(tw) ** 2, i))
     return targets
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import _capture, _check_capture_args, _pair_from_point, _start_pairs, _target_pairs
+from .kernel import _capture, _check_capture_args, _point_values, _start_pairs, _target_pairs
 from .roots import RootFindingError, aberth_roots, fixed_point_polynomial
 from .sphere import (
     INF,
@@ -605,12 +605,12 @@ def _transient_length(pts: list[SpherePoint], cycle: Cycle, eps: float) -> int:
     # a vectorized prefilter at twice the radius picks the candidates, over
     # chunks that double in size so a short transient stays cheap; the exact
     # scalar test then decides them in orbit order
-    CZ, CW = np.array([_pair_from_point(pt) for pt in cycle.points]).T
+    CZ, CW = _start_pairs(_point_values(cycle.points))
     cnorm = np.hypot(np.abs(CZ), np.abs(CW))
     start, size = 0, 16
     while start < len(pts):
         chunk = pts[start:start + size]
-        Z, W = np.array([_pair_from_point(pt) for pt in chunk]).T
+        Z, W = _start_pairs(_point_values(chunk))
         cross = np.abs(Z[:, None] * CW[None, :] - CZ[None, :] * W[:, None])
         bound = (2.0 * eps) * np.hypot(np.abs(Z), np.abs(W))[:, None] * cnorm[None, :]
         for k in np.flatnonzero((cross <= bound).any(axis=1)):

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import warnings
 
@@ -8,6 +9,9 @@ import pytest
 from qubit_chaos.atlas import (
     BLOCK_PIXELS,
     RETIRE_CHECKPOINT,
+    RETIRE_CONTRACTION,
+    RETIRE_MARGIN,
+    RETIRE_TIGHT,
     ConfigurationError,
     Raster,
     Sweep,
@@ -24,7 +28,15 @@ from qubit_chaos.atlas import (
     write_sweep_csv,
     _certified_period,
 )
-from qubit_chaos.kernel import _pair_from_point, _pair_params, _pair_scratch, _pair_step
+from qubit_chaos.kernel import (
+    _lag_scan,
+    _pair_params,
+    _pair_rate,
+    _pair_scratch,
+    _pair_step,
+    _point_values,
+    _start_pairs,
+)
 from qubit_chaos.orbits import critical_orbits, make_cycle
 from qubit_chaos.sphere import INF, MapParam, SpherePoint, as_point
 
@@ -242,7 +254,7 @@ def _division_step(p, pc, Z, W):
 
 
 def _orbit_start(p, z0):
-    z, w = _pair_from_point(as_point(z0))
+    z, w = _start_pairs(_point_values([as_point(z0)]))[:, 0]
     return np.full(p.shape, z, dtype=complex), np.full(p.shape, w, dtype=complex)
 
 
@@ -278,13 +290,64 @@ def _straight_periods(p, z0, transient, max_period, eps):
     return period
 
 
-def _retired_at_checkpoint(p, z0, max_period, eps):
+def _checkpoint_tail(p, z0, max_period):
+    """The tail window the raster scans at its checkpoint, as (Zs, Ws)."""
     pc = np.conj(p)
     Z, W = _orbit_start(p, z0)
     for _ in range(RETIRE_CHECKPOINT):
         Z, W = _division_step(p, pc, Z, W)
-    Zs, Ws = _reference_tail(p, Z, W, 2 * max_period + 1)
-    return _certified_period(p, pc, Zs, Ws, max_period, eps * eps) > 0
+    return _reference_tail(p, Z, W, 2 * max_period + 1)
+
+
+def _retired_at_checkpoint(p, z0, max_period, eps):
+    T = np.stack(_checkpoint_tail(p, z0, max_period), axis=1)
+    return _certified_period(p, T, max_period, eps * eps) > 0
+
+
+def _two_radius_certificate(p, pc, Zs, Ws, max_period, eps2):
+    """Reference for _certified_period: the RETIRE_* rule as one scan that
+    tracks the wide and the tight radius at every offset."""
+    tail_len = len(Zs)
+    tight2 = eps2 * RETIRE_TIGHT ** 2
+    wide2 = eps2 * RETIRE_MARGIN ** 2
+    q0 = np.full(p.shape, -1, dtype=np.int32)
+    # pixels whose every lag so far failed by the wide margin
+    open_ = np.arange(p.size)
+    for q in range(1, max_period + 1):
+        if open_.size == 0:
+            break
+        pos = np.arange(open_.size)  # open pixels with no wide pair at lag q yet
+        tight = np.ones(open_.size, dtype=bool)
+        for k in range(q):
+            if pos.size == 0:
+                break
+            idx = open_[pos]
+            a, b = tail_len - 1 - k, tail_len - 1 - k - q
+            za, wa, zb, wb = Zs[a, idx], Ws[a, idx], Zs[b, idx], Ws[b, idx]
+            cross = np.abs(za * wb - zb * wa) ** 2
+            scale = (np.abs(za) ** 2 + np.abs(wa) ** 2) * (np.abs(zb) ** 2 + np.abs(wb) ** 2)
+            near = cross <= wide2 * scale
+            tight = tight[near] & (cross[near] < tight2 * scale[near])
+            pos = pos[near]
+        # no pair at lag q is wide apart: certify q if every pair is tight,
+        # otherwise the pixel sits too close to a match to call either way
+        q0[open_[pos[tight]]] = q
+        still = np.ones(open_.size, dtype=bool)
+        still[pos] = False
+        open_ = open_[still]
+    cand = np.flatnonzero(q0 > 0)
+    if cand.size:
+        qc = q0[cand]
+        log_lam = np.zeros(cand.size)
+        for j in range(int(qc.max())):
+            sel = np.flatnonzero(qc > j)
+            idx = cand[sel]
+            rate = _pair_rate(p[idx], pc[idx], Zs[tail_len - 1 - j, idx],
+                              Ws[tail_len - 1 - j, idx])
+            with np.errstate(divide="ignore"):  # a critical hit: log 0 = -inf
+                log_lam[sel] += np.log(rate)
+        q0[cand[log_lam > math.log1p(-RETIRE_CONTRACTION)]] = -1
+    return q0
 
 
 def _check_retiring_kernel(window, z0=0j, transient=2000, max_period=64, eps=1e-6):
@@ -365,6 +428,28 @@ def test_retirement_exact_on_default_window_rows():
     retired = _check_retiring_kernel(Window.from_bounds(0.0, 3.0, 0.0, 3.0, 500, 150))
     assert retired.mean() > 0.8
     assert (~retired).sum() > BLOCK_PIXELS
+
+
+def test_certified_period_equals_two_radius_scan():
+    max_period, eps2 = 64, 1e-12
+    default = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 500, 500).grid()
+    cases = [(default[r:r + 100:20].ravel(), 0j) for r in range(0, 500, 100)]  # rows 0, 20, ..., 480
+    cases.append((Window.from_bounds(0.63, 0.73, 1.54, 1.64, 48, 48).grid().ravel(), 0j))
+    cases.append((Window.from_bounds(0.9, 1.1, -0.1, 0.1, 25, 25).grid().ravel(), INF))
+    vetoed = 0
+    for p, z0 in cases:
+        Zs, Ws = _checkpoint_tail(p, z0, max_period)
+        T = np.stack((Zs, Ws), axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _two_radius_certificate(p, np.conj(p), Zs, Ws, max_period, eps2)
+            got = _certified_period(p, T, max_period, eps2)
+            wide = _lag_scan(T, max_period, eps2 * RETIRE_MARGIN ** 2)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (
+            f"{np.count_nonzero(got != want)} pixels differ near p = {p[0]}")
+        vetoed += np.count_nonzero((wide > 0) & (want < 0))
+    # the check after the wide scan refuses some of the lags it found
+    assert vetoed > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from argparse import ArgumentTypeError
@@ -16,6 +18,8 @@ from qubit_chaos.cli import (
     run,
 )
 from qubit_chaos.sphere import INF, SpherePoint
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -140,6 +144,17 @@ def test_julia_writes_pgm_and_sidecar(outdir, capsys):
     doc = read_sidecar(artifact)
     assert doc["job"]["command"] == "julia"
     assert doc["artifact"]["p"] == [1.0, 0.0]
+
+
+def test_readme_julia_window_example_renders(outdir):
+    # the README's windowed julia example, as written but at 40x40: its
+    # attracting cycle must capture pixels within the default max_iter
+    line = next(line for line in README.read_text().splitlines()
+                if line.startswith("qubit-chaos julia") and "--window" in line)
+    argv = [a for a in shlex.split(line, comments=True)[1:] if not a.startswith("--res")]
+    assert run(argv + ["--res=40x40", "--out=readme"]) == 0
+    pixels = (outdir / "readme.pgm").read_bytes().split(b"\n", 3)[3]
+    assert len(pixels) == 1600 and min(pixels) < 255
 
 
 def test_params_writes_ppm_and_palette_tag(outdir):
