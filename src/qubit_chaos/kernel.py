@@ -112,7 +112,13 @@ def _start_pairs(z: np.ndarray) -> np.ndarray:
 def _point_values(pts: Sequence[SpherePoint]) -> np.ndarray:
     """Complex values of the sphere points pts, inf for the point at infinity,
     so that :func:`_start_pairs` makes every point into its pair."""
-    return np.array([math.inf if pt.is_infinity else pt.value for pt in pts], dtype=complex)
+    return _value_array([pt._value for pt in pts])
+
+
+def _value_array(vals) -> np.ndarray:
+    """:func:`_point_values` of orbit values (None for infinity; see
+    :func:`qubit_chaos.sphere._extend_orbit`)."""
+    return np.array([math.inf if v is None else v for v in vals], dtype=complex)
 
 
 def _target_pairs(cycles):

@@ -24,14 +24,17 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import _capture, _check_capture_args, _point_values, _start_pairs, _target_pairs
+from .kernel import _capture, _check_capture_args, _start_pairs, _target_pairs, _value_array
 from .roots import RootFindingError, aberth_roots, fixed_point_polynomial
 from .sphere import (
     INF,
     MapParam,
     SpherePoint,
+    _extend_orbit,
     _preferred_chart,
     _step_derivative,
+    _value_overlap,
+    _value_rate,
     apply_map,
     as_point,
     chordal_distance,
@@ -236,12 +239,18 @@ def iterate_orbit(param: MapParam, z0, n: int) -> Orbit:
     """Forward orbit of length n+1 starting at z0 (total: never raises mid-orbit)."""
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
-    pt = as_point(z0)
-    pts = [pt]
-    for _ in range(n):
-        pt = apply_map(param, pt)
-        pts.append(pt)
-    return Orbit(param, tuple(pts))
+    return Orbit(param, tuple(_points(_extend_orbit(param.p, [as_point(z0)._value], n + 1))))
+
+
+def _points(vals) -> list[SpherePoint]:
+    """Sphere points of orbit values (see :func:`qubit_chaos.sphere._extend_orbit`)."""
+    return [INF if v is None else SpherePoint(v) for v in vals]
+
+
+def _check_cycle_args(eps: float, max_period: int, max_iter: int = 0) -> None:
+    _check_capture_args(eps, max_iter)
+    if max_period < 1:
+        raise ValueError(f"max_period must be at least 1, got {max_period}")
 
 
 def detect_cycle(orbit: Orbit, eps: float = EPS_POINT,
@@ -260,27 +269,39 @@ def detect_cycle(orbit: Orbit, eps: float = EPS_POINT,
     a repelling set long enough for seed roundoff to blow up eventually fall
     into *some* attractor purely by floating-point drift, and reporting that
     landing would manufacture convergence the dynamics does not have.
+    Requires 0 < eps < 1 and max_period >= 1; ValueError otherwise.  The
+    scan runs on the orbit's coordinates (:func:`_settled_cycle`, which
+    :func:`critical_orbits` calls too).
     """
-    pts = orbit.points
-    n = len(pts)
+    _check_cycle_args(eps, max_period)
+    n = len(orbit.points)
     if n <= 2 * max_period:
         raise ValueError(
             f"orbit of length {n} is too short to certify periods up to "
             f"{max_period}; need more than {2 * max_period} points"
         )
+    return _settled_cycle(orbit.param, [pt._value for pt in orbit.points], eps, max_period)
+
+
+def _settled_cycle(param: MapParam, vals: list, eps: float,
+                   max_period: int) -> Optional[Cycle]:
+    """:func:`detect_cycle` on orbit values (None for infinity), of which
+    there are more than 2*max_period.  Only the last 2*max_period values are
+    compared, and sphere points are built only for the q cycle points."""
+    n = len(vals)
     eps2 = eps * eps
     for q in range(1, max_period + 1):
-        if all(
-            overlap_distance(pts[n - 1 - k], pts[n - 1 - k - q]) < eps2
-            for k in range(q)
-        ):
-            if not _expansion_certified(orbit.param, pts[: n - q], eps):
+        for i in range(n - 1, n - 1 - q, -1):
+            if not _value_overlap(vals[i], vals[i - q]) < eps2:
+                break
+        else:
+            if not _expansion_certified(param.p, vals[: n - q], eps):
                 return None
-            return _build_cycle(orbit.param, list(pts[n - q:]), eps)
+            return _build_cycle(param, _points(vals[n - q:]), eps)
     return None
 
 
-def _expansion_certified(param: MapParam, prefix, eps: float) -> bool:
+def _expansion_certified(p: complex, prefix, eps: float) -> bool:
     """Whether seed roundoff stays below eps along the path into the tail.
 
     A perturbation of SEED_ROUNDOFF on the starting point is stretched by
@@ -288,14 +309,15 @@ def _expansion_certified(param: MapParam, prefix, eps: float) -> bool:
     ever lifts it past eps, linear error analysis is dead from that step on
     and nothing after it can be attributed to the starting point.  Orbits
     through a critical point certify trivially: the rate there is zero, so
-    the product collapses and stays collapsed.
+    the product collapses and stays collapsed.  ``prefix`` holds orbit
+    values (None for infinity).
     """
     limit = math.log(eps / SEED_ROUNDOFF)
     log_e = 0.0
-    for pt in prefix:
+    for v in prefix:
         if log_e > limit:
             return False
-        rate = spherical_derivative(param, pt)
+        rate = _value_rate(p, v)
         log_e += math.log(rate) if rate > 0.0 else -math.inf
     return log_e <= limit
 
@@ -567,8 +589,10 @@ def critical_orbits(param: MapParam, max_iter: int = DEFAULT_MAX_ITER,
     quickly converging parameters stop long before ``max_iter``.  The report
     carries the distinct landing cycles and the hyperbolicity verdict: True
     only if both orbits converged to attracting-class cycles, None (verdict
-    withheld) if either orbit never settled.
+    withheld) if either orbit never settled.  Requires 0 < eps < 1,
+    max_period >= 1 and max_iter >= 0; ValueError otherwise.
     """
+    _check_cycle_args(eps, max_period, max_iter)
     results = []
     for start in (SpherePoint(0j), INF):
         results.append(_trace_critical(param, start, max_iter, eps, max_period))
@@ -585,40 +609,46 @@ def critical_orbits(param: MapParam, max_iter: int = DEFAULT_MAX_ITER,
 
 def _trace_critical(param: MapParam, start: SpherePoint, max_iter: int,
                     eps: float, max_period: int) -> CriticalOrbitResult:
-    pts = [start]
-    cur = start
+    """Fate of the critical point ``start``.
+
+    The orbit is traced on coordinates (None for infinity) by
+    :func:`qubit_chaos.sphere._extend_orbit` and doubled in length until
+    :func:`_settled_cycle` finds a settled tail or the budget runs out; only
+    the cycle points of a settled tail become sphere points.
+    """
+    vals = [start._value]
     goal = 2 * max_period + 1
     while True:
-        while len(pts) < goal:
-            cur = apply_map(param, cur)
-            pts.append(cur)
-        cycle = detect_cycle(Orbit(param, tuple(pts)), eps, max_period)
+        _extend_orbit(param.p, vals, goal)
+        cycle = _settled_cycle(param, vals, eps, max_period)
         if cycle is not None:
-            transient = _transient_length(pts, cycle, eps)
-            return CriticalOrbitResult(start, True, cycle, transient, len(pts) - 1)
-        if len(pts) > max_iter:
-            return CriticalOrbitResult(start, False, None, None, len(pts) - 1)
-        goal = min(2 * len(pts), max_iter + 1)
+            transient = _transient_length(vals, cycle, eps)
+            return CriticalOrbitResult(start, True, cycle, transient, len(vals) - 1)
+        if len(vals) > max_iter:
+            return CriticalOrbitResult(start, False, None, None, len(vals) - 1)
+        goal = min(2 * len(vals), max_iter + 1)
 
 
-def _transient_length(pts: list[SpherePoint], cycle: Cycle, eps: float) -> int:
-    # a vectorized prefilter at twice the radius picks the candidates, over
-    # chunks that double in size so a short transient stays cheap; the exact
-    # scalar test then decides them in orbit order
-    CZ, CW = _start_pairs(_point_values(cycle.points))
+def _transient_length(vals: list, cycle: Cycle, eps: float) -> int:
+    # index of the first orbit value (None for infinity) within eps of the
+    # cycle.  A vectorized prefilter at twice the radius picks the
+    # candidates, over chunks that double in size so a short transient stays
+    # cheap; the exact scalar test then decides them in orbit order
+    cvals = [pt._value for pt in cycle.points]
+    CZ, CW = _start_pairs(_value_array(cvals))
     cnorm = np.hypot(np.abs(CZ), np.abs(CW))
     start, size = 0, 16
-    while start < len(pts):
-        chunk = pts[start:start + size]
-        Z, W = _start_pairs(_point_values(chunk))
+    while start < len(vals):
+        chunk = vals[start:start + size]
+        Z, W = _start_pairs(_value_array(chunk))
         cross = np.abs(Z[:, None] * CW[None, :] - CZ[None, :] * W[:, None])
         bound = (2.0 * eps) * np.hypot(np.abs(Z), np.abs(W))[:, None] * cnorm[None, :]
         for k in np.flatnonzero((cross <= bound).any(axis=1)):
-            if any(chordal_distance(chunk[k], cp) <= eps for cp in cycle.points):
+            if any(math.sqrt(_value_overlap(chunk[k], c)) <= eps for c in cvals):
                 return start + int(k)
         start += size
         size *= 2
-    return len(pts) - 1
+    return len(vals) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,6 @@ class SpherePoint:
             raise ValueError("the point at infinity has no finite coordinate")
         return self._value
 
-    def homogeneous(self) -> tuple[complex, complex]:
-        """Projective pair (Z, W) with z = Z/W; infinity is (1, 0)."""
-        if self._value is None:
-            return 1 + 0j, 0j
-        return self._value, 1 + 0j
-
     def conjugate(self) -> "SpherePoint":
         if self._value is None:
             return self
@@ -164,31 +158,67 @@ def apply_map(param: MapParam, z) -> SpherePoint:
     maps to -1/conj(p) (or stays at infinity when p = 0), and a vanishing
     denominator maps to infinity.  Overflow past ``SNAP_MAGNITUDE`` also
     collapses to infinity, so the result never carries NaN/Inf components.
+    This is one step of :func:`_extend_orbit`.
     """
-    p = param.p
-    z = as_point(z)
-    if z.is_infinity:
-        if p == 0:
-            return INF
-        return SpherePoint(-1.0 / p.conjugate())
-    zv = z.value
-    z2 = zv * zv
-    if abs(p) <= 1.0:
-        num = z2 + p
-        den = 1.0 - p.conjugate() * z2
-    else:
-        # rescale by 1/|p| so huge parameters cannot overflow the numerator
-        s = 1.0 / abs(p)
+    if z.__class__ is not SpherePoint:  # as_point, without a call in the common case
+        z = as_point(z)
+    value = _extend_orbit(param.p, [z._value], 2)[1]
+    if value is None:
+        return INF
+    # the step has already snapped the value: skip the constructor's checks
+    out = object.__new__(SpherePoint)
+    out._value = value
+    return out
+
+
+def _extend_orbit(p: complex, vals: list, goal: int) -> list:
+    """Append map images to the orbit ``vals`` until it holds ``goal`` values.
+
+    An orbit value is the ``_value`` of a :class:`SpherePoint`: a complex
+    number of modulus at most ``SNAP_MAGNITUDE``, or None for infinity.
+    ``vals`` (not empty) is extended in place and returned; the branch
+    constants and the image of infinity are computed once per call.  For
+    |p| > 1 numerator and denominator are rescaled by 1/|p| so huge
+    parameters cannot overflow the numerator.  A zero denominator and any
+    value not at most ``SNAP_MAGNITUDE`` in modulus (NaN included) go to
+    infinity.
+    """
+    snap = SNAP_MAGNITUDE
+    pc = p.conjugate()
+    inf_image = None
+    if p:
+        inf_image = -1.0 / pc
+        if not abs(inf_image) <= snap:
+            inf_image = None
+    size = abs(p)
+    big = size > 1.0
+    if big:
+        s = 1.0 / size
         q = p * s
-        num = s * z2 + q
-        den = s - q.conjugate() * z2
-    if den == 0:
-        return INF
-    out = num / den
-    if math.isnan(out.real) or math.isnan(out.imag):
-        # cannot happen for finite num/den with den != 0; defensive only
-        return INF
-    return SpherePoint(out)
+        qc = q.conjugate()
+    z = vals[-1]
+    append = vals.append
+    n = len(vals)
+    while n < goal:
+        n += 1
+        if z is None:
+            z = inf_image
+        else:
+            z2 = z * z
+            if big:
+                num = s * z2 + q
+                den = s - qc * z2
+            else:
+                num = z2 + p
+                den = 1.0 - pc * z2
+            if den == 0:
+                z = None
+            else:
+                z = num / den
+                if not abs(z) <= snap:
+                    z = None
+        append(z)
+    return vals
 
 
 def overlap_distance(a, b) -> float:
@@ -200,8 +230,14 @@ def overlap_distance(a, b) -> float:
     canonical metric of the package; tolerances quoted in "sqrt(overlap)
     units" compare against its square root (see :func:`chordal_distance`).
     """
-    za, wa = as_point(a).homogeneous()
-    zb, wb = as_point(b).homogeneous()
+    return _value_overlap(as_point(a)._value, as_point(b)._value)
+
+
+def _value_overlap(a: complex | None, b: complex | None) -> float:
+    """:func:`overlap_distance` of two orbit values (None for infinity),
+    through the projective pairs (z, 1) and, for infinity, (1, 0)."""
+    za, wa = (1 + 0j, 0j) if a is None else (a, 1 + 0j)
+    zb, wb = (1 + 0j, 0j) if b is None else (b, 1 + 0j)
     cross = abs(za * wb - zb * wa)
     na = math.hypot(abs(za), abs(wa))
     nb = math.hypot(abs(zb), abs(wb))
@@ -224,14 +260,16 @@ def spherical_derivative(param: MapParam, z) -> float:
     handled by the same affine routine in the mirrored chart.  Returns 0.0
     exactly at the two critical points z = 0 and z = infinity.
     """
-    p = param.p
-    z = as_point(z)
-    if z.is_infinity:
+    return _value_rate(param.p, as_point(z)._value)
+
+
+def _value_rate(p: complex, v: complex | None) -> float:
+    """:func:`spherical_derivative` at the orbit value v (None for infinity)."""
+    if v is None:
         return _expansion_affine(-p.conjugate(), 0j)
-    zv = z.value
-    if abs(zv) > 1.0:
-        return _expansion_affine(-p.conjugate(), 1.0 / zv)
-    return _expansion_affine(p, zv)
+    if abs(v) > 1.0:
+        return _expansion_affine(-p.conjugate(), 1.0 / v)
+    return _expansion_affine(p, v)
 
 
 def _expansion_affine(p: complex, z: complex) -> float:

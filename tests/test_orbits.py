@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qubit_chaos import orbits
 from qubit_chaos.atlas import Window, render_julia
 from qubit_chaos.orbits import (
     ATTRACTING,
@@ -16,7 +17,10 @@ from qubit_chaos.orbits import (
     SEED_ROUNDOFF,
     SUPERATTRACTING,
     ConfigurationError,
+    CriticalOrbitResult,
+    CriticalReport,
     Orbit,
+    _build_cycle,
     classify_basin,
     classify_multiplier,
     critical_orbits,
@@ -36,6 +40,7 @@ from qubit_chaos.sphere import (
     apply_map,
     chordal_distance,
     overlap_distance,
+    spherical_derivative,
 )
 
 P0 = MapParam(0j)
@@ -282,6 +287,134 @@ def test_critical_report_long_transient_period_42():
     assert report.hyperbolic is True
     assert [(r.transient, r.steps, r.cycle.period) for r in report.critical] == [
         (2738, 4127, 42), (3908, 8255, 42)]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps": math.nan}, {"eps": 0.0}, {"eps": 2.0}, {"eps": 1.0}, {"eps": -1e-9},
+    {"eps": math.inf}, {"max_period": 0}, {"max_period": -3}, {"max_iter": -1},
+])
+def test_critical_orbits_argument_guards(kwargs):
+    # unchecked at p = 1, eps=nan, eps=0 and max_period=0 ran 10 000 steps
+    # and withheld the verdict, eps=2 reported a period-1 cycle where the
+    # orbits land on the 2-cycle {-1, inf}, and eps=-1e-9 died in math.log
+    with pytest.raises(ValueError):
+        critical_orbits(P1, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps": math.nan}, {"eps": 0.0}, {"eps": 2.0}, {"eps": -1e-9}, {"max_period": 0},
+])
+def test_detect_cycle_argument_guards(kwargs):
+    with pytest.raises(ValueError):
+        detect_cycle(iterate_orbit(P1, 0j, 200), **kwargs)
+
+
+def _sphere_point_cycle(param, pts, eps, max_period):
+    """detect_cycle before it ran on coordinates: the lag scan, the
+    certificate and the cycle built from sphere points."""
+    n = len(pts)
+    for q in range(1, max_period + 1):
+        if all(overlap_distance(pts[n - 1 - k], pts[n - 1 - k - q]) < eps * eps
+               for k in range(q)):
+            limit = math.log(eps / SEED_ROUNDOFF)
+            log_e = 0.0
+            for pt in pts[: n - q]:
+                if log_e > limit:
+                    return None
+                rate = spherical_derivative(param, pt)
+                log_e += math.log(rate) if rate > 0.0 else -math.inf
+            if log_e > limit:
+                return None
+            return _build_cycle(param, list(pts[n - q:]), eps)
+    return None
+
+
+def _sphere_point_trace(param, start, max_iter, eps, max_period):
+    """The critical-orbit loop before it ran on coordinates: one apply_map
+    and one sphere point per step, the whole orbit scanned at each doubling."""
+    pts = [start]
+    cur = start
+    goal = 2 * max_period + 1
+    while True:
+        while len(pts) < goal:
+            cur = apply_map(param, cur)
+            pts.append(cur)
+        cycle = _sphere_point_cycle(param, pts, eps, max_period)
+        if cycle is not None:
+            transient = next((k for k, pt in enumerate(pts)
+                              if any(chordal_distance(pt, cp) <= eps for cp in cycle.points)),
+                             len(pts) - 1)
+            return CriticalOrbitResult(start, True, cycle, transient, len(pts) - 1)
+        if len(pts) > max_iter:
+            return CriticalOrbitResult(start, False, None, None, len(pts) - 1)
+        goal = min(2 * len(pts), max_iter + 1)
+
+
+def _sphere_point_report(param, max_iter=10_000, eps=1e-9, max_period=64):
+    results = [_sphere_point_trace(param, start, max_iter, eps, max_period)
+               for start in (SpherePoint(0j), INF)]
+    cycles = []
+    for res in results:
+        if res.cycle and not any(res.cycle.matches(c) for c in cycles):
+            cycles.append(res.cycle)
+    if all(r.converged for r in results):
+        hyperbolic = all(r.cycle is not None and r.cycle.is_attracting for r in results)
+    else:
+        hyperbolic = None
+    return CriticalReport(param, tuple(results), tuple(cycles), hyperbolic)
+
+
+# every 4th cell centre of the benchmark's equal-area cells of |p| <= 3,
+# upper half, and its conjugate
+_CELLS = [cmath.rect(3.0 * math.sqrt((k + 0.5) / 8), math.pi * (s + 0.5) / 10)
+          for k in range(8) for s in range(10)][::4]
+_PERIOD_42 = -0.49608783851868493 + 0.4467536251564276j
+
+
+@pytest.mark.parametrize("p", _CELLS + [c.conjugate() for c in _CELLS] + [
+    0j, 1e-160, 1 + 0j, 1.5 + 0j, 1000j, 2 + 0.7j, _PERIOD_42])
+def test_critical_orbits_equal_sphere_point_loop(p):
+    param = MapParam(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert critical_orbits(param).to_json() == _sphere_point_report(param).to_json()
+
+
+def test_critical_orbits_step_without_sphere_points(monkeypatch):
+    # both critical orbits run the whole 10 000-step budget here; stepping
+    # through apply_map would take 20 000 calls, and each doubling through
+    # detect_cycle would build an Orbit of sphere points
+    calls = {"apply_map": 0, "detect_cycle": 0}
+
+    def counted(name):
+        inner = getattr(orbits, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(orbits, name, counted(name))
+    report = critical_orbits(MapParam(-0.9185586535436917 + 0.9185586535436919j))
+    assert [(r.converged, r.steps) for r in report.critical] == [(False, 10_000)] * 2
+    assert calls["apply_map"] < 100
+    assert calls["detect_cycle"] == 0
+
+
+@pytest.mark.parametrize("p", [0j, 1 + 0j, 1.5 + 0j, 1j, 1.2j, 0.3 + 0.3j, -0.2 + 0.7j,
+                               0.5 + 0.5j, 2 + 0.7j, -1.1 - 0.4j])
+def test_multiplier_modulus_is_product_of_rates(p):
+    # the spherical derivative does not depend on the chart, so along a
+    # cycle its product is the modulus of the chart-correct multiplier
+    param = MapParam(p)
+    cycles = list(critical_orbits(param).cycles)
+    for n in (1, 2, 3):
+        cycles += periodic_cycles(param, n)
+    assert cycles
+    for cycle in cycles:
+        prod = math.prod(spherical_derivative(param, pt) for pt in cycle.points)
+        assert abs(cycle.multiplier) == pytest.approx(prod, rel=1e-12, abs=1e-300), cycle
 
 
 def test_at_most_two_attracting_or_neutral_cycles():

@@ -89,6 +89,73 @@ def test_overflow_snaps_to_infinity():
     assert apply_map(MapParam(0j), 1e100).is_infinity
 
 
+def _division_apply_map(param, z):
+    """apply_map before it became one step of the orbit loop: the same
+    formula, validated through the SpherePoint constructor."""
+    p = param.p
+    z = as_point(z)
+    if z.is_infinity:
+        if p == 0:
+            return INF
+        return SpherePoint(-1.0 / p.conjugate())
+    zv = z.value
+    z2 = zv * zv
+    if abs(p) <= 1.0:
+        num = z2 + p
+        den = 1.0 - p.conjugate() * z2
+    else:
+        s = 1.0 / abs(p)
+        q = p * s
+        num = s * z2 + q
+        den = s - q.conjugate() * z2
+    if den == 0:
+        return INF
+    out = num / den
+    if math.isnan(out.real) or math.isnan(out.imag):
+        return INF
+    return SpherePoint(out)
+
+
+def _bits(pt):
+    return None if pt.is_infinity else (pt.value.real.hex(), pt.value.imag.hex())
+
+
+def test_apply_map_equals_division_formula():
+    # bit for bit, signs of zero included, on both branches of |p|
+    rng = np.random.default_rng(41)
+    params = [0j, complex(-0.0, -0.0), 1e-160, 1 + 0j, complex(0.5, -0.0), complex(-2.0, -0.0),
+              1.0 - 1e-16, 1.0 + 2e-16, 1000j, 1e300 + 1e300j,
+              *((rng.normal(size=30) + 1j * rng.normal(size=30)) * 10.0 ** rng.integers(-2, 3, 30))]
+    for p in params:
+        param = MapParam(p)
+        pts = [INF, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), -2.0, complex(-0.5, -0.0),
+               1.0, -1j, 1e75, 1e150,
+               *((rng.normal(size=40) + 1j * rng.normal(size=40)) * 10.0 ** rng.integers(-3, 4, 40))]
+        for z in pts:
+            assert _bits(apply_map(param, z)) == _bits(_division_apply_map(param, z)), (p, z)
+
+
+def _largest_square_below_snap():
+    x = math.sqrt(SNAP_MAGNITUDE)
+    while x * x > SNAP_MAGNITUDE:
+        x = math.nextafter(x, 0.0)
+    while math.nextafter(x, math.inf) ** 2 <= SNAP_MAGNITUDE:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def test_map_step_edge_pins():
+    # the image of infinity snaps: -1/conj(p) = -1e160 is past the snap
+    assert apply_map(MapParam(1e-160), INF) is INF
+    # a vanishing denominator: 1 - conj(1) * 1**2 == 0
+    assert apply_map(MapParam(1.0), 1.0) is INF
+    # at p = 0 the image is z**2 itself, kept up to the snap and dropped past it
+    x = _largest_square_below_snap()
+    below = apply_map(MapParam(0j), x)
+    assert below.value == complex(x * x) and abs(below.value) <= SNAP_MAGNITUDE
+    assert apply_map(MapParam(0j), math.nextafter(x, math.inf)) is INF
+
+
 def test_map_is_total():
     rng = np.random.default_rng(7)
     params = [MapParam(v) for v in
@@ -189,6 +256,19 @@ def test_expansion_on_unit_circle_at_p0():
     rng = np.random.default_rng(23)
     for theta in rng.uniform(0, 2 * math.pi, 50):
         assert spherical_derivative(param, cmath.exp(1j * theta)) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_expansion_at_most_two_and_two_on_unit_circle():
+    # the map is squaring followed by a rotation of the sphere, so the
+    # expansion rate is that of z -> z**2: at most 2, and 2 on |z| = 1
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        param = MapParam((rng.normal() + 1j * rng.normal()) * 10.0 ** rng.integers(-2, 3))
+        for z in (rng.normal() + 1j * rng.normal()) * 10.0 ** rng.integers(-3, 4, 20):
+            assert spherical_derivative(param, z) <= 2.0 + 1e-12
+        for theta in rng.uniform(0, 2 * math.pi, 10):
+            rate = spherical_derivative(param, cmath.exp(1j * theta))
+            assert rate == pytest.approx(2.0, rel=1e-12)
 
 
 def test_expansion_matches_finite_differences():
