@@ -15,13 +15,13 @@ Every pipeline steps projective pairs through the in-place kernel of
 :mod:`qubit_chaos.kernel`; the julia raster runs its capture loop, the one
 ``classify_basin`` runs with the roundoff certificate on.
 
-The parameter raster runs in two phases.  First every block iterates to a
-checkpoint inside the transient and retires each pixel whose period is
-certified there: the kernel's lag scan runs at a wide radius, then the lag
-it finds must pass a tight radius and a contracting multiplier (the
-RETIRE_* constants below).  Then the survivors of all blocks, ~13% of the
-default window, are pooled in pixel order into fresh full blocks that run
-the rest of the transient and the same lag scan at eps.
+The parameter raster runs in stages.  At each checkpoint inside the
+transient (RETIRE_CHECKPOINTS) every pixel still iterating retires if its
+period is certified there: the kernel's lag scan runs at a wide radius,
+then the lag it finds must pass a tight radius and a contracting multiplier
+(the RETIRE_* constants below).  The rest are pooled in pixel order into
+fresh full blocks for the next stage; on the default window 13% are left
+after step 384 to run out the transient and the lag scan at eps.
 Retirement never changes a period -- the tests check it pixel for pixel
 against straight iteration -- it only skips iterations.
 
@@ -66,9 +66,10 @@ BLOCK_PIXELS = 8192  # fixed split unit; independent of worker count
 
 PALETTE_VERSION = "period-hue-v1"
 
-# Early retirement in the parameter raster.  After RETIRE_CHECKPOINT steps
-# the next 2*max_period+1 states are scanned at the wide radius, and a pixel
-# stops iterating with period q0 only when all three hold:
+# Early retirement in the parameter raster.  At checkpoint c the next 2*Q+1
+# states, Q = min(c, max_period), are scanned at the wide radius for lags up
+# to Q (lag q reads only the last 2q+1 states), and a pixel stops iterating
+# with period q0 only when all three hold:
 #   (a) q0 is the smallest lag whose matches all lie within RETIRE_MARGIN*eps,
 #       so every lag below q0 has a pair at least that far apart;
 #   (b) every match at lag q0 lies within RETIRE_TIGHT*eps;
@@ -80,7 +81,7 @@ PALETTE_VERSION = "period-hue-v1"
 # slow period doublings near |multiplier| = 1 iterating: with RETIRE_TIGHT =
 # 0.5 and no contraction margin, 205 pixels of the default window on the arc
 # through p = 0.68+1.59i retire with period 6 where the full run settles to 2.
-RETIRE_CHECKPOINT = 256
+RETIRE_CHECKPOINTS = (32, 256)
 RETIRE_TIGHT = 1e-3
 RETIRE_MARGIN = 2.0
 RETIRE_CONTRACTION = 0.01
@@ -188,23 +189,25 @@ def _certified_period(p, T, max_period: int, eps2: float) -> np.ndarray:
     contraction: the lag scan at RETIRE_MARGIN*eps gives each pixel the
     smallest lag q0 with no pair wide apart, and q0 stands only if all of
     its q0 pairs match within RETIRE_TIGHT*eps and the multiplier over the
-    last q0 states has modulus at most 1 - RETIRE_CONTRACTION.
+    last q0 states has modulus at most 1 - RETIRE_CONTRACTION.  Offset k
+    checks, in one pass, every candidate with q0 > k still tight.
     """
     q0 = _lag_scan(T, max_period, eps2 * RETIRE_MARGIN ** 2)
     last = len(T) - 1
     tight2 = eps2 * RETIRE_TIGHT ** 2
-    for q in np.unique(q0[q0 > 0]).tolist():
-        cols = np.flatnonzero(q0 == q)
+    cand = np.flatnonzero(q0 > 0)
+    q = q0[cand]
+    tight = np.ones(cand.size, dtype=bool)
+    log_lam = np.zeros(cand.size)
+    for k in range(q.max(initial=0)):
+        sel = np.flatnonzero(tight & (q > k))
+        cols = cand[sel]
+        A = T[last - k].take(cols, axis=1)
+        tight[sel] = _pairs_within(A, T[last - k - q[sel], :, cols].T, tight2)
         pq = p.take(cols)
-        pcq = np.conj(pq)
-        tight = np.ones(cols.size, dtype=bool)
-        log_lam = np.zeros(cols.size)
-        for k in range(q):
-            A = T[last - k].take(cols, axis=1)
-            tight &= _pairs_within(A, T[last - k - q].take(cols, axis=1), tight2)
-            with np.errstate(divide="ignore"):  # a critical hit: log 0 = -inf
-                log_lam += np.log(_pair_rate(pq, pcq, A[0], A[1]))
-        q0[cols[~tight | (log_lam > math.log1p(-RETIRE_CONTRACTION))]] = -1
+        with np.errstate(divide="ignore"):  # a critical hit: log 0 = -inf
+            log_lam[sel] += np.log(_pair_rate(pq, np.conj(pq), A[0], A[1]))
+    q0[cand[~tight | (log_lam > math.log1p(-RETIRE_CONTRACTION))]] = -1
     return q0
 
 
@@ -305,20 +308,20 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     lag are marked unconverged.  Requires 0 < eps < 1, max_period >= 1 and
     transient >= 2*max_period; ValueError otherwise.
 
-    The raster runs in two phases, each over fixed blocks of BLOCK_PIXELS
-    pixels.  In the first, a pixel whose orbit is already certified to have
-    settled stops early: at step RETIRE_CHECKPOINT it retires with period
-    q0 if q0 is the smallest lag matching within RETIRE_MARGIN*eps, all of
-    its matches lie within RETIRE_TIGHT*eps, and the multiplier over those
-    q0 states has modulus at most 1 - RETIRE_CONTRACTION.  In the
-    second, the pixels left over from every block are pooled in pixel order,
-    with their last checkpoint-window state, into fresh full blocks that run
-    the rest of the transient and the lag scan, so their orbit is the
-    uninterrupted one.  (With a transient too short for the checkpoint
-    window, every pixel runs the second phase from z0.)  Retirement never
-    changes a period: it is the one the full transient and scan report.  So
-    ``steps`` still records transient + 2*max_period for every pixel, the
-    depth the period stands for.
+    The raster runs in stages, each over fixed blocks of BLOCK_PIXELS
+    pixels.  At each checkpoint c of RETIRE_CHECKPOINTS whose window of
+    2*min(c, max_period)+1 states ends inside the transient (steps 96 and
+    384 at the defaults), a pixel whose orbit is already certified to have
+    settled stops early: it retires with period q0 if q0 is the smallest lag
+    matching within RETIRE_MARGIN*eps, all of its matches lie within
+    RETIRE_TIGHT*eps, and the multiplier over those q0 states has modulus
+    at most 1 - RETIRE_CONTRACTION.  The pixels left over from every block
+    are pooled in pixel order, with their last window state, into fresh
+    full blocks for the next stage, so their orbit is the uninterrupted
+    one; the last stage runs the rest of the transient and the lag scan.
+    Retirement never changes a period: it is the one the full transient and
+    scan report.  So ``steps`` still records transient + 2*max_period for
+    every pixel, the depth the period stands for.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be finite and in (0, 1), got {eps!r}")
@@ -337,59 +340,55 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
         (formed per block: the whole grid would raise the peak memory)."""
         return re[idx % window.nx] + 1j * im[idx // window.nx]
 
-    tail_len = 2 * max_period + 1
     # one window of tail states plus step scratch per worker, kept through
-    # both phases: a fresh window per block inflates peak RSS through heap
+    # every stage: a fresh window per block inflates peak RSS through heap
     # retention
     buffers = queue.SimpleQueue()
     cols = min(BLOCK_PIXELS, total)
 
     def make_buffer():
-        return np.empty((tail_len, 2, cols), dtype=complex), _pair_scratch(cols)
+        return np.empty((2 * max_period + 1, 2, cols), dtype=complex), _pair_scratch(cols)
 
-    def fit(buf, n):
-        win, (S2, A) = buf
-        return win[:, :, :n], (S2[:, :n], A[:, :n])
-
+    # (window start, lags scanned) per stage: each checkpoint whose window
+    # ends inside the transient, then the transient itself
+    stages = [(c, min(c, max_period)) for c in RETIRE_CHECKPOINTS
+              if c + 2 * min(c, max_period) <= transient]
+    stages.append((transient, max_period))
     period = np.full(total, -1, dtype=np.int32)
+    live = np.arange(total)  # pixels still iterating, in pixel order
+    S_live = np.broadcast_to(S0, (2, total))  # their states after `done` steps
     done = 0
-    if RETIRE_CHECKPOINT + tail_len - 1 <= transient:
+    for i, (start_step, lags) in enumerate(stages):
+        if live.size == 0:
+            break
+        final = i == len(stages) - 1
         # per block: the pixels left uncertified and their last window state
-        left = [None] * -(-total // BLOCK_PIXELS)
+        left = [None] * -(-live.size // BLOCK_PIXELS)
 
-        def checkpoint(start, stop, buf):
-            p = params_at(np.arange(start, stop))
-            P, S = _pair_params(p), np.repeat(S0, p.size, axis=1)
-            win, scratch = fit(buf, p.size)
-            for _ in range(RETIRE_CHECKPOINT):
+        def stage(start, stop, buf):
+            idx = live[start:stop]
+            p = params_at(idx)
+            P, S = _pair_params(p), S_live[:, start:stop].copy()
+            win, (S2, A) = buf
+            win, scratch = win[:2 * lags + 1, :, :p.size], (S2[:, :p.size], A[:, :p.size])
+            for _ in range(start_step - done):
                 _pair_step(P, S, scratch)
             _pair_tail(P, S, scratch, win)
-            q0 = _certified_period(p, win, max_period, eps2)
-            live = np.flatnonzero(q0 < 0)
-            left[start // BLOCK_PIXELS] = start + live, win[-1][:, live]
+            if final:
+                return (_lag_scan(win, max_period, eps2),)
+            q0 = _certified_period(p, win, lags, eps2)
+            keep = np.flatnonzero(q0 < 0)
+            left[start // BLOCK_PIXELS] = idx[keep], win[-1][:, keep]
             return (q0,)
 
-        _run_blocks(total, workers, checkpoint, (period,), buffers, make_buffer)
-        live = np.concatenate([idx for idx, _ in left])
-        S_live = np.concatenate([S for _, S in left], axis=1)
-        del left
-        done = RETIRE_CHECKPOINT + tail_len - 1
-    else:
-        live = np.arange(total)
-        S_live = np.repeat(S0, total, axis=1)
-
-    def survivors(start, stop, buf):
-        p = params_at(live[start:stop])
-        P, S = _pair_params(p), S_live[:, start:stop].copy()
-        win, scratch = fit(buf, p.size)
-        for _ in range(transient - done):
-            _pair_step(P, S, scratch)
-        _pair_tail(P, S, scratch, win)
-        return (_lag_scan(win, max_period, eps2),)
-
-    settled = np.empty(live.size, dtype=np.int32)
-    _run_blocks(live.size, workers, survivors, (settled,), buffers, make_buffer)
-    period[live] = settled
+        found = np.empty(live.size, dtype=np.int32)
+        _run_blocks(live.size, workers, stage, (found,), buffers, make_buffer)
+        period[live] = found
+        if not final:
+            live = np.concatenate([idx for idx, _ in left])
+            S_live = np.concatenate([S for _, S in left], axis=1)
+            del left
+            done = start_step + 2 * lags
     shape = (window.ny, window.nx)
     period = period.reshape(shape)
     steps = np.full(shape, transient + 2 * max_period, dtype=np.int32)

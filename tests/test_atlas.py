@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+import qubit_chaos.atlas as atlas
 from qubit_chaos.atlas import (
     BLOCK_PIXELS,
-    RETIRE_CHECKPOINT,
+    RETIRE_CHECKPOINTS,
     RETIRE_CONTRACTION,
     RETIRE_MARGIN,
     RETIRE_TIGHT,
@@ -192,18 +193,17 @@ def test_parameter_raster_deterministic_across_workers():
     assert np.array_equal(a.converged, b.converged)
 
 
-def test_parameter_raster_pooling_deterministic_across_workers():
-    # more than one block, a transient past the checkpoint window, and
-    # uncertified pixels in every block, so survivors from several blocks
-    # are pooled together
-    win = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 100, 100)
-    transient, max_period = 300, 8
-    assert win.nx * win.ny > BLOCK_PIXELS
-    assert transient >= RETIRE_CHECKPOINT + 2 * max_period
-    left = ~_retired_at_checkpoint(win.grid().ravel(), 0j, max_period, 1e-6)
-    assert left[:BLOCK_PIXELS].any() and left[BLOCK_PIXELS:].any()
-    a, b, c = (render_parameter_space(win, transient=transient, max_period=max_period,
-                                      workers=n) for n in (1, 2, 3))
+def test_parameter_raster_pooling_deterministic_across_workers(monkeypatch):
+    # three blocks retire at step 32 and pool their survivors into two,
+    # which retire at step 256 and pool theirs into one
+    win = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 120, 150)
+    kw = dict(transient=300, max_period=8)
+    at = _check_retiring_kernel(win, **kw)
+    assert np.count_nonzero(at != RETIRE_CHECKPOINTS[0]) > BLOCK_PIXELS
+    assert np.count_nonzero(at == RETIRE_CHECKPOINTS[1]) > 0
+    assert np.array_equal(_stepped_parameters(monkeypatch, win, **kw),
+                          _staged_order(win.grid().ravel(), at, **kw))
+    a, b, c = (render_parameter_space(win, workers=n, **kw) for n in (1, 2, 3))
     assert np.array_equal(a.period, b.period)
     assert np.array_equal(a.period, c.period)
 
@@ -290,18 +290,28 @@ def _straight_periods(p, z0, transient, max_period, eps):
     return period
 
 
-def _checkpoint_tail(p, z0, max_period):
-    """The tail window the raster scans at its checkpoint, as (Zs, Ws)."""
+def _checkpoint_tail(p, z0, checkpoint, lags):
+    """The tail window the raster scans at a checkpoint, as (Zs, Ws): the
+    2*lags+1 states from step ``checkpoint`` on."""
     pc = np.conj(p)
     Z, W = _orbit_start(p, z0)
-    for _ in range(RETIRE_CHECKPOINT):
+    for _ in range(checkpoint):
         Z, W = _division_step(p, pc, Z, W)
-    return _reference_tail(p, Z, W, 2 * max_period + 1)
+    return _reference_tail(p, Z, W, 2 * lags + 1)
 
 
-def _retired_at_checkpoint(p, z0, max_period, eps):
-    T = np.stack(_checkpoint_tail(p, z0, max_period), axis=1)
-    return _certified_period(p, T, max_period, eps * eps) > 0
+def _retirement_step(p, z0, transient, max_period, eps):
+    """Per pixel, the checkpoint of RETIRE_CHECKPOINTS at which the raster
+    retires it, or 0 where it runs the whole transient: the first checkpoint
+    c whose window of 2*min(c, max_period)+1 states ends inside the
+    transient and certifies a period."""
+    at = np.zeros(p.shape, dtype=int)
+    for c in RETIRE_CHECKPOINTS:
+        lags = min(c, max_period)
+        if c + 2 * lags <= transient:
+            T = np.stack(_checkpoint_tail(p, z0, c, lags), axis=1)
+            at[(at == 0) & (_certified_period(p, T, lags, eps * eps) > 0)] = c
+    return at
 
 
 def _two_radius_certificate(p, pc, Zs, Ws, max_period, eps2):
@@ -352,10 +362,10 @@ def _two_radius_certificate(p, pc, Zs, Ws, max_period, eps2):
 
 def _check_retiring_kernel(window, z0=0j, transient=2000, max_period=64, eps=1e-6):
     """Assert render_parameter_space equals straight iteration pixel for
-    pixel, with every numpy warning raised; returns the per-pixel mask of
-    pixels retired at the checkpoint."""
+    pixel, with every numpy warning raised; returns the per-pixel
+    _retirement_step."""
     p = window.grid().ravel()
-    retired = np.zeros(p.shape, dtype=bool)
+    at = np.zeros(p.shape, dtype=int)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = render_parameter_space(window, z0=z0, transient=transient,
@@ -367,8 +377,33 @@ def _check_retiring_kernel(window, z0=0j, transient=2000, max_period=64, eps=1e-
             assert np.array_equal(got[s:s + BLOCK_PIXELS], want), (
                 f"{np.count_nonzero(got[s:s + BLOCK_PIXELS] != want)} pixels "
                 "differ from straight iteration")
-            retired[s:s + BLOCK_PIXELS] = _retired_at_checkpoint(block, z0, max_period, eps)
-    return retired
+            at[s:s + BLOCK_PIXELS] = _retirement_step(block, z0, transient, max_period, eps)
+    return at
+
+
+def _stepped_parameters(monkeypatch, window, transient, max_period):
+    """The parameters of every block render_parameter_space steps on one
+    worker, concatenated in the order it steps them."""
+    seen = []
+
+    def spy(p):
+        seen.append(p.copy())
+        return _pair_params(p)
+
+    with monkeypatch.context() as m:
+        m.setattr(atlas, "_pair_params", spy)
+        render_parameter_space(window, transient=transient, max_period=max_period, workers=1)
+    return np.concatenate(seen)
+
+
+def _staged_order(p, at, transient, max_period):
+    """What _stepped_parameters must see: every pixel, then at each
+    checkpoint that fits the pixels it leaves, in pixel order."""
+    stages = [p]
+    for c in RETIRE_CHECKPOINTS:
+        if c + 2 * min(c, max_period) <= transient:
+            stages.append(p[(at == 0) | (at > c)])
+    return np.concatenate(stages)
 
 
 def _assert_kernel_tracks_division(p, Z, W, steps):
@@ -409,25 +444,47 @@ def test_retirement_exact_on_period_doubling_arc():
     # period-2 parameters beside the arc where the 2-cycle doubles: a loose
     # certificate (tight radius eps/2) retires 100 of these pixels with
     # period 6, which straight iteration settles to 2
-    retired = _check_retiring_kernel(Window.from_bounds(0.63, 0.73, 1.54, 1.64, 48, 48))
+    retired = _check_retiring_kernel(Window.from_bounds(0.63, 0.73, 1.54, 1.64, 48, 48)) > 0
     assert 0 < retired.sum() < retired.size
 
 
 @pytest.mark.parametrize("z0", [0j, INF])
 def test_retirement_exact_around_superattracting_p1(z0):
     win = Window.from_bounds(0.9, 1.1, -0.1, 0.1, 25, 25)
-    retired = _check_retiring_kernel(win, z0=z0)
+    at = _check_retiring_kernel(win, z0=z0)
     # the 2-cycle {-1, inf} passes through the critical point inf, so the
     # multiplier is exactly 0 (log -inf) and must certify, not become NaN
-    assert win.grid().ravel()[312] == 1.0 and retired[312]
+    assert win.grid().ravel()[312] == 1.0 and at[312] > 0
 
 
 def test_retirement_exact_on_default_window_rows():
-    # the default window at 150 of its 500 rows: more survivors than one
-    # block holds, so they are pooled into two
-    retired = _check_retiring_kernel(Window.from_bounds(0.0, 3.0, 0.0, 3.0, 500, 150))
-    assert retired.mean() > 0.8
-    assert (~retired).sum() > BLOCK_PIXELS
+    # the default window at 150 of its 500 rows: more pixels than one block
+    # holds are left at each checkpoint, so both poolings fill more than one
+    at = _check_retiring_kernel(Window.from_bounds(0.0, 3.0, 0.0, 3.0, 500, 150))
+    assert np.mean(at == RETIRE_CHECKPOINTS[0]) > 0.6
+    assert np.mean(at > 0) > 0.8
+    assert np.count_nonzero(at == 0) > BLOCK_PIXELS
+
+
+def test_retirement_at_the_first_checkpoint_only(monkeypatch):
+    # the window of the second checkpoint ends past a 200-step transient, so
+    # pixels retire at step 32 or run the whole transient
+    win = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 60, 60)
+    kw = dict(transient=200, max_period=64)
+    at = _check_retiring_kernel(win, **kw)
+    assert set(np.unique(at).tolist()) == {0, RETIRE_CHECKPOINTS[0]}
+    assert np.array_equal(_stepped_parameters(monkeypatch, win, **kw),
+                          _staged_order(win.grid().ravel(), at, **kw))
+
+
+def test_retirement_of_every_pixel_at_the_first_checkpoint(monkeypatch):
+    # near p = 0 the orbit of 0 falls onto a strongly attracting fixed
+    # point: every pixel certifies at step 32, and no later stage steps any
+    win = Window.from_bounds(-0.1, 0.1, -0.1, 0.1, 16, 16)
+    at = _check_retiring_kernel(win)
+    assert np.all(at == RETIRE_CHECKPOINTS[0])
+    stepped = _stepped_parameters(monkeypatch, win, transient=2000, max_period=64)
+    assert np.array_equal(stepped, win.grid().ravel())
 
 
 def test_certified_period_equals_two_radius_scan():
@@ -438,16 +495,18 @@ def test_certified_period_equals_two_radius_scan():
     cases.append((Window.from_bounds(0.9, 1.1, -0.1, 0.1, 25, 25).grid().ravel(), INF))
     vetoed = 0
     for p, z0 in cases:
-        Zs, Ws = _checkpoint_tail(p, z0, max_period)
-        T = np.stack((Zs, Ws), axis=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            want = _two_radius_certificate(p, np.conj(p), Zs, Ws, max_period, eps2)
-            got = _certified_period(p, T, max_period, eps2)
-            wide = _lag_scan(T, max_period, eps2 * RETIRE_MARGIN ** 2)
-        assert got.dtype == want.dtype and np.array_equal(got, want), (
-            f"{np.count_nonzero(got != want)} pixels differ near p = {p[0]}")
-        vetoed += np.count_nonzero((wide > 0) & (want < 0))
+        for c in RETIRE_CHECKPOINTS:
+            lags = min(c, max_period)
+            Zs, Ws = _checkpoint_tail(p, z0, c, lags)
+            T = np.stack((Zs, Ws), axis=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                want = _two_radius_certificate(p, np.conj(p), Zs, Ws, lags, eps2)
+                got = _certified_period(p, T, lags, eps2)
+                wide = _lag_scan(T, lags, eps2 * RETIRE_MARGIN ** 2)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (
+                f"{np.count_nonzero(got != want)} pixels differ near p = {p[0]} at step {c}")
+            vetoed += np.count_nonzero((wide > 0) & (want < 0))
     # the check after the wide scan refuses some of the lags it found
     assert vetoed > 0
 

@@ -19,6 +19,7 @@ from qubit_chaos.orbits import (
     ConfigurationError,
     CriticalOrbitResult,
     CriticalReport,
+    LyapunovEstimate,
     Orbit,
     _build_cycle,
     classify_basin,
@@ -38,6 +39,7 @@ from qubit_chaos.sphere import (
     MapParam,
     SpherePoint,
     apply_map,
+    as_point,
     chordal_distance,
     overlap_distance,
     spherical_derivative,
@@ -709,3 +711,64 @@ def test_factor_two_between_estimators():
         d = lyapunov_derivative(P0, z0, 40)
         o = lyapunov_overlap(P0, z0, z0 * cmath.exp(1e-8j), n_max=200)
         assert o.value == pytest.approx(2.0 * d.value, rel=0.05)
+
+
+def _sphere_point_lyapunov_derivative(param, z0, n, exclusion_limit=0.01):
+    """lyapunov_derivative before it ran on coordinates: one
+    spherical_derivative and one apply_map per step."""
+    pt = as_point(z0)
+    total = 0.0
+    used = 0
+    for _ in range(n):
+        rate = spherical_derivative(param, pt)
+        if rate > 0.0:
+            total += math.log(rate)
+            used += 1
+        pt = apply_map(param, pt)
+    value = total / used if used else float("-inf")
+    reliable = used > 0 and n - used <= exclusion_limit * n
+    return LyapunovEstimate(value, "derivative", used, False, reliable)
+
+
+def _sphere_point_lyapunov_overlap(param, z0, z1, n_max):
+    """lyapunov_overlap (default saturation and window) before it ran on
+    coordinates: both seeds stepped one apply_map at a time."""
+    a, b = as_point(z0), as_point(z1)
+    logs = [math.log(overlap_distance(a, b))]
+    saturated = False
+    for _ in range(n_max):
+        a = apply_map(param, a)
+        b = apply_map(param, b)
+        d = overlap_distance(a, b)
+        if d >= 0.01:
+            saturated = True
+            break
+        if d == 0.0:
+            break
+        logs.append(math.log(d))
+    window = len(logs)
+    slope = float(np.polyfit(np.arange(window), np.array(logs), 1)[0]) if window >= 2 else float("nan")
+    return LyapunovEstimate(slope, "overlap", window, saturated, window >= 5)
+
+
+def test_lyapunov_estimators_equal_sphere_point_loops():
+    rng = np.random.default_rng(41)
+    pairs = [(0j, cmath.exp(0.3j)), (1 + 0j, 0j), (1 + 0j, INF), (0.5 + 0.5j, INF),
+             (2 + 0.7j, 0j), (1000j, 0.2 - 0.1j)]
+    pairs += [(complex(*rng.uniform(-3, 3, 2)), complex(*rng.normal(size=2)))
+              for _ in range(30)]
+    saturated = 0
+    for p, z0 in pairs:
+        param = MapParam(p)
+        for n in (1, 40, 300):
+            got = lyapunov_derivative(param, z0, n).to_json_dict()
+            want = _sphere_point_lyapunov_derivative(param, z0, n).to_json_dict()
+            assert json.dumps(got) == json.dumps(want), (p, z0, n)
+        # a partner at overlap at most about 1e-17
+        z1 = 1e9j if z0 is INF else z0 * cmath.exp(3e-9j) + 3e-9
+        for n_max in (1, 7, 200):
+            got = lyapunov_overlap(param, z0, z1, n_max=n_max).to_json_dict()
+            want = _sphere_point_lyapunov_overlap(param, z0, z1, n_max).to_json_dict()
+            assert json.dumps(got) == json.dumps(want), (p, z0, n_max)
+            saturated += got["saturated"]
+    assert saturated > 0
