@@ -181,7 +181,7 @@ def _pair_tail(P, S, scratch, window: np.ndarray) -> None:
         _pair_step(P, window[i - 1], scratch, out=window[i])
 
 
-def _certified_period(p, T, max_period: int, eps2: float) -> np.ndarray:
+def _certified_period(T, max_period: int, eps2: float) -> np.ndarray:
     """Period each pixel of the tail window T is certified to settle into,
     or -1 (the RETIRE_* rule).
 
@@ -204,9 +204,8 @@ def _certified_period(p, T, max_period: int, eps2: float) -> np.ndarray:
         cols = cand[sel]
         A = T[last - k].take(cols, axis=1)
         tight[sel] = _pairs_within(A, T[last - k - q[sel], :, cols].T, tight2)
-        pq = p.take(cols)
         with np.errstate(divide="ignore"):  # a critical hit: log 0 = -inf
-            log_lam[sel] += np.log(_pair_rate(pq, np.conj(pq), A[0], A[1]))
+            log_lam[sel] += np.log(_pair_rate(*np.abs(A)))
     q0[cand[~tight | (log_lam > math.log1p(-RETIRE_CONTRACTION))]] = -1
     return q0
 
@@ -376,7 +375,7 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
             _pair_tail(P, S, scratch, win)
             if final:
                 return (_lag_scan(win, max_period, eps2),)
-            q0 = _certified_period(p, win, lags, eps2)
+            q0 = _certified_period(win, lags, eps2)
             keep = np.flatnonzero(q0 < 0)
             left[start // BLOCK_PIXELS] = idx[keep], win[-1][:, keep]
             return (q0,)

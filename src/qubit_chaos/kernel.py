@@ -33,8 +33,7 @@ def _pair_step(P, S, scratch, out=None):
     have no common root, so the pair never vanishes and is renormalized to
     unit max magnitude.  Multiplying by 1/m is numpy's complex division by
     the real m with the division hoisted out: nonzero values equal Zn / m
-    bit for bit, and at most the sign of an exact zero differs.  Rows 0 and
-    1 of the real scratch keep |Zn| and |Wn| from before the renormalization.
+    bit for bit, and at most the sign of an exact zero differs.
     """
     S2, A = scratch
     if out is None:
@@ -49,11 +48,18 @@ def _pair_step(P, S, scratch, out=None):
     return out
 
 
-def _pair_rate(p, pc, Z, W):
-    """Spherical expansion rate of one step at the pair (Z, W), chart-free."""
-    aZ, aW, Z2, W2 = np.abs(Z), np.abs(W), Z * Z, W * W
-    return (2.0 * (1.0 + np.abs(p) ** 2)) * aZ * aW * (aZ ** 2 + aW ** 2) / (
-        np.abs(Z2 + p * W2) ** 2 + np.abs(W2 - pc * Z2) ** 2)
+def _pair_rate(aZ, aW):
+    """Spherical expansion rate of one step at a unit pair with moduli aZ, aW:
+    that of squaring for every p, since the rest of the step rotates the
+    sphere.  2|Z||W|(|Z|**2 + |W|**2) / (|Z|**4 + |W|**4) is at most 2, and 2
+    on |z| = 1; in place it costs a third less than as one expression."""
+    aZ2, aW2 = aZ * aZ, aW * aW
+    rate = aZ2 + aW2
+    rate *= aZ
+    rate *= aW
+    rate *= 2.0
+    rate /= np.add(np.square(aZ2, out=aZ2), np.square(aW2, out=aW2), out=aZ2)
+    return rate
 
 
 def _pairs_within(A, B, eps2: float) -> np.ndarray:
@@ -146,9 +152,9 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, max_iter: int,
     from :func:`_target_pairs` (the first in the list wins); returns int32
     ``step`` and ``label``, -1 where nothing captured the pair within
     max_iter steps, and the certificate's peaks.  With ``limit`` the log
-    spherical expansion 2(1+|p|^2)|Z||W|(|Z|^2+|W|^2) / (|Zn|^2+|Wn|^2) is
-    summed along each orbit from the moduli the target test and the step
-    leave behind; a capture whose running peak exceeds ``limit`` is refused
+    spherical expansion rate of every step (:func:`_pair_rate`, which does
+    not depend on p) is summed along each orbit from the moduli the target
+    test takes; a capture whose running peak exceeds ``limit`` is refused
     (-1), and each pair's peak at capture or at the end is returned.
     """
     n = S.shape[1]
@@ -162,29 +168,15 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, max_iter: int,
     tests = [(tz, tw, eps2 * tn, i) for tz, tw, tn, i in targets]
     certify = limit is not None
     peak = np.zeros(n) if certify else None
-    L = np.zeros((3, n)) if certify else None  # log expansion, its peak, rate numerator
-    gain = 2.0 * (1.0 + abs(p) ** 2)
+    L = np.zeros((2, n)) if certify else None  # log expansion and its peak
     for k in range(max_iter + 1):
         if alive.size == 0:
             break
-        moduli = scratch[1]
         if k:
             _pair_step(P, S, scratch)
-            if certify:  # the rate of the step just taken, from |Zn|, |Wn|
-                log_e, log_peak, num = L
-                np.multiply(moduli[:2], moduli[:2], out=moduli[:2])
-                rate = np.add(moduli[0], moduli[1], out=moduli[0])
-                np.divide(num, rate, out=rate)
-                with np.errstate(divide="ignore"):  # a critical hit: log 0 = -inf
-                    log_e += np.log(rate, out=rate)
-                np.maximum(log_peak, log_e, out=log_peak)
         Z, W = S
-        aZ, aW = np.abs(S, out=moduli[:2])
+        aZ, aW = np.abs(S, out=scratch[1][:2])
         norm = aZ ** 2 + aW ** 2
-        if certify:
-            np.multiply(gain, aZ, out=L[2])
-            L[2] *= aW
-            L[2] *= norm
         hit = np.zeros(alive.size, dtype=bool)
         per = np.full(alive.size, -1, dtype=np.int32)
         for tz, tw, thr, i in tests:
@@ -192,10 +184,17 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, max_iter: int,
             new = (cross < thr * norm) & ~hit
             per[new] = i
             hit |= new
+        if certify:
+            peak[alive[hit]] = L[1][hit]  # before the next step's rate joins
+            if k < max_iter:  # the rate of the next step, from here
+                log_e, log_peak = L
+                rate = _pair_rate(aZ, aW)
+                with np.errstate(divide="ignore"):  # a critical point: log 0 = -inf
+                    log_e += np.log(rate, out=rate)
+                np.maximum(log_peak, log_e, out=log_peak)
         if hit.any():
             sel, got = alive[hit], per[hit]
             if certify:
-                peak[sel] = L[1][hit]
                 ok = peak[sel] <= limit
                 sel, got = sel[ok], got[ok]
             step[sel] = k

@@ -294,13 +294,13 @@ def _settled_cycle(param: MapParam, vals: list, eps: float,
             if not _value_overlap(vals[i], vals[i - q]) < eps2:
                 break
         else:
-            if not _expansion_certified(param.p, vals[: n - q], eps):
+            if not _expansion_certified(vals[: n - q], eps):
                 return None
             return _build_cycle(param, _points(vals[n - q:]), eps)
     return None
 
 
-def _expansion_certified(p: complex, prefix, eps: float) -> bool:
+def _expansion_certified(prefix, eps: float) -> bool:
     """Whether seed roundoff stays below eps along the path into the tail.
 
     A perturbation of SEED_ROUNDOFF on the starting point is stretched by
@@ -316,7 +316,7 @@ def _expansion_certified(p: complex, prefix, eps: float) -> bool:
     for v in prefix:
         if log_e > limit:
             return False
-        rate = _value_rate(p, v)
+        rate = _value_rate(v)
         log_e += math.log(rate) if rate > 0.0 else -math.inf
     return log_e <= limit
 
@@ -727,7 +727,7 @@ def lyapunov_derivative(param: MapParam, z0, n: int,
     total = 0.0
     used = 0
     for v in _extend_orbit(param.p, [as_point(z0)._value], n):
-        rate = _value_rate(param.p, v)
+        rate = _value_rate(v)
         if rate > 0.0:
             total += math.log(rate)
             used += 1

@@ -253,39 +253,25 @@ def chordal_distance(a, b) -> float:
 def spherical_derivative(param: MapParam, z) -> float:
     """Local expansion rate of the map at z in the overlap metric.
 
-    This is the spherical derivative |f'(z)| (1+|z|**2) / (1+|f(z)|**2),
-    evaluated in whichever coordinate chart keeps the arithmetic small:
-    inversion w = 1/z conjugates the parameter-p map to the parameter
-    -conj(p) map, so points outside the unit disk (and infinity itself) are
-    handled by the same affine routine in the mirrored chart.  Returns 0.0
+    This is the spherical derivative |f'(z)| (1+|z|**2) / (1+|f(z)|**2).
+    It does not depend on p: the map is squaring followed by a rotation of
+    the sphere, which preserves the overlap metric, so the rate is that of
+    z -> z**2, 2r(1+r**2)/(1+r**4) with r = min(|z|, 1/|z|), for every
+    ``param``.  It is at most 2, equal to 2 on the unit circle, and 0.0
     exactly at the two critical points z = 0 and z = infinity.
     """
-    return _value_rate(param.p, as_point(z)._value)
+    return _value_rate(as_point(z)._value)
 
 
-def _value_rate(p: complex, v: complex | None) -> float:
+def _value_rate(v: complex | None) -> float:
     """:func:`spherical_derivative` at the orbit value v (None for infinity)."""
     if v is None:
-        return _expansion_affine(-p.conjugate(), 0j)
-    if abs(v) > 1.0:
-        return _expansion_affine(-p.conjugate(), 1.0 / v)
-    return _expansion_affine(p, v)
-
-
-def _expansion_affine(p: complex, z: complex) -> float:
-    # |z| <= 1 here.  Numerator and denominator are jointly rescaled by
-    # c = 1/sqrt(1+|p|**2) so arbitrarily large parameters stay in range:
-    # the Wronskian of the map's numerator/denominator pair is
-    # 2 z (1+|p|**2), giving rate = 2|z|(1+|z|**2) / (|c(z**2+p)|**2 +
-    # |c(1 - conj(p) z**2)|**2).
-    z2 = z * z
-    c = 1.0 / math.hypot(1.0, abs(p))
-    cp = c * p
-    a = c * z2 + cp
-    b = c - cp.conjugate() * z2
-    den = abs(a) ** 2 + abs(b) ** 2
-    az = abs(z)
-    return 2.0 * az * (1.0 + az * az) / den
+        return 0.0
+    r = abs(v)
+    if r > 1.0:
+        r = 1.0 / r
+    r2 = r * r
+    return 2.0 * r * (1.0 + r2) / (1.0 + r2 * r2)
 
 
 def _preferred_chart(point: SpherePoint) -> tuple[complex, bool]:

@@ -38,7 +38,7 @@ from qubit_chaos.kernel import (
     _point_values,
     _start_pairs,
 )
-from qubit_chaos.orbits import critical_orbits, make_cycle
+from qubit_chaos.orbits import Cycle, classify_basin, critical_orbits, make_cycle
 from qubit_chaos.sphere import INF, MapParam, SpherePoint, as_point
 
 P0 = MapParam(0j)
@@ -310,8 +310,17 @@ def _retirement_step(p, z0, transient, max_period, eps):
         lags = min(c, max_period)
         if c + 2 * lags <= transient:
             T = np.stack(_checkpoint_tail(p, z0, c, lags), axis=1)
-            at[(at == 0) & (_certified_period(p, T, lags, eps * eps) > 0)] = c
+            at[(at == 0) & (_certified_period(T, lags, eps * eps) > 0)] = c
     return at
+
+
+def _image_rate(p, pc, Z, W):
+    """Reference spherical expansion rate of one step at the pair (Z, W),
+    from the moduli of its image (Zn, Wn) and the Wronskian gain
+    2(1+|p|**2): 2(1+|p|**2)|Z||W|(|Z|**2+|W|**2) / (|Zn|**2+|Wn|**2)."""
+    aZ, aW, Z2, W2 = np.abs(Z), np.abs(W), Z * Z, W * W
+    return (2.0 * (1.0 + np.abs(p) ** 2)) * aZ * aW * (aZ ** 2 + aW ** 2) / (
+        np.abs(Z2 + p * W2) ** 2 + np.abs(W2 - pc * Z2) ** 2)
 
 
 def _two_radius_certificate(p, pc, Zs, Ws, max_period, eps2):
@@ -352,8 +361,8 @@ def _two_radius_certificate(p, pc, Zs, Ws, max_period, eps2):
         for j in range(int(qc.max())):
             sel = np.flatnonzero(qc > j)
             idx = cand[sel]
-            rate = _pair_rate(p[idx], pc[idx], Zs[tail_len - 1 - j, idx],
-                              Ws[tail_len - 1 - j, idx])
+            rate = _image_rate(p[idx], pc[idx], Zs[tail_len - 1 - j, idx],
+                               Ws[tail_len - 1 - j, idx])
             with np.errstate(divide="ignore"):  # a critical hit: log 0 = -inf
                 log_lam[sel] += np.log(rate)
         q0[cand[log_lam > math.log1p(-RETIRE_CONTRACTION)]] = -1
@@ -440,6 +449,46 @@ def test_pair_kernel_equals_division_form_on_params_orbits(z0):
     _assert_kernel_tracks_division(p, *_orbit_start(p, z0), 500)
 
 
+def test_pair_rate_equals_image_rate():
+    # the p-free rate against the rate read off the step's image, which
+    # carries p; both are exactly 0 at the critical points 0 and infinity
+    rng = np.random.default_rng(53)
+    n = 200_000
+    z = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-4, 4, n)
+    Z, W = _start_pairs(np.concatenate([z, [0j, np.inf]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = _pair_rate(np.abs(Z), np.abs(W))
+        for p in (1.0 + 0j, 0.3 + 0.3j, 2.0 + 0.7j, 1000j):
+            pa = np.full(Z.shape, p)
+            want = _image_rate(pa, np.conj(pa), Z, W)
+            assert np.all(np.abs(rate[:n] - want[:n]) <= 4e-15 * want[:n]), p
+            assert np.array_equal(want[n:], [0.0, 0.0])
+    assert np.array_equal(rate[n:], [0.0, 0.0])
+    assert rate.max() <= 2.0
+    Z, W = _start_pairs(np.exp(2j * np.pi * rng.uniform(size=n)))
+    np.testing.assert_allclose(_pair_rate(np.abs(Z), np.abs(W)), 2.0, rtol=1e-15, atol=0)
+
+
+def test_huge_parameter_without_overflow():
+    # near p = 1e200 the map is close to z -> -1/z**2, and the 2-cycle
+    # {-1/conj(p), inf} through the critical point inf captures everything;
+    # no rate may compute 1+|p|**2, which overflows above |p| = 1.3e154
+    p = 1e200 + 0j
+    param = MapParam(p)
+    cycle = Cycle(2, (SpherePoint(-1 / p.conjugate()), INF), 0j, "superattracting")
+    win = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 16, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raster = render_julia(param, win, cycles=[cycle], workers=1)
+        basin = classify_basin(param, win.grid(), cycles=[cycle])
+        periods = render_parameter_space(Window(1e200, 1e199, 1e199, 8, 8),
+                                         transient=400, max_period=8)
+    assert np.all(raster.period == 2)
+    assert np.all(basin.labels == 0)
+    assert np.all(periods.period == 2)
+
+
 def test_retirement_exact_on_period_doubling_arc():
     # period-2 parameters beside the arc where the 2-cycle doubles: a loose
     # certificate (tight radius eps/2) retires 100 of these pixels with
@@ -502,7 +551,7 @@ def test_certified_period_equals_two_radius_scan():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 want = _two_radius_certificate(p, np.conj(p), Zs, Ws, lags, eps2)
-                got = _certified_period(p, T, lags, eps2)
+                got = _certified_period(T, lags, eps2)
                 wide = _lag_scan(T, lags, eps2 * RETIRE_MARGIN ** 2)
             assert got.dtype == want.dtype and np.array_equal(got, want), (
                 f"{np.count_nonzero(got != want)} pixels differ near p = {p[0]} at step {c}")

@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 from argparse import ArgumentTypeError
 
+from qubit_chaos import cli
 from qubit_chaos.cli import (
     JobConfig,
     OUTDIR_ENV,
@@ -286,3 +289,39 @@ def test_sweep_rerun_from_sidecar(outdir):
     rerun = dataclasses.replace(job, out="sw2")
     assert run(config_to_argv(rerun)) == 0
     assert (outdir / "sw2.csv").read_bytes() == (outdir / "sw1.csv").read_bytes()
+
+
+# The README's default command lines (all but the windowed julia example)
+# and the sha256 of each artifact and sidecar they write.  A change that
+# moves any of these bytes changes what the package computes.
+DEFAULT_ARTIFACT_SHA256 = {
+    "cycles.json": "833d55514c30fd442ceb27307ff36181f514928b92908465241cf825f65229af",
+    "cycles.json.json": "37b5af94eea32a8eaeba16eda7a8eb48b553c644d00618cd5aeb7a5799d0cec7",
+    "figs/p1.pgm": "07ddf02def15e9ce8ffed04ea272a41ac327cb604f907cc3cc83c7c0a5c618a6",
+    "figs/p1.pgm.json": "d03f77f7576ac5ea0572af5bd561a94c99ca0d7403e2c9e1e87cf0761d05d7fd",
+    "lyapunov.json": "4f2fe0a8753989e669f1ede812bba64940679842a687fc6148d380b5348e8d83",
+    "lyapunov.json.json": "732a3c0abef1bca1227b6919c7bbc4963e61fd06076c99ae8cdffccce26f92dc",
+    "orbit.csv": "cbe9b7a91cac83899a13996dfdb4d71cd204f88e37e30b7b21e7b251305c9120",
+    "orbit.csv.json": "fc345f78010de57ec9d163b8556024ff0e236f60797d7cf45b5d52febd8d8355",
+    "params.ppm": "ae5fbdc358f8721256417554ba6b362fe46669cbb0fbebde69b0ece55438770d",
+    "params.ppm.json": "7d0cceb837b96a066317d50b47add2067659995d411429f3cf1848bc15362ee1",
+    "sweep.csv": "1fdf12751216b2bf165563297bdb46392cfd99a5a8f45ff181d18088012b6a5a",
+    "sweep.csv.json": "4813a37c4d80945506c078a6c7295c91ed543be6a20ac7adc4499a410e559bb5",
+    "twoqubit.csv": "4caaf162c0505bf56d12c651bf8df8e10b7ac4be6312924f1975e80fe2decc02",
+    "twoqubit.csv.json": "d892c10b60b40245799c67749d4649b0fc5282684a89ef25e7777d2b34cb6f75",
+}
+
+
+def test_readme_default_lines_keep_their_bytes(outdir, monkeypatch):
+    lines = [line for line in README.read_text().splitlines()
+             if line.startswith("qubit-chaos ") and "--window" not in line]
+    assert [line.split()[1] for line in lines] == [
+        "julia", "params", "sweep", "cycles", "lyapunov", "orbit", "twoqubit"]
+    for line in lines:
+        monkeypatch.setattr(sys, "argv", shlex.split(line, comments=True))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        assert exit_.value.code == 0, line
+    got = {path.relative_to(outdir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in outdir.rglob("*") if path.is_file()}
+    assert got == DEFAULT_ARTIFACT_SHA256

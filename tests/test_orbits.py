@@ -626,19 +626,25 @@ def test_classify_basin_equals_inline_loop(p, pts, max_iter, unresolved):
     assert res.labels.dtype == labels.dtype and res.steps.dtype == steps.dtype
     assert np.array_equal(res.labels.ravel(), labels)
     assert np.array_equal(res.steps.ravel(), steps)
-    if complex(p).imag == 0.0:
-        assert np.array_equal(res.expansion_log_peak.ravel(), peak)
-    else:
-        # numpy rounds the complex scalar-array product p*W**2 by another
-        # path than the kernel's broadcast one, so the orbits part by an ulp
-        np.testing.assert_allclose(res.expansion_log_peak.ravel(), peak, rtol=0, atol=1e-9)
+    # the kernel's rate is p-free and this loop's carries the (1+|p|**2)
+    # gain, so the peaks part in the last bits (2.8e-14 at most)
+    np.testing.assert_allclose(res.expansion_log_peak.ravel(), peak, rtol=0, atol=1e-12)
     assert np.count_nonzero(labels < 0) == unresolved
+
+
+# After k steps the log expansion is at most k ln 2, since no step's rate
+# exceeds 2: a capture at step k <= CERTAIN_STEPS keeps seed roundoff below
+# eps = 1e-6, and the certificate cannot refuse it.
+CERTAIN_STEPS = math.floor(math.log(1e-6 / SEED_ROUNDOFF) / math.log(2.0))
 
 
 @pytest.mark.parametrize("p, half, n, max_iter", [
     (1.0 + 0j, 2.0, 64, 200),
     (1.5 + 0j, 1.5, 150, 200),        # 12 pixels captured but refused
     (0.3 + 0.3j, 1.5, 48, 1000),
+    (1.0 + 0j, 2.0, 400, 200),        # the benchmark's basin-capture grids
+    (1.5 + 0j, 1.5, 400, 200),
+    (0.3 + 0.3j, 1.5, 200, 1000),
 ])
 def test_classify_basin_agrees_with_julia_raster(p, half, n, max_iter):
     param = MapParam(p)
@@ -651,10 +657,44 @@ def test_classify_basin_agrees_with_julia_raster(p, half, n, max_iter):
     periods = np.array([c.period for c in res.cycles])
     assert np.array_equal(raster.period[resolved], periods[res.labels[resolved]])
     assert resolved.sum() > n * n // 2
+    # the raster's capture step s is the classifier's, certified or not:
+    # the peak there is at most s ln 2, and no capture by CERTAIN_STEPS is refused
+    ln2 = math.log(2.0) * (1.0 + 1e-12)
+    captured = raster.converged
+    assert np.all(res.expansion_log_peak[captured] <= raster.steps[captured] * ln2)
+    assert np.all(res.expansion_log_peak <= max_iter * ln2)
+    assert CERTAIN_STEPS == 32
+    early = captured & (raster.steps <= CERTAIN_STEPS)
+    assert early.any() and np.all(resolved[early])
+
+
+def test_expansion_bound_met_on_the_unit_circle():
+    # at p = 0 every step on |z| = 1 expands by exactly 2
+    circle = np.exp(2j * math.pi * np.arange(64) / 64)
+    res = classify_basin(P0, circle, max_iter=20)
+    assert np.all(res.labels == -1)
+    np.testing.assert_allclose(res.expansion_log_peak, 20 * math.log(2.0), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
 # Lyapunov estimators
+
+def test_lyapunov_estimates_at_most_the_rate_bound():
+    # no step expands by more than 2, so no estimate exceeds ln 2, or ln 4
+    # for the overlap, which is quadratic in the separation
+    rng = np.random.default_rng(67)
+    seeds = [(0j, 1.0 + 0j), (0j, -1.0 + 0j), (0j, 1j)]
+    for _ in range(40):
+        p = complex(rng.normal(), rng.normal()) * 10.0 ** rng.uniform(-1.5, 0.5)
+        seeds.append((p, complex(rng.normal(), rng.normal())))
+        seeds.append((p, cmath.exp(1j * rng.uniform(0, 2 * math.pi))))
+    slack = 1.0 + 1e-12
+    for p, z0 in seeds:
+        param = MapParam(p)
+        assert lyapunov_derivative(param, z0, 200).value <= math.log(2.0) * slack
+        est = lyapunov_overlap(param, z0, z0 * cmath.exp(1e-8j))
+        assert est.value <= math.log(4.0) * slack
+
 
 def test_derivative_estimator_doubling_circle():
     # z = 1 is a repelling fixed point with multiplier 2; the orbit is exact
