@@ -59,7 +59,14 @@ from .kernel import (
     _start_pairs,
     _target_pairs,
 )
-from .orbits import ConfigurationError, Cycle, _fmt_point, critical_orbits
+from .orbits import (
+    ConfigurationError,
+    Cycle,
+    _check_cycle_args,
+    _fmt_point,
+    _target_cycles,
+    critical_orbits,  # no caller here: the benchmark's trace hooks patch this name
+)
 from .sphere import MapParam, as_point
 
 BLOCK_PIXELS = 8192  # fixed split unit; independent of worker count
@@ -260,14 +267,7 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     max_iter >= 0; ValueError otherwise.
     """
     _check_capture_args(eps, max_iter)
-    if cycles is None:
-        report = critical_orbits(param)
-        cycles = report.attracting_cycles()
-        if not cycles:
-            raise ConfigurationError(
-                f"no attracting cycle found for p={param.p}; supply target "
-                "cycles explicitly to render anyway"
-            )
+    cycles = _target_cycles(param, cycles)
     targets = _target_pairs(cycles)
     eps2 = eps * eps
     S0 = _start_pairs(window.grid().ravel())
@@ -322,10 +322,7 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     scan report.  So ``steps`` still records transient + 2*max_period for
     every pixel, the depth the period stands for.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be finite and in (0, 1), got {eps!r}")
-    if max_period < 1:
-        raise ValueError(f"max_period must be at least 1, got {max_period}")
+    _check_cycle_args(eps, max_period)
     if transient < 2 * max_period:
         raise ValueError("transient must be at least 2*max_period")
     z0 = as_point(z0)

@@ -30,9 +30,9 @@ from .sphere import (
     INF,
     MapParam,
     SpherePoint,
+    _chart_step,
     _extend_orbit,
     _preferred_chart,
-    _step_derivative,
     _value_overlap,
     _value_rate,
     apply_map,
@@ -117,9 +117,7 @@ class Cycle:
         return self.stability in ATTRACTING_CLASSES
 
     def conjugate(self) -> "Cycle":
-        pts = tuple(pt.conjugate() for pt in self.points)
-        i0 = min(range(len(pts)), key=lambda i: _point_key(pts[i]))
-        return Cycle(self.period, pts[i0:] + pts[:i0],
+        return Cycle(self.period, _rotated(tuple(pt.conjugate() for pt in self.points)),
                      self.multiplier.conjugate(), self.stability)
 
     def matches(self, other: "Cycle", tol: float = 1e-6) -> bool:
@@ -322,13 +320,10 @@ def _expansion_certified(prefix, eps: float) -> bool:
 
 
 def _build_cycle(param: MapParam, raw: list[SpherePoint], eps: float) -> Cycle:
-    q = len(raw)
-    polished = [_polish_periodic_point(param, pt, q) for pt in raw]
-    polished = _reduce_period(polished)
-    if _cycle_ok(param, polished, eps):
+    polished = _reduce_period(_polish_cycle(param.p, raw))
+    if _cycle_defect(param, polished, eps) is None:
         return _make_cycle_unchecked(param, polished)
-    raw = _reduce_period(raw)
-    return _make_cycle_unchecked(param, raw)
+    return _make_cycle_unchecked(param, _reduce_period(raw))
 
 
 def _reduce_period(pts: list[SpherePoint]) -> list[SpherePoint]:
@@ -343,22 +338,34 @@ def _reduce_period(pts: list[SpherePoint]) -> list[SpherePoint]:
     return pts
 
 
-def _cycle_ok(param: MapParam, pts: list[SpherePoint], eps: float) -> bool:
+def _cycle_defect(param: MapParam, pts: list[SpherePoint], tol: float) -> Optional[str]:
+    """Why orbit-ordered ``pts`` are not a cycle, or None when they are: each
+    must map to the next (cyclically) within ``tol`` and all must be
+    pairwise distinct beyond ``EPS_POINT``, in sqrt-overlap units."""
     q = len(pts)
+    if q < 1:
+        return "a cycle needs at least one point"
     for k in range(q):
-        if chordal_distance(apply_map(param, pts[k]), pts[(k + 1) % q]) > eps:
-            return False
-    return all(
-        chordal_distance(pts[i], pts[j]) > EPS_POINT
-        for i in range(q) for j in range(i + 1, q)
-    )
+        d = chordal_distance(apply_map(param, pts[k]), pts[(k + 1) % q])
+        if d > tol:
+            return (f"points do not form a cycle of the map at p={param.p}: "
+                    f"step {k} misses by {d:.3e}")
+    if any(chordal_distance(pts[i], pts[j]) <= EPS_POINT
+           for i in range(q) for j in range(i + 1, q)):
+        return "cycle points are not pairwise distinct"
+    return None
+
+
+def _rotated(pts):
+    """``pts`` rotated so the smallest point (by real part, then imaginary;
+    infinity last) comes first, as a tuple."""
+    i0 = min(range(len(pts)), key=lambda i: _point_key(pts[i]))
+    return tuple(pts[i0:]) + tuple(pts[:i0])
 
 
 def _make_cycle_unchecked(param: MapParam, pts: list[SpherePoint]) -> Cycle:
     lam = _multiplier(param.p, pts)
-    i0 = min(range(len(pts)), key=lambda i: _point_key(pts[i]))
-    ordered = tuple(pts[i0:] + pts[:i0])
-    return Cycle(len(pts), ordered, lam, classify_multiplier(lam))
+    return Cycle(len(pts), _rotated(pts), lam, classify_multiplier(lam))
 
 
 def _multiplier(p: complex, pts: list[SpherePoint]) -> complex:
@@ -368,7 +375,7 @@ def _multiplier(p: complex, pts: list[SpherePoint]) -> complex:
     for k in range(q):
         coord, in_w = charts[k]
         _, out_w = charts[(k + 1) % q]
-        lam *= _step_derivative(p, coord, in_w, out_w)
+        lam *= _chart_step(p, coord, in_w, out_w)[1]
     return lam
 
 
@@ -382,20 +389,9 @@ def cycle_multiplier(param: MapParam, points, tol: float = EPS_POINT) -> tuple[c
     infinity are fine.
     """
     pts = [as_point(z) for z in points]
-    q = len(pts)
-    if q < 1:
-        raise ValueError("a cycle needs at least one point")
-    for k in range(q):
-        d = chordal_distance(apply_map(param, pts[k]), pts[(k + 1) % q])
-        if d > tol:
-            raise ValueError(
-                f"points do not form a cycle of the map at p={param.p}: "
-                f"step {k} misses by {d:.3e}"
-            )
-    for i in range(q):
-        for j in range(i + 1, q):
-            if chordal_distance(pts[i], pts[j]) <= EPS_POINT:
-                raise ValueError("cycle points are not pairwise distinct")
+    defect = _cycle_defect(param, pts, tol)
+    if defect:
+        raise ValueError(defect)
     lam = _multiplier(param.p, pts)
     return lam, classify_multiplier(lam)
 
@@ -420,84 +416,66 @@ def classify_multiplier(lam: complex) -> str:
 def make_cycle(param: MapParam, points) -> Cycle:
     """Verified Cycle from orbit-ordered points (see :func:`cycle_multiplier`)."""
     pts = [as_point(z) for z in points]
-    lam, cls = cycle_multiplier(param, pts)
-    i0 = min(range(len(pts)), key=lambda i: _point_key(pts[i]))
-    return Cycle(len(pts), tuple(pts[i0:] + pts[:i0]), lam, cls)
+    defect = _cycle_defect(param, pts, EPS_POINT)
+    if defect:
+        raise ValueError(defect)
+    return _make_cycle_unchecked(param, pts)
 
 
 # ---------------------------------------------------------------------------
-# Newton polishing in chart-correct coordinates
+# Newton polishing of whole cycles in chart-correct coordinates
+
+def _polish_cycle(p: complex, pts: list[SpherePoint], iters: int = 40) -> list[SpherePoint]:
+    """Newton-refine orbit-ordered points toward an exact cycle of the map.
+
+    Newton's method on the cyclic system f(x_k) = x_{k+1} (k mod q), with
+    each point in its preferred chart (multiple shooting; Parker & Chua,
+    Practical Numerical Algorithms for Chaotic Systems, 1989).  With a_k
+    the chart derivative at x_k and r_k the miss of link k, the correction
+    solves a_k d_k - d_{k+1} = -r_k: transporting the misses once around
+    the cycle gives R, so d_0 = R / (1 - lam) with lam = prod a_k, and the
+    other corrections follow link by link.  An iteration costs q chart
+    steps.  Iterates while the largest chordal link residual falls, and
+    returns the best iterate if that residual is at most EPS_POINT, the
+    input otherwise.
+    """
+    q = len(pts)
+    charts = [_preferred_chart(pt) for pt in pts]
+    coords = [c for c, _ in charts]
+    flags = [w for _, w in charts]
+    best, best_res = coords, math.inf
+    try:
+        for _ in range(iters):
+            nxt = coords[1:] + coords[:1]
+            links = [_chart_step(p, c, flags[k], flags[(k + 1) % q])
+                     for k, c in enumerate(coords)]
+            res = max(_value_overlap(img, c) for (img, _), c in zip(links, nxt))
+            if not res < best_res:
+                break
+            best, best_res = coords, res
+            lam, d = 1.0 + 0j, 0j
+            for (img, a), c in zip(links, nxt):
+                lam *= a
+                d = a * d + (img - c)
+            d /= 1.0 - lam
+            coords = []
+            for (img, a), c, c_next in zip(links, best, nxt):
+                coords.append(c + d)
+                d = a * d + (img - c_next)
+    except (ZeroDivisionError, OverflowError):
+        pass  # an iterate left the charts: keep the best one so far
+    if not best_res <= EPS_POINT * EPS_POINT:
+        return pts
+    return [(INF if c == 0 else SpherePoint(1.0 / c)) if w else SpherePoint(c)
+            for c, w in zip(best, flags)]
+
 
 def _polish_periodic_point(param: MapParam, point: SpherePoint, q: int,
                            iters: int = 40) -> SpherePoint:
-    """Newton-refine a near-periodic point toward an exact period-q point.
-
-    Points outside the unit disk (and near infinity) are polished in the
-    inverted chart, where the dynamics is the map with parameter -conj(p);
-    the tagged infinity itself is left untouched (it is either exactly
-    periodic or not a cycle point at all).  Falls back to the input whenever
-    the refinement does not verifiably improve the residual.
-    """
-    if point.is_infinity:
-        return point
-    if abs(point.value) > 1.0:
-        mirrored = MapParam(-param.p.conjugate())
-        out = _polish_affine(mirrored, 1.0 / point.value, q, iters)
-        if out is None:
-            return point
-        if out == 0:
-            return INF
-        return SpherePoint(1.0 / out)
-    out = _polish_affine(param, point.value, q, iters)
-    return point if out is None else SpherePoint(out)
-
-
-def _polish_affine(param: MapParam, c: complex, q: int, iters: int) -> Optional[complex]:
-    def residual(v: complex) -> float:
-        end = as_point(v)
-        for _ in range(q):
-            end = apply_map(param, end)
-        return chordal_distance(end, SpherePoint(v))
-
-    best, best_res = c, residual(c)
-    cur = c
-    for _ in range(iters):
-        val, deriv = _return_map_z(param, cur, q)
-        if val is None:
-            break
-        dg = deriv - 1.0
-        if abs(dg) < 1e-12:
-            break
-        step = (val - cur) / dg
-        nxt = cur - step
-        if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)) or abs(nxt) > 4.0:
-            break
-        res = residual(nxt)
-        if res < best_res:
-            best, best_res = nxt, res
-        if abs(step) <= 1e-16 * max(1.0, abs(nxt)):
-            break
-        cur = nxt
-    return best if best_res <= EPS_POINT else None
-
-
-def _return_map_z(param: MapParam, c: complex, q: int):
-    """Value and z-chart derivative of the q-fold composite at z-coordinate c."""
-    p = param.p
-    pt = SpherePoint(c)
-    deriv = 1.0 + 0j
-    cur_coord, cur_w = c, False
-    for k in range(q):
-        nxt = apply_map(param, pt)
-        if k == q - 1:
-            if nxt.is_infinity:
-                return None, None  # return map leaves the start chart
-            nxt_coord, nxt_w = nxt.value, False
-        else:
-            nxt_coord, nxt_w = _preferred_chart(nxt)
-        deriv *= _step_derivative(p, cur_coord, cur_w, nxt_w)
-        pt, cur_coord, cur_w = nxt, nxt_coord, nxt_w
-    return pt.value, deriv
+    """Newton-refine a near-periodic point toward an exact period-q point:
+    :func:`_polish_cycle` on its orbit of q points."""
+    orbit = _points(_extend_orbit(param.p, [point._value], q))
+    return _polish_cycle(param.p, orbit, iters)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +650,18 @@ class BasinResult:
     cycles: tuple
 
 
+def _target_cycles(param: MapParam, cycles) -> tuple[Cycle, ...]:
+    """``cycles``, or by default the attracting cycles the critical orbits
+    land on; :class:`ConfigurationError` if there are none."""
+    if cycles is not None:
+        return tuple(cycles)
+    cycles = critical_orbits(param).attracting_cycles()
+    if not cycles:
+        raise ConfigurationError(
+            f"no attracting cycle found at p={param.p}; supply target cycles explicitly")
+    return cycles
+
+
 def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
                    eps: float = 1e-6) -> BasinResult:
     """Which attracting cycle captures each point, with a roundoff guard.
@@ -696,13 +686,7 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     """
     _check_capture_args(eps, max_iter)
     pts = np.asarray(points, dtype=complex)
-    if cycles is None:
-        cycles = critical_orbits(param).attracting_cycles()
-        if not cycles:
-            raise ConfigurationError(
-                f"no attracting cycle found at p={param.p}; "
-                "supply target cycles explicitly")
-    cycles = tuple(cycles)
+    cycles = _target_cycles(param, cycles)
     steps, labels, peak = (a.reshape(pts.shape) for a in _capture(
         param.p, _start_pairs(pts.ravel()), _target_pairs(cycles), eps * eps,
         max_iter, limit=math.log(eps / SEED_ROUNDOFF)))

@@ -284,27 +284,37 @@ def _preferred_chart(point: SpherePoint) -> tuple[complex, bool]:
     return zv, False
 
 
-def _step_derivative(p: complex, coord: complex, in_w: bool, out_w: bool) -> complex:
-    """Derivative of one map application between coordinate charts.
+def _chart_step(p: complex, coord: complex, in_w: bool, out_w: bool) -> tuple[complex, complex]:
+    """One map application between coordinate charts: (image, derivative).
 
     ``coord`` is the input-point coordinate in its chart (z, or w = 1/z when
-    ``in_w``); the return value is d(out coordinate)/d(in coordinate).  The
-    four chart combinations share the Wronskian factor 2*coord*(1+|p|**2)
-    and differ only in which quadratic sits squared in the denominator.
-    Chained factors telescope, so a product of these along an orbit is the
-    chart-correct derivative of the composite map.
+    ``in_w``); the image is the output coordinate (z, or w when ``out_w``)
+    and the derivative is d(out coordinate)/d(in coordinate).  In the z
+    chart the image of z is num/den with num = z**2 + p and
+    den = 1 - conj(p) z**2, and the image of w is num/den with
+    num = 1 + p w**2 and den = w**2 - conj(p); the w chart takes den/num.
+    The derivatives share the Wronskian factor 2*coord*(1+|p|**2) over the
+    squared divisor.  For |p| > 1 num, den and the factor are rescaled by
+    1/|p|, as in :func:`_extend_orbit`, so huge parameters cannot overflow
+    them (the derivative may then move in the last bits).  Chained
+    derivatives telescope, so a product of them along an orbit is the
+    chart-correct derivative of the composite map.  Raises ZeroDivisionError
+    when the image is the chart's point at infinity.
     """
-    pc = p.conjugate()
     c2 = coord * coord
-    g = 1.0 + (p.real * p.real + p.imag * p.imag)
-    if not in_w and not out_w:
-        den = 1.0 - pc * c2
-        return 2.0 * coord * g / (den * den)
-    if not in_w and out_w:
-        den = c2 + p
-        return -2.0 * coord * g / (den * den)
-    if in_w and not out_w:
-        den = c2 - pc
-        return -2.0 * coord * g / (den * den)
-    den = 1.0 + p * c2
-    return 2.0 * coord * g / (den * den)
+    one, sc2 = 1.0, c2
+    size = abs(p)
+    if size > 1.0:
+        one = 1.0 / size
+        p = p * one
+        sc2 = one * c2
+    pc = p.conjugate()
+    g = one * one + (p.real * p.real + p.imag * p.imag)
+    if in_w:
+        num, den = one + p * c2, sc2 - pc
+    else:
+        num, den = sc2 + p, one - pc * c2
+    if out_w:
+        num, den = den, num
+    wronskian = 2.0 * coord * g if in_w == out_w else -2.0 * coord * g
+    return num / den, wronskian / (den * den)

@@ -27,3 +27,4 @@ def test_install_boundaries_finds_every_traced_name(monkeypatch):
     common.install_boundaries(tracer, {})
     assert "qubit_chaos.orbits.spherical_derivative" in tracer.patched
     assert "qubit_chaos.orbits.fixed_point_polynomial" in tracer.patched
+    assert "qubit_chaos.orbits._polish_periodic_point" in tracer.patched

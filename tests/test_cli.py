@@ -295,8 +295,8 @@ def test_sweep_rerun_from_sidecar(outdir):
 # and the sha256 of each artifact and sidecar they write.  A change that
 # moves any of these bytes changes what the package computes.
 DEFAULT_ARTIFACT_SHA256 = {
-    "cycles.json": "833d55514c30fd442ceb27307ff36181f514928b92908465241cf825f65229af",
-    "cycles.json.json": "37b5af94eea32a8eaeba16eda7a8eb48b553c644d00618cd5aeb7a5799d0cec7",
+    "cycles.json": "59bad8a240e8ce79998c00f224bd7e446958f752be04119eadece8e78c3caf10",
+    "cycles.json.json": "738e8a8ac89d1e0034e5898a53cf41992fece4deb3bcb629f52bca496075d90f",
     "figs/p1.pgm": "07ddf02def15e9ce8ffed04ea272a41ac327cb604f907cc3cc83c7c0a5c618a6",
     "figs/p1.pgm.json": "d03f77f7576ac5ea0572af5bd561a94c99ca0d7403e2c9e1e87cf0761d05d7fd",
     "lyapunov.json": "4f2fe0a8753989e669f1ede812bba64940679842a687fc6148d380b5348e8d83",

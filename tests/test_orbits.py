@@ -11,6 +11,7 @@ from qubit_chaos.atlas import Window, render_julia
 from qubit_chaos.orbits import (
     ATTRACTING,
     ATTRACTING_CLASSES,
+    EPS_POINT,
     NEUTRAL_IRRATIONAL,
     NEUTRAL_PARABOLIC,
     REPELLING,
@@ -22,6 +23,9 @@ from qubit_chaos.orbits import (
     LyapunovEstimate,
     Orbit,
     _build_cycle,
+    _cycle_defect,
+    _make_cycle_unchecked,
+    _reduce_period,
     classify_basin,
     classify_multiplier,
     critical_orbits,
@@ -38,6 +42,8 @@ from qubit_chaos.sphere import (
     INF,
     MapParam,
     SpherePoint,
+    _chart_step,
+    _preferred_chart,
     apply_map,
     as_point,
     chordal_distance,
@@ -402,6 +408,180 @@ def test_critical_orbits_step_without_sphere_points(monkeypatch):
     assert [(r.converged, r.steps) for r in report.critical] == [(False, 10_000)] * 2
     assert calls["apply_map"] < 100
     assert calls["detect_cycle"] == 0
+
+
+def _return_map_polish(param, point, q, iters=40):
+    """The polish before cycles were polished whole: Newton on the q-fold
+    return map at one point, outside the unit disk in the inverted chart,
+    where the map has parameter -conj(p)."""
+    if point.is_infinity:
+        return point
+    if abs(point.value) > 1.0:
+        out = _polish_affine(MapParam(-param.p.conjugate()), 1.0 / point.value, q, iters)
+        if out is None:
+            return point
+        if out == 0:
+            return INF
+        return SpherePoint(1.0 / out)
+    out = _polish_affine(param, point.value, q, iters)
+    return point if out is None else SpherePoint(out)
+
+
+def _polish_affine(param, c, q, iters):
+    def residual(v):
+        end = as_point(v)
+        for _ in range(q):
+            end = apply_map(param, end)
+        return chordal_distance(end, SpherePoint(v))
+
+    best, best_res = c, residual(c)
+    cur = c
+    for _ in range(iters):
+        val, deriv = _return_map_z(param, cur, q)
+        if val is None:
+            break
+        dg = deriv - 1.0
+        if abs(dg) < 1e-12:
+            break
+        step = (val - cur) / dg
+        nxt = cur - step
+        if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)) or abs(nxt) > 4.0:
+            break
+        res = residual(nxt)
+        if res < best_res:
+            best, best_res = nxt, res
+        if abs(step) <= 1e-16 * max(1.0, abs(nxt)):
+            break
+        cur = nxt
+    return best if best_res <= EPS_POINT else None
+
+
+def _return_map_z(param, c, q):
+    """Value and z-chart derivative of the q-fold composite at z-coordinate
+    c (the chart derivatives through ``_chart_step``, which at |p| > 1 may
+    differ from the old ones in the last bits)."""
+    pt = SpherePoint(c)
+    deriv = 1.0 + 0j
+    cur_coord, cur_w = c, False
+    for k in range(q):
+        nxt = apply_map(param, pt)
+        if k == q - 1:
+            if nxt.is_infinity:
+                return None, None  # return map leaves the start chart
+            nxt_coord, nxt_w = nxt.value, False
+        else:
+            nxt_coord, nxt_w = _preferred_chart(nxt)
+        deriv *= _chart_step(param.p, cur_coord, cur_w, nxt_w)[1]
+        pt, cur_coord, cur_w = nxt, nxt_coord, nxt_w
+    return pt.value, deriv
+
+
+def _return_map_build_cycle(param, raw, eps):
+    """_build_cycle before cycles were polished whole: each tail point on its own."""
+    polished = _reduce_period([_return_map_polish(param, pt, len(raw)) for pt in raw])
+    if _cycle_defect(param, polished, eps) is None:
+        return _make_cycle_unchecked(param, polished)
+    return _make_cycle_unchecked(param, _reduce_period(raw))
+
+
+def _assert_cycles_match(new, old):
+    # the same cycle: period and class exactly, points to 1e-12 chordal,
+    # multiplier to 1e-9 relative
+    assert (new.period, new.stability) == (old.period, old.stability)
+    for a, b in zip(new.points, old.points):
+        assert chordal_distance(a, b) <= 1e-12, (new, old)
+    assert abs(new.multiplier - old.multiplier) <= 1e-9 * abs(old.multiplier), (new, old)
+
+
+def _assert_reports_match(new, old):
+    assert new.hyperbolic == old.hyperbolic
+    for a, b in zip(new.critical, old.critical):
+        assert (a.converged, a.transient, a.steps) == (b.converged, b.transient, b.steps)
+        assert (a.cycle is None) == (b.cycle is None)
+        if a.cycle is not None:
+            _assert_cycles_match(a.cycle, b.cycle)
+    assert len(new.cycles) == len(old.cycles)
+    for a, b in zip(new.cycles, old.cycles):
+        _assert_cycles_match(a, b)
+
+
+# the benchmark's 160 critical-orbit parameters: the centres of the
+# equal-area cells of |p| <= 3, upper half, and their conjugates
+_UPPER = [cmath.rect(3.0 * math.sqrt((k + 0.5) / 8), math.pi * (s + 0.5) / 10)
+          for k in range(8) for s in range(10)]
+_POPULATION = _UPPER + [c.conjugate() for c in _UPPER]
+
+
+def _return_map_reports(params, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "_build_cycle", _return_map_build_cycle)
+        return [critical_orbits(MapParam(p)) for p in params]
+
+
+def test_cycle_polish_matches_return_map_polish_on_population(monkeypatch):
+    old = _return_map_reports(_POPULATION, monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, want in zip(_POPULATION, old):
+            _assert_reports_match(critical_orbits(MapParam(p)), want)
+    assert sum(len(r.cycles) for r in old) > 100
+
+
+@pytest.mark.parametrize("p", [_PERIOD_42, 0j, 1 + 0j, 1.5 + 0j, 0.3 + 0.3j, 0.5j,
+                               -0.2 + 0.7j, 2 + 0.7j])
+def test_cycle_polish_matches_return_map_polish(p, monkeypatch):
+    [old] = _return_map_reports([p], monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_reports_match(critical_orbits(MapParam(p)), old)
+
+
+@pytest.mark.parametrize("p", [0j] + _UPPER[::8] + [1j])
+def test_periodic_cycles_polish_matches_return_map_polish(p, monkeypatch):
+    # the benchmark's periodic_cycles parameters, n = 1..5, and p = i
+    param = MapParam(p)
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "_polish_periodic_point", _return_map_polish)
+        old = [periodic_cycles(param, n, n_max=5) for n in range(1, 6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new = [periodic_cycles(param, n, n_max=5) for n in range(1, 6)]
+    for got, want in zip(new, old):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_cycles_match(a, b)
+
+
+def test_critical_orbits_polish_cycles_in_linear_time(monkeypatch):
+    # each cycle is polished whole, one chart step per point per Newton
+    # iteration; the per-point return-map polish made 262 920 map steps here
+    calls = 0
+    inner = orbits.apply_map
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(orbits, "apply_map", counted)
+    report = critical_orbits(MapParam(_PERIOD_42))
+    assert [r.cycle.period for r in report.critical] == [42, 42]
+    assert calls < 1000
+
+
+def test_huge_parameter_cycle_has_a_finite_multiplier():
+    # 1 + |p|**2 overflows here: the chart step rescales by 1/|p|
+    param = MapParam(1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = critical_orbits(param)
+        assert report.hyperbolic is True
+        [cycle] = report.cycles
+        assert cycle.period == 2 and cycle.stability == SUPERATTRACTING
+        assert cmath.isfinite(cycle.multiplier)
+        assert "NaN" not in report.to_json()
+        raster = render_julia(param, Window(1e200, 1e199, 1e199, 8, 8))
+    assert np.all(raster.period == 2)
 
 
 @pytest.mark.parametrize("p", [0j, 1 + 0j, 1.5 + 0j, 1j, 1.2j, 0.3 + 0.3j, -0.2 + 0.7j,

@@ -9,6 +9,8 @@ from qubit_chaos.sphere import (
     SNAP_MAGNITUDE,
     MapParam,
     SpherePoint,
+    _chart_step,
+    _preferred_chart,
     _value_rate,
     apply_map,
     as_point,
@@ -341,6 +343,61 @@ def test_value_rate_equals_chart_rate():
             assert abs(_value_rate(v) - want) <= 4e-15 * want, (p, v)
         assert _value_rate(0j) == _chart_rate(p, 0j) == 0.0
         assert _value_rate(None) == _chart_rate(p, None) == 0.0
+
+
+def _step_derivative(p, coord, in_w, out_w):
+    """The chart derivative before the chart step returned the image too,
+    and before it rescaled |p| > 1 (where 1 + |p|**2 overflows past 1.3e154)."""
+    pc = p.conjugate()
+    c2 = coord * coord
+    g = 1.0 + (p.real * p.real + p.imag * p.imag)
+    if not in_w and not out_w:
+        den = 1.0 - pc * c2
+        return 2.0 * coord * g / (den * den)
+    if not in_w and out_w:
+        den = c2 + p
+        return -2.0 * coord * g / (den * den)
+    if in_w and not out_w:
+        den = c2 - pc
+        return -2.0 * coord * g / (den * den)
+    den = 1.0 + p * c2
+    return 2.0 * coord * g / (den * den)
+
+
+def test_chart_step_image_and_derivative():
+    # the image is the map's; the derivative keeps its bits at |p| <= 1 and
+    # moves by a few ulp at |p| > 1, both into the image's preferred chart
+    rng = np.random.default_rng(73)
+    params = [0j, 1 + 0j, -1j, 0.5 - 0.2j, 1.0 + 2e-16, 2 + 0.7j, 1000j, 1e100 - 3e99j,
+              *((rng.normal(size=60) + 1j * rng.normal(size=60)) * 10.0 ** rng.uniform(-2, 3, 60))]
+    for p in params:
+        param = MapParam(p)
+        p = param.p
+        pts = [INF, SpherePoint(0j), SpherePoint(1.0), SpherePoint(-1j), *(
+            SpherePoint(z) for z in (rng.normal(size=40) + 1j * rng.normal(size=40))
+            * 10.0 ** rng.uniform(-3, 3, 40))]
+        for pt in pts:
+            coord, in_w = _preferred_chart(pt)
+            image = apply_map(param, pt)
+            out_w = _preferred_chart(image)[1]
+            got, deriv = _chart_step(p, coord, in_w, out_w)
+            if not in_w and not out_w:
+                assert got == image.value, (p, pt)  # the orbit loop's own division
+            back = (INF if got == 0 else SpherePoint(1.0 / got)) if out_w else SpherePoint(got)
+            assert chordal_distance(back, image) <= 1e-15, (p, pt)
+            want = _step_derivative(p, coord, in_w, out_w)
+            if abs(p) <= 1.0:
+                assert (deriv.real.hex(), deriv.imag.hex()) == (want.real.hex(), want.imag.hex())
+            else:
+                assert abs(deriv - want) <= 4e-15 * abs(want), (p, pt)
+
+
+def test_chart_step_huge_parameter():
+    p = 1e200 * (0.6 + 0.8j)
+    assert cmath.isnan(_step_derivative(p, 0.5 + 0.1j, False, False))
+    image, deriv = _chart_step(p, 0.5 + 0.1j, False, False)
+    assert cmath.isfinite(deriv) and deriv != 0
+    assert image == apply_map(MapParam(p), 0.5 + 0.1j).value
 
 
 def test_expansion_huge_parameter():
