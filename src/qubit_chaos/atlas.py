@@ -15,22 +15,23 @@ Every pipeline steps projective pairs through the in-place kernel of
 :mod:`qubit_chaos.kernel`; the julia raster runs its capture loop, the one
 ``classify_basin`` runs with the roundoff certificate on.
 
-The parameter raster runs in stages.  At each checkpoint inside the
-transient (RETIRE_CHECKPOINTS) every pixel still iterating retires if its
-period is certified there: the kernel's lag scan runs at a wide radius,
-then the lag it finds must pass a tight radius and a contracting multiplier
-(the RETIRE_* constants below).  The rest are pooled in pixel order into
-fresh full blocks for the next stage; on the default window 13% are left
-after step 384 to run out the transient and the lag scan at eps.
-Retirement never changes a period -- the tests check it pixel for pixel
-against straight iteration -- it only skips iterations.
+Both rasters run in stages over fixed-size pixel blocks and pool the pixels
+a stage leaves live, in pixel order, into full blocks for the next, so late
+steps do not run on a few live pixels per block.  The julia raster runs
+every pixel to step K = floor(log2(eps/SEED_ROUNDOFF)), 32 at eps = 1e-6,
+up to which the roundoff certificate refuses no capture.  The parameter
+raster retires a pixel at a checkpoint (RETIRE_CHECKPOINTS) if its period
+is certified there: the kernel's lag scan runs at a wide radius, then the
+lag it finds must pass a tight radius and a contracting multiplier (the
+RETIRE_* constants below); 13% of the default window is left after step
+384 to run out the transient and the lag scan at eps.  Retirement never
+changes a period -- the tests check it pixel for pixel against straight
+iteration -- it only skips iterations.
 
-Rasters are computed in fixed-size pixel blocks.  The block decomposition
-never depends on the worker count (the pooled survivors are the pixels that
-did not certify, whoever ran their block), and arithmetic is elementwise
-within a block, so output is bit-identical no matter how many threads run
-(``workers`` only caps the pool).  Rerunning any pipeline with an identical
-config reproduces the payload bit-for-bit.
+Blocks and pooled pixels never depend on the worker count, and arithmetic
+is elementwise within a block, so output is bit-identical however many
+threads run (``workers`` only caps the pool); an identical config
+reproduces the payload bit-for-bit.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .kernel import (
     _target_pairs,
 )
 from .orbits import (
+    SEED_ROUNDOFF,
     ConfigurationError,
     Cycle,
     _check_cycle_args,
@@ -69,7 +71,9 @@ from .orbits import (
 )
 from .sphere import MapParam, as_point
 
-BLOCK_PIXELS = 8192  # fixed split unit; independent of worker count
+# Fixed split units, independent of worker count.  A julia pixel carries little
+# scratch, and larger blocks make fewer numpy calls for threads to contend on.
+BLOCK_PIXELS, JULIA_BLOCK_PIXELS = 8192, 32768
 
 PALETTE_VERSION = "period-hue-v1"
 
@@ -137,6 +141,11 @@ class Window:
     def grid(self) -> np.ndarray:
         """Complex pixel centers, shape (ny, nx), row 0 on top."""
         return self.real_axis()[None, :] + 1j * self.imag_axis()[:, None]
+
+    def at(self, idx: np.ndarray) -> np.ndarray:
+        """Pixel centers of the flat indices idx, as grid().ravel() has them
+        (formed per block: the whole grid would raise the peak memory)."""
+        return self.real_axis()[idx % self.nx] + 1j * self.imag_axis()[idx // self.nx]
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,37 +226,36 @@ def _certified_period(T, max_period: int, eps2: float) -> np.ndarray:
     return q0
 
 
-def _run_blocks(total: int, workers: Optional[int], fn, out_arrays,
-                buffers: Optional[queue.SimpleQueue] = None, make_buffer=lambda: None):
-    """Apply fn(start, stop, buffer) over fixed-size blocks, assembling the
-    results into out_arrays along their last axis.
-
-    A block takes a buffer from ``buffers`` or, when none is free, a new one
-    from ``make_buffer()``, and puts it back once its results are copied out.
-    At most one buffer per worker is ever made, and runs passing the same
-    ``buffers`` queue reuse them.
+def _run_stage(live: np.ndarray, block: int, workers: Optional[int], fn,
+               buffers: Optional[queue.SimpleQueue] = None, make_buffer=lambda: None):
+    """Run fn(start, stop, buffer) over blocks of ``block`` live pixels (flat
+    indices in pixel order) and pool, in pixel order, the flat indices and
+    states that each block returns as left live.  A block takes a buffer
+    from ``buffers`` or, when none is free, a new one from ``make_buffer()``,
+    and puts it back when done: at most one buffer per worker is ever made,
+    and runs passing the same ``buffers`` reuse them.
     """
     if buffers is None:
         buffers = queue.SimpleQueue()
-    blocks = [(s, min(s + BLOCK_PIXELS, total)) for s in range(0, total, BLOCK_PIXELS)]
+    starts = range(0, live.size, block)
+    left = [None] * len(starts)
 
-    def run(block):
-        start, stop = block
+    def run(start):
         try:
             buf = buffers.get_nowait()
         except queue.Empty:
             buf = make_buffer()
-        for out, res in zip(out_arrays, fn(start, stop, buf)):
-            out[..., start:stop] = res
+        left[start // block] = fn(start, min(start + block, live.size), buf)
         buffers.put(buf)
 
-    nworkers = workers if workers else min(8, os.cpu_count() or 1)
-    if nworkers <= 1 or len(blocks) <= 1:
-        for b in blocks:
-            run(b)
+    nworkers = min(workers or min(8, os.cpu_count() or 1), len(starts))
+    if nworkers <= 1:
+        list(map(run, starts))
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(run, blocks))
+            list(pool.map(run, starts))
+    idx, states = zip(*left)
+    return np.concatenate(idx), np.concatenate(states, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +272,24 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     ``steps`` entry is the first iteration count at which it came within
     eps of a target point (0 = already there); unconverged pixels carry
     steps = max_iter and period = -1.  Requires 0 < eps < 1 and
-    max_iter >= 0; ValueError otherwise.
+    max_iter >= 0; ValueError otherwise.  Every block runs steps 0..K (see
+    the module docstring); the pixels all blocks leave live run the rest pooled.
     """
     _check_capture_args(eps, max_iter)
     cycles = _target_cycles(param, cycles)
     targets = _target_pairs(cycles)
     eps2 = eps * eps
-    S0 = _start_pairs(window.grid().ravel())
-    total = S0.shape[1]
-    steps, label = np.empty((2, total), dtype=np.int32)
-
-    def block(start, stop, _):
-        return _capture(param.p, S0[:, start:stop].copy(), targets, eps2, max_iter)[:2]
-
-    _run_blocks(total, workers, block, (steps, label))
+    steps, label = np.empty((2, window.nx * window.ny), dtype=np.int32)
+    K = min(max(math.floor(math.log2(eps / SEED_ROUNDOFF)), 0), max_iter)
+    live, S_live = np.arange(label.size), None
+    for first, last in ((0, K), (K + 1, max_iter)):
+        def run(start, stop, _):
+            idx = live[start:stop]
+            S = _start_pairs(window.at(idx)) if first == 0 else S_live[:, start:stop].copy()
+            steps[idx], label[idx], _, keep, S = _capture(param.p, S, targets, eps2, first, last)
+            return idx[keep], S
+        if live.size and first <= last:
+            live, S_live = _run_stage(live, JULIA_BLOCK_PIXELS, workers, run)
     shape = (window.ny, window.nx)
     # label -1 (never captured) picks the trailing -1
     period = np.array([c.period for c in cycles] + [-1], np.int32)[label].reshape(shape)
@@ -329,13 +341,6 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     S0 = _start_pairs(_point_values([z0]))
     eps2 = eps * eps
     total = window.nx * window.ny
-    re, im = window.real_axis(), window.imag_axis()
-
-    def params_at(idx):
-        """Parameters of the flat pixel indices idx, as window.grid() has them
-        (formed per block: the whole grid would raise the peak memory)."""
-        return re[idx % window.nx] + 1j * im[idx // window.nx]
-
     # one window of tail states plus step scratch per worker, kept through
     # every stage: a fresh window per block inflates peak RSS through heap
     # retention
@@ -358,33 +363,23 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
         if live.size == 0:
             break
         final = i == len(stages) - 1
-        # per block: the pixels left uncertified and their last window state
-        left = [None] * -(-live.size // BLOCK_PIXELS)
 
         def stage(start, stop, buf):
             idx = live[start:stop]
-            p = params_at(idx)
+            p = window.at(idx)
             P, S = _pair_params(p), S_live[:, start:stop].copy()
             win, (S2, A) = buf
             win, scratch = win[:2 * lags + 1, :, :p.size], (S2[:, :p.size], A[:, :p.size])
             for _ in range(start_step - done):
                 _pair_step(P, S, scratch)
             _pair_tail(P, S, scratch, win)
-            if final:
-                return (_lag_scan(win, max_period, eps2),)
-            q0 = _certified_period(win, lags, eps2)
-            keep = np.flatnonzero(q0 < 0)
-            left[start // BLOCK_PIXELS] = idx[keep], win[-1][:, keep]
-            return (q0,)
+            # the last stage scans at eps and leaves no pixel live
+            period[idx] = q0 = (_lag_scan if final else _certified_period)(win, lags, eps2)
+            keep = np.flatnonzero((q0 < 0) & (not final))
+            return idx[keep], win[-1][:, keep]
 
-        found = np.empty(live.size, dtype=np.int32)
-        _run_blocks(live.size, workers, stage, (found,), buffers, make_buffer)
-        period[live] = found
-        if not final:
-            live = np.concatenate([idx for idx, _ in left])
-            S_live = np.concatenate([S for _, S in left], axis=1)
-            del left
-            done = start_step + 2 * lags
+        live, S_live = _run_stage(live, BLOCK_PIXELS, workers, stage, buffers, make_buffer)
+        done = start_step + 2 * lags
     shape = (window.ny, window.nx)
     period = period.reshape(shape)
     steps = np.full(shape, transient + 2 * max_period, dtype=np.int32)

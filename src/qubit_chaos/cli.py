@@ -144,6 +144,13 @@ def parse_resolution(text: str) -> tuple[int, int]:
     return nx, ny
 
 
+def parse_threads(text: str) -> int:
+    """A thread count: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be at least 1: {text!r}")
+    return int(text)
+
+
 def _resolve_out(out: str) -> str:
     base = os.environ.get(OUTDIR_ENV, ".")
     path = out if os.path.isabs(out) else os.path.join(base, out)
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     julia.add_argument("--max-iter", type=int, default=200)
     julia.add_argument("--eps", type=float, default=1e-6,
                        help="capture radius, sqrt-overlap units")
-    julia.add_argument("--threads", type=int, default=None)
+    julia.add_argument("--threads", type=parse_threads, default=None)
     julia.add_argument("--out", default="julia")
     julia.set_defaults(func=_cmd_julia)
 
@@ -340,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     params.add_argument("--transient", type=int, default=2000)
     params.add_argument("--max-period", type=int, default=64)
     params.add_argument("--eps", type=float, default=1e-6)
-    params.add_argument("--threads", type=int, default=None)
+    params.add_argument("--threads", type=parse_threads, default=None)
     params.add_argument("--out", default="params")
     params.set_defaults(func=_cmd_params)
 

@@ -144,18 +144,22 @@ def _check_capture_args(eps: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
 
 
-def _capture(p: complex, S: np.ndarray, targets, eps2: float, max_iter: int,
+def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: int,
              limit: float | None = None):
-    """Step the pairs S (consumed) until a target captures them.
+    """Test the pairs S (consumed) against the targets at steps first..last.
 
-    A pair is captured at the first step where it lies within eps of a target
-    from :func:`_target_pairs` (the first in the list wins); returns int32
-    ``step`` and ``label``, -1 where nothing captured the pair within
-    max_iter steps, and the certificate's peaks.  With ``limit`` the log
-    spherical expansion rate of every step (:func:`_pair_rate`, which does
-    not depend on p) is summed along each orbit from the moduli the target
-    test takes; a capture whose running peak exceeds ``limit`` is refused
-    (-1), and each pair's peak at capture or at the end is returned.
+    S holds the pairs after step max(first - 1, 0), so runs over steps 0..K
+    and then K+1..last on the pairs left live step the orbits of one run.  A
+    pair is captured at the first step where it lies within eps of a target
+    from :func:`_target_pairs` (the first listed wins); returns int32
+    ``step`` and ``label`` (-1 where nothing captured the pair), the
+    certificate's peaks, and the columns left live with their pairs.  With
+    ``limit`` (one run from step 0) the log spherical expansion rate of every
+    step (:func:`_pair_rate`: p-free, at most 2) is summed along each orbit
+    from the moduli the target test takes; a capture whose running peak
+    exceeds ``limit`` is refused (-1), which cannot happen by step
+    K = floor(log2(eps/roundoff)); each pair's peak at capture or at the end
+    is returned.
     """
     n = S.shape[1]
     step, label = np.full((2, n), -1, dtype=np.int32)
@@ -163,37 +167,45 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, max_iter: int,
     P = np.array([[p], [-p.conjugate()]])
     # flat so that the scratch for the live pixels is contiguous: strided
     # views cost more per call, and late steps are many calls on few pixels
-    S2, A = np.empty(2 * n, dtype=complex), np.empty(3 * n)
-    scratch = S2.reshape(2, n), A.reshape(3, n)
-    tests = [(tz, tw, eps2 * tn, i) for tz, tw, tn, i in targets]
+    nt = len(targets)
+    C, A, H = np.empty(2 * n, dtype=complex), np.empty(5 * n), np.empty(nt * n, dtype=bool)
+    C2, R, hits = C.reshape(2, n), A.reshape(5, n), H.reshape(nt, n)
+    # |Z tw - tz W|**2 is |Z|**2 at the target (0, 1), |W|**2 at (1, 0), bit for bit
+    tests = [(tz, tw, eps2 * tn, {(0, 1): 0, (1, 0): 1}.get((tz, tw), 2))
+             for tz, tw, tn, _ in targets]
+    tlabel = np.array([i for *_, i in targets], dtype=np.int32)
     certify = limit is not None
     peak = np.zeros(n) if certify else None
     L = np.zeros((2, n)) if certify else None  # log expansion and its peak
-    for k in range(max_iter + 1):
+    for k in range(first, last + 1):
         if alive.size == 0:
             break
         if k:
-            _pair_step(P, S, scratch)
+            _pair_step(P, S, (C2, R[:3]))
         Z, W = S
-        aZ, aW = np.abs(S, out=scratch[1][:2])
-        norm = aZ ** 2 + aW ** 2
-        hit = np.zeros(alive.size, dtype=bool)
-        per = np.full(alive.size, -1, dtype=np.int32)
-        for tz, tw, thr, i in tests:
-            cross = np.abs(Z * tw - tz * W) ** 2
-            new = (cross < thr * norm) & ~hit
-            per[new] = i
-            hit |= new
+        aZ, aW, aZ2, aW2, norm = R
+        thr_norm, cross = C2[1].view(float).reshape(2, -1)  # in tz W's row, once read
+        np.abs(S, out=R[:2])
+        np.multiply(R[:2], R[:2], out=R[2:4])
+        np.add(aZ2, aW2, out=norm)
+        for j, (tz, tw, thr, row) in enumerate(tests):
+            if row == 2:
+                Ztw = Z if tw == 1 else np.multiply(Z, tw, out=C2[0])
+                np.subtract(Ztw, np.multiply(tz, W, out=C2[1]), out=C2[0])
+                np.square(np.abs(C2[0], out=cross), out=cross)
+            np.multiply(norm, thr, out=thr_norm)
+            np.less((aZ2, aW2, cross)[row], thr_norm, out=hits[j])
+        hit = np.logical_or.reduce(hits, axis=0)
         if certify:
             peak[alive[hit]] = L[1][hit]  # before the next step's rate joins
-            if k < max_iter:  # the rate of the next step, from here
+            if k < last:  # the rate of the next step, from here
                 log_e, log_peak = L
                 rate = _pair_rate(aZ, aW)
                 with np.errstate(divide="ignore"):  # a critical point: log 0 = -inf
                     log_e += np.log(rate, out=rate)
                 np.maximum(log_peak, log_e, out=log_peak)
         if hit.any():
-            sel, got = alive[hit], per[hit]
+            sel, got = alive[hit], tlabel[hits[:, hit].argmax(axis=0)]
             if certify:
                 ok = peak[sel] <= limit
                 sel, got = sel[ok], got[ok]
@@ -205,7 +217,8 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, max_iter: int,
             S = np.compress(keep, S, axis=1)
             if certify:
                 L = np.compress(keep, L, axis=1)
-            scratch = S2[:2 * alive.size].reshape(2, -1), A[:3 * alive.size].reshape(3, -1)
+            C2, R = C[:2 * alive.size].reshape(2, -1), A[:5 * alive.size].reshape(5, -1)
+            hits = H[:nt * alive.size].reshape(nt, -1)
     if certify:
         peak[alive] = L[1]
-    return step, label, peak
+    return step, label, peak, alive, S

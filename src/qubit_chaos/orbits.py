@@ -689,7 +689,7 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     cycles = _target_cycles(param, cycles)
     steps, labels, peak = (a.reshape(pts.shape) for a in _capture(
         param.p, _start_pairs(pts.ravel()), _target_pairs(cycles), eps * eps,
-        max_iter, limit=math.log(eps / SEED_ROUNDOFF)))
+        0, max_iter, limit=math.log(eps / SEED_ROUNDOFF))[:3])
     return BasinResult(labels.astype(int), steps.astype(int), peak, cycles)
 
 

@@ -37,8 +37,16 @@ from qubit_chaos.kernel import (
     _pair_step,
     _point_values,
     _start_pairs,
+    _target_pairs,
 )
-from qubit_chaos.orbits import Cycle, classify_basin, critical_orbits, make_cycle
+from qubit_chaos.orbits import (
+    SEED_ROUNDOFF,
+    periodic_cycles,
+    Cycle,
+    classify_basin,
+    critical_orbits,
+    make_cycle,
+)
 from qubit_chaos.sphere import INF, MapParam, SpherePoint, as_point
 
 P0 = MapParam(0j)
@@ -165,6 +173,138 @@ def test_julia_config_records_inputs():
     assert raster.config["max_iter"] == 60
     assert raster.config["eps"] == 1e-5
     json.dumps(raster.config)
+
+
+def _reference_capture(p, S, targets, eps2, max_iter, limit=None):
+    """The capture loop before the two-stage raster: one run from step 0 over
+    the whole set, and a target test that folds each target into hit and
+    label as it goes, in fresh arrays every step."""
+    n = S.shape[1]
+    step, label = np.full((2, n), -1, dtype=np.int32)
+    alive = np.arange(n)
+    P = np.array([[p], [-p.conjugate()]])
+    S2, A = np.empty(2 * n, dtype=complex), np.empty(3 * n)
+    scratch = S2.reshape(2, n), A.reshape(3, n)
+    tests = [(tz, tw, eps2 * tn, i) for tz, tw, tn, i in targets]
+    certify = limit is not None
+    peak = np.zeros(n) if certify else None
+    L = np.zeros((2, n)) if certify else None
+    for k in range(max_iter + 1):
+        if alive.size == 0:
+            break
+        if k:
+            _pair_step(P, S, scratch)
+        Z, W = S
+        aZ, aW = np.abs(S, out=scratch[1][:2])
+        norm = aZ ** 2 + aW ** 2
+        hit = np.zeros(alive.size, dtype=bool)
+        per = np.full(alive.size, -1, dtype=np.int32)
+        for tz, tw, thr, i in tests:
+            cross = np.abs(Z * tw - tz * W) ** 2
+            new = (cross < thr * norm) & ~hit
+            per[new] = i
+            hit |= new
+        if certify:
+            peak[alive[hit]] = L[1][hit]
+            if k < max_iter:
+                log_e, log_peak = L
+                rate = _pair_rate(aZ, aW)
+                with np.errstate(divide="ignore"):
+                    log_e += np.log(rate, out=rate)
+                np.maximum(log_peak, log_e, out=log_peak)
+        if hit.any():
+            sel, got = alive[hit], per[hit]
+            if certify:
+                ok = peak[sel] <= limit
+                sel, got = sel[ok], got[ok]
+            step[sel] = k
+            label[sel] = got
+            keep = ~hit
+            alive = alive[keep]
+            S = np.compress(keep, S, axis=1)
+            if certify:
+                L = np.compress(keep, L, axis=1)
+            scratch = S2[:2 * alive.size].reshape(2, -1), A[:3 * alive.size].reshape(3, -1)
+    if certify:
+        peak[alive] = L[1]
+    return step, label, peak
+
+
+# Steps by which roundoff cannot refuse a capture at eps = 1e-6: the raster's
+# first stage runs to here and pools the pixels left live.
+_K = math.floor(math.log2(1e-6 / SEED_ROUNDOFF))
+_OMEGA = np.exp(2j * np.pi / 3)  # the repelling 2-cycle of p = 0 is {omega, omega**2}
+
+
+def _p0_targets(order):
+    cycles = {"0": make_cycle(P0, [0j]), "inf": make_cycle(P0, [INF]),
+              "omega": make_cycle(P0, [_OMEGA, _OMEGA ** 2])}
+    return [cycles[name] for name in order]
+
+
+def _far_targets(param):
+    # p = 1.5: the three fixed points, the first at |t| > 1 (tw != 1), the
+    # others with tw == 1, then the attracting 2-cycle
+    return [*periodic_cycles(param, 1), *critical_orbits(param).attracting_cycles()]
+
+
+@pytest.mark.parametrize("p, half, n, max_iter, eps, cycles", [
+    (1.0 + 0j, 2.0, 64, 200, 1e-6, None),
+    (1.5 + 0j, 1.5, 64, 200, 1e-6, None),
+    (0.3 + 0.3j, 1.5, 48, 400, 1e-6, None),
+    (0.5j, 2.0, 48, 200, 1e-6, None),
+    (-0.2 + 0.7j, 2.0, 40, 600, 1e-6, None),        # the slow 3-cycle
+    (0j, 2.0, 40, 60, 1e-6, ("0", "inf")),          # targets (0, 1) and (1, 0)
+    (0j, 2.0, 40, 60, 0.8, ("0", "omega")),         # overlapping targets
+    (0j, 2.0, 40, 60, 0.8, ("omega", "0")),         # ... listed the other way
+    (0j, 2.0, 40, 60, 0.8, ("omega", "inf", "0")),
+    (1.5 + 0j, 1.5, 40, 200, 1e-2, "far"),          # tw != 1
+    (1.0 + 0j, 2.0, 48, 0, 1e-6, None),
+    (1.0 + 0j, 2.0, 48, 1, 1e-6, None),
+    (1.0 + 0j, 2.0, 48, _K - 1, 1e-6, None),
+    (1.0 + 0j, 2.0, 48, _K, 1e-6, None),
+    (1.0 + 0j, 2.0, 48, _K + 1, 1e-6, None),
+    (1.5 + 0j, 1.5, 48, 200, 1e-3, None),           # K = 42
+    (1.5 + 0j, 1.5, 48, 200, 1e-12, None),          # K = 12
+], ids=["p1", "p1.5", "p0.3+0.3i", "p0.5i", "p-0.2+0.7i", "zero-inf", "overlap",
+        "overlap-reversed", "overlap-three", "far-target", "max_iter=0", "max_iter=1",
+        "max_iter=K-1", "max_iter=K", "max_iter=K+1", "eps=1e-3", "eps=1e-12"])
+def test_staged_raster_and_classifier_equal_reference_capture(
+        monkeypatch, p, half, n, max_iter, eps, cycles):
+    # small blocks, so that the pixels live after step K come from several
+    # blocks and pool into several
+    monkeypatch.setattr(atlas, "JULIA_BLOCK_PIXELS", 256)
+    assert _K == 32
+    param = MapParam(p)
+    explicit = cycles is not None
+    if cycles == "far":
+        cycles = _far_targets(param)
+    elif explicit:
+        cycles = _p0_targets(cycles)
+    else:
+        cycles = critical_orbits(param).attracting_cycles()
+    window = Window.from_bounds(-half, half, -half, half, n, n)
+    pts = window.grid().ravel()
+    targets = _target_pairs(cycles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step, label, _ = _reference_capture(param.p, _start_pairs(pts), targets,
+                                            eps * eps, max_iter)
+        limit = math.log(eps / SEED_ROUNDOFF)
+        want = _reference_capture(param.p, _start_pairs(pts), targets, eps * eps,
+                                  max_iter, limit)
+        res = classify_basin(param, pts, cycles=cycles, max_iter=max_iter, eps=eps)
+        rasters = [render_julia(param, window, max_iter=max_iter, eps=eps, cycles=cycles,
+                                workers=w) for w in (1, 2)]
+    period = np.array([c.period for c in cycles] + [-1])[label].reshape(n, n)
+    for raster in rasters:
+        assert np.array_equal(raster.period, period)
+        assert np.array_equal(raster.steps, np.where(label < 0, max_iter, step).reshape(n, n))
+    assert np.array_equal(res.labels, want[1])
+    assert np.array_equal(res.steps, want[0])
+    assert np.array_equal(res.expansion_log_peak, want[2])
+    if explicit:  # more than one listed cycle captures pixels
+        assert np.unique(label[label >= 0]).size >= 2
 
 
 # ---------------------------------------------------------------------------

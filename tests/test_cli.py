@@ -102,18 +102,30 @@ def test_usage_errors_exit_two(outdir, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--eps=nan", "--eps=0", "--eps=2", "--eps=inf",
-                                  "--max-period=0", "--max-period=-3"])
+                                  "--max-period=0", "--max-period=-3",
+                                  "--threads=0", "--threads=-1", "--threads=1.5"])
 def test_params_invalid_numbers_exit_two(outdir, capsys, flag):
     assert run(["params", "--res=4x4", flag, "--out=bad"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (outdir / "bad.ppm").exists()
 
 
-@pytest.mark.parametrize("flag", ["--eps=0", "--eps=nan", "--max-iter=-1"])
+@pytest.mark.parametrize("flag", ["--eps=0", "--eps=nan", "--max-iter=-1",
+                                  "--threads=0", "--threads=-1", "--threads=two"])
 def test_julia_invalid_numbers_exit_two(outdir, capsys, flag):
     assert run(["julia", "--p=1", "--res=8", flag, "--out=bad"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (outdir / "bad.pgm").exists()
+
+
+@pytest.mark.parametrize("argv, ext", [
+    (["julia", "--p=1", "--res=8"], ".pgm"),
+    (["params", "--res=4x4", "--transient=200", "--max-period=8"], ".ppm"),
+])
+def test_threads_one_and_two_write_the_same_bytes(outdir, capsys, argv, ext):
+    for n in (1, 2):
+        assert run(argv + [f"--threads={n}", f"--out=t{n}"]) == 0
+    assert (outdir / f"t1{ext}").read_bytes() == (outdir / f"t2{ext}").read_bytes()
 
 
 def test_sweep_negative_transient_exits_two(outdir, capsys):
