@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import _capture, _check_capture_args, _start_pairs, _target_pairs, _value_array
+from .kernel import (_capture, _check_capture_args, _pairs_within, _point_values, _start_pairs,
+                     _target_pairs, _value_array)
 from .roots import RootFindingError, aberth_roots, fixed_point_polynomial
 from .sphere import (
     INF,
@@ -471,26 +472,26 @@ def _polish_cycle(p: complex, pts: list[SpherePoint], iters: int = 40) -> list[S
 
 
 def _polish_periodic_point(param: MapParam, point: SpherePoint, q: int,
-                           iters: int = 40) -> SpherePoint:
-    """Newton-refine a near-periodic point toward an exact period-q point:
-    :func:`_polish_cycle` on its orbit of q points."""
+                           iters: int = 40) -> list[SpherePoint]:
+    """The cycle through a near-periodic point of period dividing q: its
+    orbit of q points polished whole by :func:`_polish_cycle` (raw if that
+    fails), cut to its smallest period by :func:`_reduce_period`."""
     orbit = _points(_extend_orbit(param.p, [point._value], q))
-    return _polish_cycle(param.p, orbit, iters)[0]
+    return _reduce_period(_polish_cycle(param.p, orbit, iters))
 
 
 # ---------------------------------------------------------------------------
 # Exact periodic points via the polynomial route
 
-def find_periodic_points(param: MapParam, n: int, n_max: int = 4,
-                         eps: float = EPS_POINT) -> list[SpherePoint]:
-    """All points of period dividing n, including the point at infinity.
+def _periodic_orbits(param: MapParam, n: int, n_max: int, eps: float) -> list[list[SpherePoint]]:
+    """The cycles of period dividing n, in orbit order, each polished once.
 
-    Solves the degree-(2**n + 1) fixed-point polynomial of the n-fold
-    composite with the Aberth-Ehrlich iteration, Newton-polishes every root
-    on the map itself, and deduplicates within ``eps``.  ``n_max`` guards
-    the exponential degree growth; raise it explicitly for deeper searches
-    (cost roughly quadruples per unit of n).  Raises
-    :class:`RootFindingError`, naming the parameter, if the solve fails.
+    The roots of the fixed-point polynomial (infinity first when it is one)
+    are walked in order.  An unclaimed root seeds one
+    :func:`_polish_periodic_point` call, whose cycle claims every root
+    within ``eps`` of one of its points.  A seed whose cycle was already
+    found (its root lay farther than ``eps`` from its polished point) adds
+    nothing, so the points are pairwise distinct beyond ``eps``.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
@@ -503,53 +504,46 @@ def find_periodic_points(param: MapParam, n: int, n_max: int = 4,
     try:
         raw = aberth_roots(coeffs)
     except RootFindingError as exc:
-        raise RootFindingError(
-            f"periodic-point solve failed for p={param.p}: {exc}"
-        ) from None
-    found: list[SpherePoint] = [INF] if inf_is_root else []
-    for r in raw:
-        found.append(_polish_periodic_point(param, SpherePoint(r), n))
-    unique: list[SpherePoint] = []
-    for pt in found:
-        if all(chordal_distance(pt, u) > eps for u in unique):
-            unique.append(pt)
-    unique.sort(key=_point_key)
-    return unique
+        raise RootFindingError(f"periodic-point solve failed for p={param.p}: {exc}") from None
+    roots = _points([None] * inf_is_root + raw.tolist())
+    m = len(roots)
+    pairs = _start_pairs(_point_values(roots))  # the roots, then every point found
+    unclaimed = np.ones(m, dtype=bool)
+    cycles = []
+    for i, root in enumerate(roots):
+        if not unclaimed[i]:
+            continue
+        cycle = _polish_periodic_point(param, root, n)
+        C = _start_pairs(_point_values(cycle))
+        near = _pairs_within(C[:, :, None], pairs[:, None, :], eps * eps).any(axis=0)
+        unclaimed &= ~near[:m]
+        if not near[m:].any():
+            cycles.append(cycle)
+            pairs = np.concatenate((pairs, C), axis=1)
+    return cycles
+
+
+def find_periodic_points(param: MapParam, n: int, n_max: int = 4,
+                         eps: float = EPS_POINT) -> list[SpherePoint]:
+    """All points of period dividing n, including the point at infinity.
+
+    Solves the degree-(2**n + 1) fixed-point polynomial of the n-fold
+    composite with the Aberth-Ehrlich iteration and groups the roots into
+    cycles, each Newton-polished once as a whole; a root within ``eps`` of
+    a polished point is on its cycle.  ``n_max`` guards the exponential
+    degree growth; raise it explicitly for deeper searches (cost roughly
+    quadruples per unit of n).  Raises :class:`RootFindingError`, naming
+    the parameter, if the solve fails.
+    """
+    pts = [pt for cycle in _periodic_orbits(param, n, n_max, eps) for pt in cycle]
+    pts.sort(key=_point_key)
+    return pts
 
 
 def periodic_cycles(param: MapParam, n: int, n_max: int = 4) -> list[Cycle]:
-    """The periodic points of period dividing n, grouped into cycles.
-
-    Points are matched to their forward images within a loose tolerance so
-    each cycle's points come from the polished set itself.
-    """
-    pts = find_periodic_points(param, n, n_max=n_max)
-    used = [False] * len(pts)
-
-    def lookup(target: SpherePoint) -> Optional[int]:
-        dists = [chordal_distance(target, cand) for cand in pts]
-        k = int(np.argmin(dists))
-        return k if dists[k] <= 1e-6 else None
-
-    cycles = []
-    for i, start in enumerate(pts):
-        if used[i]:
-            continue
-        used[i] = True
-        chain = [start]
-        cur = start
-        for _ in range(n):
-            cur = apply_map(param, cur)
-            j = lookup(cur)
-            if j is None:
-                chain.append(cur)  # numerical stray; keep the raw image
-                continue
-            if j == i:
-                break
-            if not used[j]:
-                used[j] = True
-                chain.append(pts[j])
-        cycles.append(make_cycle(param, chain))
+    """The periodic points of period dividing n, grouped into the cycles
+    :func:`find_periodic_points` polishes, each verified by :func:`make_cycle`."""
+    cycles = [make_cycle(param, pts) for pts in _periodic_orbits(param, n, n_max, EPS_POINT)]
     cycles.sort(key=lambda c: (c.period,) + _point_key(c.points[0]))
     return cycles
 

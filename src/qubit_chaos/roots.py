@@ -74,7 +74,8 @@ def aberth_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
     Cauchy bound.  Exact zero trailing coefficients are deflated first (each
     contributes a root at 0).  Raises :class:`RootFindingError` when the
     corrections have not all dropped below ``tol`` (relative) within
-    ``max_iter`` sweeps -- repeated roots are the usual culprit.
+    ``max_iter`` sweeps (repeated roots are the usual culprit), and as soon
+    as a value, a derivative or an iterate overflows to a non-finite number.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or len(c) == 0:
@@ -98,19 +99,22 @@ def aberth_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
     angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
     x = radius * np.exp(1j * angles)
 
-    for _ in range(max_iter):
-        pv = polyval(c, x)
-        dv = polyval(dc, x)
-        done = np.abs(pv) == 0.0
-        w = np.where(done, 0.0, pv / np.where(dv == 0, 1.0, dv))
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = (1.0 / diff).sum(axis=1) - 1.0  # undo the diagonal's 1/1
-        denom = 1.0 - w * s
-        delta = np.where(done | (denom == 0), 0.0, w / np.where(denom == 0, 1.0, denom))
-        x = x - delta
-        if (np.abs(delta) <= tol * (1.0 + np.abs(x))).all():
-            return np.concatenate([origin, x])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        for _ in range(max_iter):
+            pv = polyval(c, x)
+            dv = polyval(dc, x)
+            done = np.abs(pv) == 0.0
+            w = np.where(done, 0.0, pv / np.where(dv == 0, 1.0, dv))
+            diff = x[:, None] - x[None, :]
+            np.fill_diagonal(diff, 1.0)
+            s = (1.0 / diff).sum(axis=1) - 1.0  # undo the diagonal's 1/1
+            denom = 1.0 - w * s
+            delta = np.where(done | (denom == 0), 0.0, w / np.where(denom == 0, 1.0, denom))
+            x = x - delta
+            if not np.isfinite((pv, dv, x)).all():
+                raise RootFindingError(f"Aberth iteration on a degree-{deg} polynomial overflowed")
+            if (np.abs(delta) <= tol * (1.0 + np.abs(x))).all():
+                return np.concatenate([origin, x])
     raise RootFindingError(
         f"Aberth iteration on a degree-{deg} polynomial did not converge "
         f"within {max_iter} sweeps"

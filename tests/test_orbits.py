@@ -38,6 +38,7 @@ from qubit_chaos.orbits import (
     make_cycle,
     periodic_cycles,
 )
+from qubit_chaos.roots import RootFindingError, aberth_roots, fixed_point_polynomial
 from qubit_chaos.sphere import (
     INF,
     MapParam,
@@ -536,20 +537,140 @@ def test_cycle_polish_matches_return_map_polish(p, monkeypatch):
         _assert_reports_match(critical_orbits(MapParam(p)), old)
 
 
-@pytest.mark.parametrize("p", [0j] + _UPPER[::8] + [1j])
-def test_periodic_cycles_polish_matches_return_map_polish(p, monkeypatch):
-    # the benchmark's periodic_cycles parameters, n = 1..5, and p = i
+def _per_root_periodic_points(param, n, eps=EPS_POINT):
+    """find_periodic_points before the roots were grouped by orbit: every
+    root's orbit polished on its own (here by the return-map polish), its
+    first point kept, and the points deduplicated within eps."""
+    coeffs, inf_is_root = fixed_point_polynomial(param.p, n)
+    found = [INF] if inf_is_root else []
+    for r in aberth_roots(coeffs):
+        found.append(_return_map_polish(param, SpherePoint(r), n))
+    unique = []
+    for pt in found:
+        if all(chordal_distance(pt, u) > eps for u in unique):
+            unique.append(pt)
+    unique.sort(key=orbits._point_key)
+    return unique
+
+
+def _per_root_periodic_cycles(param, n):
+    """periodic_cycles before the roots were grouped by orbit: the points of
+    :func:`_per_root_periodic_points` chained into cycles by matching each
+    forward image against every point."""
+    pts = _per_root_periodic_points(param, n)
+    used = [False] * len(pts)
+
+    def lookup(target):
+        dists = [chordal_distance(target, cand) for cand in pts]
+        k = int(np.argmin(dists))
+        return k if dists[k] <= 1e-6 else None
+
+    cycles = []
+    for i, start in enumerate(pts):
+        if used[i]:
+            continue
+        used[i] = True
+        chain = [start]
+        cur = start
+        for _ in range(n):
+            cur = apply_map(param, cur)
+            j = lookup(cur)
+            if j is None:
+                chain.append(cur)  # numerical stray; keep the raw image
+                continue
+            if j == i:
+                break
+            if not used[j]:
+                used[j] = True
+                chain.append(pts[j])
+        cycles.append(make_cycle(param, chain))
+    cycles.sort(key=lambda c: (c.period,) + orbits._point_key(c.points[0]))
+    return cycles
+
+
+def _assert_cycle_sets_match(new, old):
+    # as sets: cycles (and the points of a cycle) whose sort keys tie to
+    # within an ulp may come in either order
+    assert len(new) == len(old)
+    rest = list(old)
+    for a in new:
+        [b] = [c for c in rest if c.matches(a, tol=1e-12) and a.matches(c, tol=1e-12)]
+        rest.remove(b)
+        assert (a.period, a.stability) == (b.period, b.stability)
+        assert abs(a.multiplier - b.multiplier) <= 1e-9 * abs(b.multiplier), (a, b)
+
+
+# the benchmark's periodic_cycles parameters, and p = i
+_CYCLE_PARAMS = [0j] + _UPPER[::8] + [1j]
+
+
+@pytest.mark.parametrize("p", _CYCLE_PARAMS)
+def test_periodic_cycles_polish_matches_return_map_polish(p):
+    # n = 1..5 against the per-root route with the return-map polish
     param = MapParam(p)
-    with monkeypatch.context() as m:
-        m.setattr(orbits, "_polish_periodic_point", _return_map_polish)
-        old = [periodic_cycles(param, n, n_max=5) for n in range(1, 6)]
+    old = [_per_root_periodic_cycles(param, n) for n in range(1, 6)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         new = [periodic_cycles(param, n, n_max=5) for n in range(1, 6)]
-    for got, want in zip(new, old):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            _assert_cycles_match(a, b)
+    for n, got, want in zip(range(1, 6), new, old):
+        assert sum(c.period for c in got) == 2 ** n + 1
+        _assert_cycle_sets_match(got, want)
+
+
+# the Moebius function at 1..5
+_MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1}
+
+
+@pytest.mark.parametrize("p", _CYCLE_PARAMS)
+def test_periodic_cycles_count_each_exact_period(p):
+    # f^d has 2**d + 1 fixed points, so Moebius inversion gives the number
+    # of points of exact period d
+    param = MapParam(p)
+    for n in range(1, 6):
+        cycles = periodic_cycles(param, n, n_max=5)
+        assert all(n % c.period == 0 for c in cycles)
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            want = sum(_MOBIUS[d // e] * (2 ** e + 1) for e in range(1, d + 1) if d % e == 0)
+            assert sum(c.period for c in cycles if c.period == d) == want, (n, d)
+
+
+@pytest.mark.parametrize("p", [0j, 0.3 + 0.3j])
+def test_periodic_cycles_polish_each_cycle_once(p, monkeypatch):
+    # counted at the module attribute the benchmark's polish hook wraps;
+    # polishing every root's orbit took 32 calls at 0 and 33 at 0.3+0.3i
+    calls = 0
+    inner = orbits._polish_periodic_point
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(orbits, "_polish_periodic_point", counted)
+    cycles = periodic_cycles(MapParam(p), 5, n_max=5)
+    assert calls == len(cycles) == 9
+
+
+def test_periodic_points_distinct_when_a_root_is_far_from_its_point(monkeypatch):
+    # a second copy of every root, 1e-8 away, is not claimed by the cycle
+    # through the first; it seeds a polish of a cycle already found, which
+    # must add nothing
+    inner = orbits.aberth_roots
+    monkeypatch.setattr(orbits, "aberth_roots", lambda c: np.concatenate([inner(c), inner(c) + 1e-8]))
+    param = MapParam(0.3 + 0.3j)
+    for n in (1, 2, 3):
+        assert len(find_periodic_points(param, n)) == 2 ** n + 1
+        assert sum(c.period for c in periodic_cycles(param, n)) == 2 ** n + 1
+
+
+@pytest.mark.parametrize("p", [0.5 + 0.5j, 1.2 - 0.3j, -0.8 + 1.1j, 2 + 0.7j])
+def test_period_six_solve_fails_as_an_error(p):
+    # the benchmark's four failing period-6 solves: the degree-65
+    # coefficients overflow in Horner evaluation at the first three
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RootFindingError, match="periodic-point solve failed"):
+            find_periodic_points(MapParam(p), 6, n_max=6)
 
 
 def test_critical_orbits_polish_cycles_in_linear_time(monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ def test_nonconvergence_raises():
     coeffs = rng.normal(size=11) + 1j * rng.normal(size=11)
     with pytest.raises(RootFindingError):
         aberth_roots(coeffs, max_iter=1)
+
+
+def test_overflow_raises():
+    # the iterates start at the Cauchy radius, about 1e300, whose cube
+    # overflows in Horner evaluation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RootFindingError, match="overflowed"):
+            aberth_roots([1e300, 0, 0, 1])
 
 
 def test_map_polynomials_evaluate_to_composite():
