@@ -53,10 +53,13 @@ from .kernel import (
     _lag_scan,
     _pair_params,
     _pair_rate,
+    _pair_rescale,
+    _pair_run,
     _pair_scratch,
     _pair_step,
     _pairs_within,
     _point_values,
+    _rescale_interval,
     _start_pairs,
     _target_pairs,
 )
@@ -190,11 +193,17 @@ class Sweep:
 # ---------------------------------------------------------------------------
 # parameter-raster kernel
 
-def _pair_tail(P, S, scratch, window: np.ndarray) -> None:
-    """Fill ``window`` (rows of stacked pairs) with consecutive states from S."""
+def _pair_tail(P, S, scratch, window: np.ndarray, r: int) -> None:
+    """Fill ``window`` (rows of stacked pairs) with consecutive states from S,
+    rescaling rows 0, r, 2r, ..., so that no row is read more than r - 1
+    steps past a rescale (:func:`qubit_chaos.kernel._rescale_interval`)."""
+    _, A, E = scratch
     window[0] = S
-    for i in range(1, len(window)):
-        _pair_step(P, window[i - 1], scratch, out=window[i])
+    for i, row in enumerate(window):
+        if i:
+            _pair_step(P, window[i - 1], scratch, out=row)
+        if i % r == 0:
+            _pair_rescale(row, np.abs(row, out=A), A, E)
 
 
 def _certified_period(T, max_period: int, eps2: float) -> np.ndarray:
@@ -287,7 +296,8 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
             idx = live[start:stop]
             S = _start_pairs(window.at(idx)) if first == 0 else S_live[:, start:stop].copy()
             steps[idx], label[idx], _, keep, S = _capture(param.p, S, targets, eps2, first, last)
-            return idx[keep], S
+            # the last stage leaves no pixel live
+            return (idx[:0], S[:, :0]) if last == max_iter else (idx[keep], S)
         if live.size and first <= last:
             live, S_live = _run_stage(live, JULIA_BLOCK_PIXELS, workers, run)
     shape = (window.ny, window.nx)
@@ -368,11 +378,11 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
             idx = live[start:stop]
             p = window.at(idx)
             P, S = _pair_params(p), S_live[:, start:stop].copy()
-            win, (S2, A) = buf
-            win, scratch = win[:2 * lags + 1, :, :p.size], (S2[:, :p.size], A[:, :p.size])
-            for _ in range(start_step - done):
-                _pair_step(P, S, scratch)
-            _pair_tail(P, S, scratch, win)
+            win, scratch = buf
+            win, scratch = win[:2 * lags + 1, :, :p.size], [a[..., :p.size] for a in scratch]
+            r = _rescale_interval(np.abs(p).max())
+            _pair_run(P, S, scratch, start_step - done, r)
+            _pair_tail(P, S, scratch, win, r)
             # the last stage scans at eps and leaves no pixel live
             period[idx] = q0 = (_lag_scan if final else _certified_period)(win, lags, eps2)
             keep = np.flatnonzero((q0 < 0) & (not final))
@@ -411,12 +421,12 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     z0 = as_point(z0)
     P, S = _pair_params(p), np.repeat(_start_pairs(_point_values([z0])), samples, axis=1)
     scratch = _pair_scratch(samples)
-    for _ in range(transient):
-        _pair_step(P, S, scratch)
+    r = _rescale_interval(np.abs(p).max())
+    _pair_run(P, S, scratch, transient, r)
     abs_z = np.empty((samples, record), dtype=float)
     is_inf = np.empty((samples, record), dtype=bool)
     for k in range(record):
-        Z, W = _pair_step(P, S, scratch)
+        Z, W = _pair_run(P, S, scratch, 1, r)
         aw = np.abs(W)
         flag = aw == 0.0
         with np.errstate(divide="ignore", over="ignore"):

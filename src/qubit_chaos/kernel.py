@@ -1,9 +1,13 @@
 """The projective-pair kernel of every vector pipeline and the basin classifier.
 
-A point is a pair (Z, W) with z = Z/W, scaled to unit max magnitude each
-step: the step is polynomial (no division, no overflow), infinity is the
-exact pair (1, 0), and the arithmetic commutes bit for bit with complex
-conjugation, which makes the mirror-symmetry tests exact.
+A point is a pair (Z, W) with z = Z/W.  The step is polynomial (no
+division), infinity is the exact pair (1, 0), and the arithmetic commutes
+bit for bit with complex conjugation, which makes the mirror-symmetry tests
+exact.  The step does not normalise: every few steps :func:`_pair_rescale`
+scales the pairs by a power of two, which is exact in binary floating point
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002).
+Every test read off a pair is homogeneous in it, so no output
+depends on when the rescales happen (:func:`_rescale_interval`).
 """
 
 from __future__ import annotations
@@ -16,9 +20,44 @@ import numpy as np
 from .sphere import SpherePoint
 
 
-def _pair_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch buffers for :func:`_pair_step` on n stacked pairs."""
-    return np.empty((2, n), dtype=complex), np.empty((3, n))
+# The most steps a pair takes between two rescales (_rescale_interval), and
+# the log2 bound on |Z|**2 + |W|**2 the unscaled steps must stay below.
+RESCALE_EVERY = 4
+RESCALE_LOG2_NORM = 480
+
+
+def _rescale_interval(p_max: float) -> int:
+    """Steps between rescales of pairs whose parameters have modulus at most
+    p_max: the largest r <= RESCALE_EVERY that keeps r unscaled steps below
+    norm 2**RESCALE_LOG2_NORM, or 1.
+
+    After :func:`_pair_rescale` the larger modulus lies in [1/2, 1), so
+    N = |Z|**2 + |W|**2 lies in [1/4, 2).  One step maps N to
+    g (|Z|**4 + |W|**4) with g = 1 + |p|**2, and |Z|**4 + |W|**4 lies in
+    [N**2/2, N**2], so after k steps N lies between
+    (g/2)**(2**k - 1) / 4**(2**k) >= 2**-(3 * 2**k - 1) and
+    g**(2**k - 1) * 2**(2**k).  A pair is rescaled whenever it has taken r
+    steps since the last rescale, so everything read off a pair (the
+    fourth powers of :func:`_pair_rate`, eps**2 |t|**2 N in the target test,
+    the cross products of :func:`_pairs_within`) is formed from a pair at
+    most r - 1 steps unscaled.  With N <= 2**480 after r steps, N**2 stays
+    below 2 N / g <= 2**481 one step earlier; for r <= 4, N >= 2**-23, so
+    the fourth powers stay above 2**-47 and eps**2 times them above 2**-250
+    for any eps above 1e-30: far from overflow and from subnormals.  r = 4
+    holds up to |p| = 2**15.4, 3 up to 2**33.7, 2 up to 2**79.7.  At r = 1
+    every pair is rescaled before it is read, and the step only forms
+    |p| |W|**2 <= |p|, so r = 1 covers any finite p, p = 1e200 included.
+    """
+    log2_g = 2.0 * math.log2(math.hypot(1.0, float(p_max)))
+    r = RESCALE_EVERY
+    while r > 1 and (2 ** r - 1) * log2_g + 2 ** r > RESCALE_LOG2_NORM:
+        r -= 1
+    return r
+
+
+def _pair_scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for :func:`_pair_step` and :func:`_pair_run` on n stacked pairs."""
+    return np.empty((2, n), dtype=complex), np.empty((2, n)), np.empty(n, dtype=np.int32)
 
 
 def _pair_step(P, S, scratch, out=None):
@@ -30,36 +69,63 @@ def _pair_step(P, S, scratch, out=None):
     new pair is (Z**2 + p W**2, W**2 - conj(p) Z**2): one product gives
     Z**2 and W**2, one more p W**2 and -conj(p) Z**2, and adding the
     negated product equals subtracting it bit for bit.  The two quadratics
-    have no common root, so the pair never vanishes and is renormalized to
-    unit max magnitude.  Multiplying by 1/m is numpy's complex division by
-    the real m with the division hoisted out: nonzero values equal Zn / m
-    bit for bit, and at most the sign of an exact zero differs.
+    have no common root, so the pair never vanishes.  It is not rescaled:
+    its norm grows by the factor the growth identity of
+    :func:`_rescale_interval` bounds, and callers rescale every r steps.
     """
-    S2, A = scratch
+    S2 = scratch[0]
     if out is None:
         out = S
     np.multiply(S, S, out=S2)
     np.multiply(P, S2[::-1], out=out)
     out += S2
-    np.abs(out, out=A[:2])
-    m = np.maximum(A[0], A[1], out=A[2])
-    np.divide(1.0, m, out=m)
-    out *= m
     return out
 
 
-def _pair_rate(aZ, aW):
-    """Spherical expansion rate of one step at a unit pair with moduli aZ, aW:
+def _pair_rescale(S, aS, M, E):
+    """Scale the stacked pairs S in place by 2**-e, where e is the exponent
+    np.frexp gives max(|Z|, |W|), so that their larger modulus lies in
+    [1/2, 1); returns the factor 2**-e.
+
+    ``aS`` holds the moduli (|Z|, |W|) of S, ``M`` two rows of float scratch
+    (``aS`` itself when the moduli are spent) and ``E`` an int32 row.  The
+    mantissa f of m = f 2**e gives the factor as f/m, exactly.  Scaling by
+    a power of two rounds nothing, so a pair's bits depend on how often it
+    was rescaled only through that power of two.
+    """
+    m = np.maximum(aS[0], aS[1], out=M[0])
+    f = np.frexp(m, M[1], E)[0]
+    S *= np.divide(f, m, out=f)
+    return f
+
+
+def _pair_run(P, S, scratch, steps: int, r: int):
+    """Step the pairs S ``steps`` times in place, rescaling them before the
+    first step and after every r steps (r from :func:`_rescale_interval`)."""
+    _, A, E = scratch
+    for k in range(steps):
+        if k % r == 0:
+            _pair_rescale(S, np.abs(S, out=A), A, E)
+        _pair_step(P, S, scratch)
+    return S
+
+
+def _pair_rate(aZ, aW, aZ2=None, aW2=None, norm=None):
+    """Spherical expansion rate of one step at a pair with moduli aZ, aW:
     that of squaring for every p, since the rest of the step rotates the
     sphere.  2|Z||W|(|Z|**2 + |W|**2) / (|Z|**4 + |W|**4) is at most 2, and 2
-    on |z| = 1; in place it costs a third less than as one expression."""
-    aZ2, aW2 = aZ * aZ, aW * aW
-    rate = aZ2 + aW2
-    rate *= aZ
-    rate *= aW
-    rate *= 2.0
-    rate /= np.add(np.square(aZ2, out=aZ2), np.square(aW2, out=aW2), out=aZ2)
-    return rate
+    on |z| = 1; it is homogeneous of degree 0 in the pair.  Given the squares
+    ``aZ2``, ``aW2`` and their sum ``norm`` (as :func:`_capture` has them),
+    the rate is written over ``norm`` and the squares are spent; the same
+    operations in the same order give the same bits either way."""
+    if norm is None:
+        aZ2, aW2 = aZ * aZ, aW * aW
+        norm = aZ2 + aW2
+    norm *= aZ
+    norm *= aW
+    norm *= 2.0
+    norm /= np.add(np.square(aZ2, out=aZ2), np.square(aW2, out=aW2), out=aZ2)
+    return norm
 
 
 def _pairs_within(A, B, eps2: float) -> np.ndarray:
@@ -159,17 +225,22 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
     from the moduli the target test takes; a capture whose running peak
     exceeds ``limit`` is refused (-1), which cannot happen by step
     K = floor(log2(eps/roundoff)); each pair's peak at capture or at the end
-    is returned.
+    is returned.  The pairs are rescaled at step ``first`` and every r steps
+    after it (:func:`_rescale_interval`), together with the moduli the
+    target test has just taken, and the rate is formed in place in the rows
+    the test is done with.
     """
     n = S.shape[1]
     step, label = np.full((2, n), -1, dtype=np.int32)
     alive = np.arange(n)
     P = np.array([[p], [-p.conjugate()]])
+    r = _rescale_interval(abs(p))
     # flat so that the scratch for the live pixels is contiguous: strided
     # views cost more per call, and late steps are many calls on few pixels
     nt = len(targets)
     C, A, H = np.empty(2 * n, dtype=complex), np.empty(5 * n), np.empty(nt * n, dtype=bool)
     C2, R, hits = C.reshape(2, n), A.reshape(5, n), H.reshape(nt, n)
+    E = np.empty(n, dtype=np.int32)  # rescale exponents
     # |Z tw - tz W|**2 is |Z|**2 at the target (0, 1), |W|**2 at (1, 0), bit for bit
     tests = [(tz, tw, eps2 * tn, {(0, 1): 0, (1, 0): 1}.get((tz, tw), 2))
              for tz, tw, tn, _ in targets]
@@ -181,11 +252,13 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
         if alive.size == 0:
             break
         if k:
-            _pair_step(P, S, (C2, R[:3]))
+            _pair_step(P, S, (C2,))
         Z, W = S
         aZ, aW, aZ2, aW2, norm = R
         thr_norm, cross = C2[1].view(float).reshape(2, -1)  # in tz W's row, once read
         np.abs(S, out=R[:2])
+        if (k - first) % r == 0:
+            R[:2] *= _pair_rescale(S, R[:2], R[2:4], E[:alive.size])
         np.multiply(R[:2], R[:2], out=R[2:4])
         np.add(aZ2, aW2, out=norm)
         for j, (tz, tw, thr, row) in enumerate(tests):
@@ -200,7 +273,7 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
             peak[alive[hit]] = L[1][hit]  # before the next step's rate joins
             if k < last:  # the rate of the next step, from here
                 log_e, log_peak = L
-                rate = _pair_rate(aZ, aW)
+                rate = _pair_rate(aZ, aW, aZ2, aW2, norm)
                 with np.errstate(divide="ignore"):  # a critical point: log 0 = -inf
                     log_e += np.log(rate, out=rate)
                 np.maximum(log_peak, log_e, out=log_peak)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qubit_chaos.atlas as atlas
+import qubit_chaos.kernel as kernel
 from qubit_chaos.atlas import (
     BLOCK_PIXELS,
     RETIRE_CHECKPOINTS,
@@ -30,12 +31,15 @@ from qubit_chaos.atlas import (
     _certified_period,
 )
 from qubit_chaos.kernel import (
+    _capture,
     _lag_scan,
     _pair_params,
     _pair_rate,
+    _pair_rescale,
     _pair_scratch,
     _pair_step,
     _point_values,
+    _rescale_interval,
     _start_pairs,
     _target_pairs,
 )
@@ -177,14 +181,14 @@ def test_julia_config_records_inputs():
 
 def _reference_capture(p, S, targets, eps2, max_iter, limit=None):
     """The capture loop before the two-stage raster: one run from step 0 over
-    the whole set, and a target test that folds each target into hit and
-    label as it goes, in fresh arrays every step."""
+    the whole set, a step normalized every time (:func:`_pow2_step`), and a
+    target test that folds each target into hit and label as it goes, in
+    fresh arrays every step."""
     n = S.shape[1]
     step, label = np.full((2, n), -1, dtype=np.int32)
     alive = np.arange(n)
-    P = np.array([[p], [-p.conjugate()]])
-    S2, A = np.empty(2 * n, dtype=complex), np.empty(3 * n)
-    scratch = S2.reshape(2, n), A.reshape(3, n)
+    A = np.empty(3 * n)
+    scratch = None, A.reshape(3, n)
     tests = [(tz, tw, eps2 * tn, i) for tz, tw, tn, i in targets]
     certify = limit is not None
     peak = np.zeros(n) if certify else None
@@ -193,7 +197,7 @@ def _reference_capture(p, S, targets, eps2, max_iter, limit=None):
         if alive.size == 0:
             break
         if k:
-            _pair_step(P, S, scratch)
+            S = np.stack(_pow2_step(p, np.conj(p), *S))
         Z, W = S
         aZ, aW = np.abs(S, out=scratch[1][:2])
         norm = aZ ** 2 + aW ** 2
@@ -224,7 +228,7 @@ def _reference_capture(p, S, targets, eps2, max_iter, limit=None):
             S = np.compress(keep, S, axis=1)
             if certify:
                 L = np.compress(keep, L, axis=1)
-            scratch = S2[:2 * alive.size].reshape(2, -1), A[:3 * alive.size].reshape(3, -1)
+            scratch = None, A[:3 * alive.size].reshape(3, -1)
     if certify:
         peak[alive] = L[1]
     return step, label, peak
@@ -305,6 +309,28 @@ def test_staged_raster_and_classifier_equal_reference_capture(
     assert np.array_equal(res.expansion_log_peak, want[2])
     if explicit:  # more than one listed cycle captures pixels
         assert np.unique(label[label >= 0]).size >= 2
+
+
+def test_julia_last_stage_pools_nothing(monkeypatch):
+    # the pixels the last stage never captured are done: it hands back no
+    # live set to pool, as the parameter raster's last stage does
+    live_sizes = []
+
+    def spy(*args, **kwargs):
+        live, S = run_stage(*args, **kwargs)
+        live_sizes.append((live.size, S.shape[1]))
+        return live, S
+
+    run_stage = atlas._run_stage
+    monkeypatch.setattr(atlas, "_run_stage", spy)
+    monkeypatch.setattr(atlas, "JULIA_BLOCK_PIXELS", 256)
+    win = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 48, 48)
+    for max_iter in (_K, 200):
+        live_sizes.clear()
+        raster = render_julia(MapParam(-0.2 + 0.7j), win, max_iter=max_iter, workers=2)
+        assert not raster.converged.all()
+        assert live_sizes[-1] == (0, 0)
+    assert len(live_sizes) == 2 and live_sizes[0][0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +419,29 @@ def _division_step(p, pc, Z, W):
     return Zn / m, Wn / m
 
 
+def _pow2_step(p, pc, Z, W):
+    """Reference map step on separate Z, W arrays, normalized by the power of
+    two 2**-e, e the exponent of max(|Zn|, |Wn|): the pair kernel's step and
+    rescale as one division form, with the larger modulus in [1/2, 1)."""
+    Z2 = Z * Z
+    W2 = W * W
+    Zn = Z2 + p * W2
+    Wn = W2 - pc * Z2
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(Zn), np.abs(Wn)))[1])
+    return Zn * scale, Wn * scale
+
+
 def _orbit_start(p, z0):
     z, w = _start_pairs(_point_values([as_point(z0)]))[:, 0]
     return np.full(p.shape, z, dtype=complex), np.full(p.shape, w, dtype=complex)
 
 
 def _reference_tail(p, Z, W, length):
-    """``length`` consecutive states from (Z, W) by the division step."""
+    """``length`` consecutive states from (Z, W) by the power-of-two step."""
     pc = np.conj(p)
     Zs, Ws = [Z], [W]
     for _ in range(length - 1):
-        Z, W = _division_step(p, pc, Z, W)
+        Z, W = _pow2_step(p, pc, Z, W)
         Zs.append(Z)
         Ws.append(W)
     return np.array(Zs), np.array(Ws)
@@ -414,7 +452,7 @@ def _straight_periods(p, z0, transient, max_period, eps):
     pc = np.conj(p)
     Z, W = _orbit_start(p, z0)
     for _ in range(transient):
-        Z, W = _division_step(p, pc, Z, W)
+        Z, W = _pow2_step(p, pc, Z, W)
     tail_len = 2 * max_period + 1
     Zs, Ws = _reference_tail(p, Z, W, tail_len)
     tails = [(za, wa, np.abs(za) ** 2 + np.abs(wa) ** 2) for za, wa in zip(Zs, Ws)]
@@ -436,7 +474,7 @@ def _checkpoint_tail(p, z0, checkpoint, lags):
     pc = np.conj(p)
     Z, W = _orbit_start(p, z0)
     for _ in range(checkpoint):
-        Z, W = _division_step(p, pc, Z, W)
+        Z, W = _pow2_step(p, pc, Z, W)
     return _reference_tail(p, Z, W, 2 * lags + 1)
 
 
@@ -555,32 +593,64 @@ def _staged_order(p, at, transient, max_period):
     return np.concatenate(stages)
 
 
+def _normalized(S):
+    """A copy of the stacked pairs S rescaled as the kernel rescales them."""
+    S = S.copy()
+    _pair_rescale(S, np.abs(S), np.empty(S.shape), np.empty(S.shape[1], dtype=np.int32))
+    return S
+
+
+def _chordal(Z, W, Zd, Wd):
+    """Chordal distance between the points Z/W and Zd/Wd."""
+    return np.abs(Z * Wd - Zd * W) / np.sqrt(
+        (np.abs(Z) ** 2 + np.abs(W) ** 2) * (np.abs(Zd) ** 2 + np.abs(Wd) ** 2))
+
+
 def _assert_kernel_tracks_division(p, Z, W, steps):
+    """Step the pairs (Z, W) with the kernel, rescaled every r steps as the
+    pipelines do, and require that, once normalized, they equal the
+    power-of-two division form bit for bit after every step.  Returns the
+    chordal distance of every final point from the one the 1/m division
+    form reaches, the kernel's form before the power-of-two rescale."""
     P = _pair_params(np.atleast_1d(p))  # (2, 1) for one parameter, as in julia
     S = np.stack((Z, W))
     scratch = _pair_scratch(Z.size)
+    _, A, E = scratch
     out = np.empty_like(S)
     pc = np.conj(p)
+    r = _rescale_interval(np.abs(p).max())
+    Zd, Wd = Z, W
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k in range(steps):
-            Z, W = _division_step(p, pc, Z, W)
+            Z, W = _pow2_step(p, pc, Z, W)
+            Zd, Wd = _division_step(p, pc, Zd, Wd)
+            if k % r == 0:
+                _pair_rescale(S, np.abs(S, out=A), A, E)
             _pair_step(P, S, scratch, out=out)   # the tail form leaves S alone
             _pair_step(P, S, scratch)
             assert np.array_equal(S, out), k
-            assert np.array_equal(S[0], Z) and np.array_equal(S[1], W), k
+            N = _normalized(S)
+            assert np.array_equal(N[0], Z) and np.array_equal(N[1], W), k
+        return _chordal(Z, W, Zd, Wd)
 
 
 def test_pair_kernel_equals_division_form_on_julia_orbits():
     grid = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 40, 40).grid().ravel()
     m0 = np.maximum(np.abs(grid), 1.0)
     for p in (1.0 + 0j, 0.3 + 0.3j, -0.2 + 0.7j):
-        _assert_kernel_tracks_division(p, grid / m0, (1.0 / m0).astype(complex), 300)
+        drift = _assert_kernel_tracks_division(p, grid / m0, (1.0 / m0).astype(complex), 300)
+        # the superattracting and the fast 2-cycle hold the 1/m form to
+        # roundoff; the slow 3-cycle's orbits are still near the Julia set
+        # at step 300, where the two roundings part
+        assert drift.max() < 1e-15 or p == -0.2 + 0.7j, p
 
 
 def test_pair_kernel_equals_division_form_on_sweep_orbits():
     p = np.linspace(0.0, 2.0, 200) * 1j
-    _assert_kernel_tracks_division(p, *_orbit_start(p, 0j), 2000)
+    drift = _assert_kernel_tracks_division(p, *_orbit_start(p, 0j), 2000)
+    # the declared sweep.csv change: chaotic stretches part from the 1/m form
+    assert np.count_nonzero(drift > 1e-9) > 0
 
 
 @pytest.mark.parametrize("z0", [0j, INF])
@@ -608,6 +678,105 @@ def test_pair_rate_equals_image_rate():
     assert rate.max() <= 2.0
     Z, W = _start_pairs(np.exp(2j * np.pi * rng.uniform(size=n)))
     np.testing.assert_allclose(_pair_rate(np.abs(Z), np.abs(W)), 2.0, rtol=1e-15, atol=0)
+
+
+def test_capture_rate_in_place_equals_pair_rate():
+    # the in-place rate of the capture loop, formed in the rows the target
+    # test is done with, against the allocating form, on random pairs, the
+    # critical points 0 and infinity (rate 0) and points on |z| = 1 (rate 2)
+    rng = np.random.default_rng(59)
+    n = 50_000
+    z = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-4, 4, n)
+    circle = np.exp(2j * np.pi * rng.uniform(size=n))
+    S = _start_pairs(np.concatenate([z, [0j, np.inf], circle]))
+    aZ, aW = np.abs(S)
+    want = _pair_rate(aZ, aW)
+    R = np.empty((5, aZ.size))
+    R[:2] = aZ, aW
+    np.multiply(R[:2], R[:2], out=R[2:4])
+    np.add(R[2], R[3], out=R[4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _pair_rate(*R)
+    assert np.shares_memory(got, R[4])
+    assert np.array_equal(got, want)
+    assert np.array_equal(want[n:n + 2], [0.0, 0.0])
+    # through _capture: with eps = 0 nothing is captured, and the peak over
+    # steps 0..1 is the log rate of step 0, read off the rescaled moduli
+    for p in (1.0 + 0j, -0.2 + 0.7j, 1e200 + 0j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step, _, peak, _, _ = _capture(p, S.copy(), _target_pairs([make_cycle(P0, [0j])]),
+                                           0.0, 0, 1, limit=math.inf)
+            with np.errstate(divide="ignore"):
+                log_rate = np.log(want)
+        assert np.all(step == -1)
+        assert np.array_equal(peak, np.maximum(log_rate, 0.0)), p
+
+
+# start points within 1e-150 of 0 and of infinity, a few ordinary ones and
+# two on the unit circle
+_EXTREME_POINTS = np.array([1e-150, -1e-150j, 3e-151 + 4e-151j, 1e150, -1e150j,
+                            3e150 - 4e150j, 0.5, 1.7j, 1.0, np.exp(1j)])
+
+
+def _pipeline_bytes():
+    """The outputs of every vector pipeline on small inputs, as bytes: julia
+    rasters through both stages (small blocks, so the second pools), the
+    classifier with its peaks, parameter rasters (one on a window centered
+    on the real axis) and sweeps, at ordinary parameters and at p = 1e200."""
+    out = {}
+
+    def add(name, *arrays):
+        out[name] = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+    huge = MapParam(1e200 + 0j)
+    huge_cycle = [Cycle(2, (SpherePoint(-1e-200), INF), 0j, "superattracting")]
+    square = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 24, 24)
+    for param, max_iter, cycles in ((P1, 60, None), (MapParam(0.3 + 0.3j), 300, None),
+                                    (MapParam(-0.2 + 0.7j), 600, None),
+                                    (huge, 60, huge_cycle)):
+        raster = render_julia(param, square, max_iter=max_iter, cycles=cycles, workers=2)
+        add(f"julia {param.p}", raster.steps, raster.period)
+        pts = np.concatenate([square.grid().ravel(), _EXTREME_POINTS])
+        res = classify_basin(param, pts, cycles=cycles, max_iter=max_iter)
+        add(f"classify {param.p}", res.labels, res.steps, res.expansion_log_peak)
+    res = classify_basin(P0, _EXTREME_POINTS, max_iter=200)
+    add("classify 0", res.labels, res.steps, res.expansion_log_peak)
+    for name, window, z0 in (
+            ("params", Window.from_bounds(0.0, 3.0, 0.0, 3.0, 30, 30), 0j),
+            ("params real axis", Window.from_bounds(0.0, 3.0, -1.5, 1.5, 21, 21), 0j),
+            ("params z0 near 0", Window.from_bounds(0.0, 3.0, 0.0, 3.0, 16, 16), 1e-150),
+            ("params z0 near inf", Window.from_bounds(0.0, 3.0, 0.0, 3.0, 16, 16), 1e150),
+            ("params p near 1e200", Window(1e200, 1e199, 1e199, 8, 8), 0j)):
+        raster = render_parameter_space(window, z0=z0, transient=300, max_period=8)
+        add(name, raster.period)
+    for start, end, z0 in ((0j, 2j, 0j), (-1.0 + 0j, 2.0 + 1j, 1e-150),
+                           (0j, 2j, 1e150), (1e200 + 0j, 2e200 + 0j, 0j)):
+        sweep = bifurcation_sweep(start, end, samples=60, transient=400, record=12, z0=z0)
+        add(f"sweep {start} {end} {z0}", sweep.abs_z, sweep.is_infinity)
+    return out
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_outputs_do_not_depend_on_the_rescale_interval(monkeypatch, every):
+    # a rescale multiplies by a power of two, which every test on the pairs
+    # passes through exactly, so the pipelines give the same bytes whether
+    # they rescale every step or every r steps
+    monkeypatch.setattr(atlas, "JULIA_BLOCK_PIXELS", 128)
+    assert kernel._rescale_interval(3.0 * math.sqrt(2.0)) == kernel.RESCALE_EVERY == 4
+    assert kernel._rescale_interval(1e200) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _pipeline_bytes()
+        monkeypatch.setattr(kernel, "RESCALE_EVERY", every)
+        got = _pipeline_bytes()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name] == want[name], name
+    # the real-axis window is mirror symmetric at either interval
+    period = np.frombuffer(got["params real axis"], dtype=np.int32).reshape(21, 21)
+    assert np.array_equal(period, period[::-1])
 
 
 def test_huge_parameter_without_overflow():

@@ -315,9 +315,9 @@ DEFAULT_ARTIFACT_SHA256 = {
     "lyapunov.json.json": "732a3c0abef1bca1227b6919c7bbc4963e61fd06076c99ae8cdffccce26f92dc",
     "orbit.csv": "cbe9b7a91cac83899a13996dfdb4d71cd204f88e37e30b7b21e7b251305c9120",
     "orbit.csv.json": "fc345f78010de57ec9d163b8556024ff0e236f60797d7cf45b5d52febd8d8355",
-    "params.ppm": "ae5fbdc358f8721256417554ba6b362fe46669cbb0fbebde69b0ece55438770d",
+    "params.ppm": "8ad4f7bf8749643e97439607bbee2ad6337300b1124978e86806448aa0824755",
     "params.ppm.json": "7d0cceb837b96a066317d50b47add2067659995d411429f3cf1848bc15362ee1",
-    "sweep.csv": "1fdf12751216b2bf165563297bdb46392cfd99a5a8f45ff181d18088012b6a5a",
+    "sweep.csv": "708d5092c37d68f4550228f1e0804e9fc314362d31fa659a1cf4ec0bdd9bb5d7",
     "sweep.csv.json": "4813a37c4d80945506c078a6c7295c91ed543be6a20ac7adc4499a410e559bb5",
     "twoqubit.csv": "4caaf162c0505bf56d12c651bf8df8e10b7ac4be6312924f1975e80fe2decc02",
     "twoqubit.csv.json": "d892c10b60b40245799c67749d4649b0fc5282684a89ef25e7777d2b34cb6f75",

@@ -894,8 +894,10 @@ def _inline_classify(param, pts, cycles, max_iter, eps):
         with np.errstate(divide="ignore"):
             log_e = log_e + np.log(rate)
         log_peak = np.maximum(log_peak, log_e)
-        norm = np.maximum(np.abs(Zn), np.abs(Wn))
-        Z, W = Zn / norm, Wn / norm
+        # normalized by a power of two, as the kernel's rescale: exact, so
+        # the orbit is the kernel's up to that power of two
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(Zn), np.abs(Wn)))[1])
+        Z, W = Zn * scale, Wn * scale
     return labels, steps, peak
 
 
