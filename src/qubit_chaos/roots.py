@@ -7,8 +7,12 @@ G_n(z) = P_n(z) - z Q_n(z), a polynomial of degree 2**n + 1; a vanishing
 leading coefficient means the point at infinity is itself periodic.
 
 Roots are found simultaneously with the Aberth-Ehrlich iteration and then
-polished by the caller with Newton steps on the map itself.  Coefficient
-arrays are ascending (index = power).
+polished by the caller with Newton steps on the map itself.  The iteration
+starts from the Newton polygon of the coefficients (Bini, "Numerical
+computation of polynomial zeros by means of Aberth's method", Numer.
+Algorithms 13, 1996), so each root starts near its own modulus even when the
+moduli span hundreds of orders of magnitude.  Coefficient arrays are
+ascending (index = power).
 """
 
 from __future__ import annotations
@@ -67,13 +71,43 @@ def polyval(coeffs: np.ndarray, x):
     return acc
 
 
+def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
+    """Bini's starting points for the Aberth iteration on ``c``.
+
+    ``c`` is ascending with nonzero end coefficients.  Each edge i -> j of
+    the upper convex hull of the points (k, log|c_k|) over the nonzero
+    coefficients bounds j - i root moduli near (|c_i|/|c_j|)**(1/(j - i)),
+    so that edge places j - i points on the circle of that radius, at evenly
+    spread angles turned by 2*pi*i/deg plus a fixed offset.  The radii are
+    formed in logarithms, so the ratio itself cannot overflow.
+    """
+    deg = len(c) - 1
+    idx = np.flatnonzero(c)
+    logs = np.log(np.abs(c[idx]))
+    hull: list[tuple[int, float]] = []
+    for k, a in zip(idx.tolist(), logs.tolist()):
+        # drop the last vertex while it lies on or below the chord to (k, a)
+        while len(hull) >= 2 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+                                  <= (a - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append((k, a))
+    starts = []
+    for (i, a), (j, b) in zip(hull, hull[1:]):
+        m = j - i
+        angles = 2.0 * np.pi * (np.arange(m) / m + i / deg) + 0.4
+        starts.append(np.exp((a - b) / m + 1j * angles))
+    return np.concatenate(starts)
+
+
 def aberth_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
     """All complex roots of an ascending-coefficient polynomial.
 
-    Simultaneous Aberth-Ehrlich iteration from a perturbed circle at the
-    Cauchy bound.  Exact zero trailing coefficients are deflated first (each
-    contributes a root at 0).  Raises :class:`RootFindingError` when the
-    corrections have not all dropped below ``tol`` (relative) within
+    Simultaneous Aberth-Ehrlich iteration from Bini's Newton-polygon start
+    (:func:`_newton_polygon_start`; Bini, Numer. Algorithms 13, 1996), which
+    puts each root near its own modulus from the first sweep.  Exact zero
+    trailing coefficients are deflated first (each contributes a root at
+    0).  Raises :class:`RootFindingError` when the corrections have not all
+    dropped below ``tol`` times the modulus of their root within
     ``max_iter`` sweeps (repeated roots are the usual culprit), and as soon
     as a value, a derivative or an iterate overflows to a non-finite number.
     """
@@ -95,11 +129,9 @@ def aberth_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
         return origin
 
     dc = c[1:] * np.arange(1, deg + 1)
-    radius = 1.0 + (np.abs(c[:-1]) / abs(c[-1])).max()
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    x = radius * np.exp(1j * angles)
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        x = _newton_polygon_start(c)
         for _ in range(max_iter):
             pv = polyval(c, x)
             dv = polyval(dc, x)
@@ -107,13 +139,15 @@ def aberth_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
             w = np.where(done, 0.0, pv / np.where(dv == 0, 1.0, dv))
             diff = x[:, None] - x[None, :]
             np.fill_diagonal(diff, 1.0)
-            s = (1.0 / diff).sum(axis=1) - 1.0  # undo the diagonal's 1/1
+            inv = 1.0 / diff
+            np.fill_diagonal(inv, 0.0)  # subtracting its 1 from the sum would lose terms below u
+            s = inv.sum(axis=1)
             denom = 1.0 - w * s
             delta = np.where(done | (denom == 0), 0.0, w / np.where(denom == 0, 1.0, denom))
             x = x - delta
             if not np.isfinite((pv, dv, x)).all():
                 raise RootFindingError(f"Aberth iteration on a degree-{deg} polynomial overflowed")
-            if (np.abs(delta) <= tol * (1.0 + np.abs(x))).all():
+            if (np.abs(delta) <= tol * np.abs(x)).all():
                 return np.concatenate([origin, x])
     raise RootFindingError(
         f"Aberth iteration on a degree-{deg} polynomial did not converge "

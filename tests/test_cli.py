@@ -307,8 +307,8 @@ def test_sweep_rerun_from_sidecar(outdir):
 # and the sha256 of each artifact and sidecar they write.  A change that
 # moves any of these bytes changes what the package computes.
 DEFAULT_ARTIFACT_SHA256 = {
-    "cycles.json": "b77dd055e852007d6e53ea3f47d9860146b0a81d9746f62a20c5d4e919460bbd",
-    "cycles.json.json": "2214df1d790744959e5eb75c5abb399559a2bd3865012feead8ad0f6df2a20da",
+    "cycles.json": "4ca00518d3741e668187bbb27954681c8b205f544b16aed166a4b52e0eae9d55",
+    "cycles.json.json": "4e5fd822b28a90b49dc620a0d899c9f9d93e4e609d74b6f9347182d94ac81d46",
     "figs/p1.pgm": "07ddf02def15e9ce8ffed04ea272a41ac327cb604f907cc3cc83c7c0a5c618a6",
     "figs/p1.pgm.json": "d03f77f7576ac5ea0572af5bd561a94c99ca0d7403e2c9e1e87cf0761d05d7fd",
     "lyapunov.json": "4f2fe0a8753989e669f1ede812bba64940679842a687fc6148d380b5348e8d83",

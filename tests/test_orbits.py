@@ -38,7 +38,7 @@ from qubit_chaos.orbits import (
     make_cycle,
     periodic_cycles,
 )
-from qubit_chaos.roots import RootFindingError, aberth_roots, fixed_point_polynomial
+from qubit_chaos.roots import aberth_roots, fixed_point_polynomial
 from qubit_chaos.sphere import (
     INF,
     MapParam,
@@ -664,13 +664,26 @@ def test_periodic_points_distinct_when_a_root_is_far_from_its_point(monkeypatch)
 
 
 @pytest.mark.parametrize("p", [0.5 + 0.5j, 1.2 - 0.3j, -0.8 + 1.1j, 2 + 0.7j])
-def test_period_six_solve_fails_as_an_error(p):
-    # the benchmark's four failing period-6 solves: the degree-65
-    # coefficients overflow in Horner evaluation at the first three
+def test_period_six_solves(p):
+    # the benchmark's period-6 solves, which failed while Aberth started on
+    # the Cauchy circle: the degree-65 coefficients overflowed in Horner
+    # evaluation or the iteration hit its sweep cap
+    param = MapParam(p)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(RootFindingError, match="periodic-point solve failed"):
-            find_periodic_points(MapParam(p), 6, n_max=6)
+        points = find_periodic_points(param, 6, n_max=6)
+        cycles = periodic_cycles(param, 6, n_max=6)
+    assert len(points) == 2 ** 6 + 1
+    # the Moebius count: 3 points of period 1, 5 - 3 = 2 of period 2 (one
+    # cycle), 9 - 3 = 6 of period 3 (two) and 65 - 3 - 2 - 6 = 54 of
+    # period 6 (nine)
+    periods = [c.period for c in cycles]
+    assert {d: periods.count(d) for d in set(periods)} == {1: 3, 2: 1, 3: 2, 6: 9}
+    for pt in points:
+        image = pt
+        for _ in range(6):
+            image = apply_map(param, image)
+        assert chordal_distance(image, pt) <= 1e-12, pt
 
 
 def test_critical_orbits_polish_cycles_in_linear_time(monkeypatch):

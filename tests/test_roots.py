@@ -1,3 +1,5 @@
+import cmath
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from qubit_chaos.roots import (
     RootFindingError,
+    _newton_polygon_start,
     aberth_roots,
     fixed_point_polynomial,
     map_polynomials,
@@ -50,6 +53,33 @@ def test_matches_numpy_roots_on_random_polynomials():
                 j = int(np.argmin([abs(r - s) for s in ref]))
                 assert abs(r - ref[j]) < 1e-7 * (1 + abs(r))
                 ref.pop(j)
+            # the same polynomial with its coefficients graded from 1e-100 to
+            # 1e100, or back: every root is scaled by 10**(200/deg) or its
+            # inverse, and must come out to relative accuracy
+            for scale in (1e100, 1e-100):
+                graded = coeffs * scale ** np.linspace(-1.0, 1.0, deg + 1)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    ours = aberth_roots(graded)
+                ref = list(np.roots(graded[::-1]))
+                for r in ours:
+                    j = int(np.argmin([abs(r - s) for s in ref]))
+                    assert abs(r - ref[j]) < 1e-7 * abs(ref[j]), (deg, scale, r, ref[j])
+                    ref.pop(j)
+
+
+def test_newton_polygon_start_radii():
+    # z^3 - 8: one hull edge, three points on the circle of radius 2
+    start = _newton_polygon_start(np.array([-8, 0, 0, 1], dtype=complex))
+    assert np.allclose(np.abs(start), 2.0, rtol=1e-15)
+    # 1e-300 + z^3 + 1e-300 z^6: two edges, three roots near 1e-100 and
+    # three near 1e100, where the Cauchy circle put all six at 1e300
+    start = _newton_polygon_start(np.array([1e-300, 0, 0, 1, 0, 0, 1e-300], dtype=complex))
+    assert np.allclose(np.abs(start), [1e-100] * 3 + [1e100] * 3, rtol=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        roots = aberth_roots([1e-300, 0, 0, 1, 0, 0, 1e-300])
+    assert np.allclose(np.sort(np.abs(roots)), [1e-100] * 3 + [1e100] * 3, rtol=1e-13)
 
 
 def test_nonconvergence_raises():
@@ -60,12 +90,32 @@ def test_nonconvergence_raises():
 
 
 def test_overflow_raises():
-    # the iterates start at the Cauchy radius, about 1e300, whose cube
-    # overflows in Horner evaluation
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        # z^3 + 1e300 starts at its root modulus 1e100, not at the Cauchy
+        # radius 1e300 whose cube overflows
+        roots = aberth_roots([1e300, 0, 0, 1])
+        assert np.allclose(roots ** 3, -1e300, rtol=1e-13)
+        # the roots of 1e-308 z^2 + 1e308 lie at modulus 1e308, where the
+        # square in Horner evaluation overflows
         with pytest.raises(RootFindingError, match="overflowed"):
-            aberth_roots([1e300, 0, 0, 1])
+            aberth_roots([1e308, 0, 1e-308])
+
+
+# the benchmark's periodic-point parameters: p = 0 and every eighth cell
+# centre of its population of the upper half-disk |p| <= 3
+_UPPER = [cmath.rect(3.0 * math.sqrt((k + 0.5) / 8), math.pi * (s + 0.5) / 10)
+          for k in range(8) for s in range(10)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fixed_point_solves_converge_in_few_sweeps(n):
+    # from the Cauchy circle these took up to 113 sweeps at n = 5, and 302
+    # at p = 1e-8, whose roots span many orders of magnitude
+    params = [0j] + _UPPER[::8] + [1e-8] * (n == 5)
+    for p in params:
+        coeffs, _ = fixed_point_polynomial(p, n)
+        assert len(aberth_roots(coeffs, max_iter=30)) == len(coeffs) - 1, p
 
 
 def test_map_polynomials_evaluate_to_composite():
