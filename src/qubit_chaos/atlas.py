@@ -12,8 +12,8 @@ Three instruments:
   along a line segment of parameters (CSV).
 
 Every pipeline steps projective pairs through the in-place kernel of
-:mod:`qubit_chaos.kernel`; the julia raster runs its capture loop, the one
-``classify_basin`` runs with the roundoff certificate on.
+:mod:`qubit_chaos.kernel`; the julia raster runs its blocked capture
+runner, the one ``classify_basin`` runs with the roundoff certificate on.
 
 Both rasters run in stages over fixed-size pixel blocks and pool the pixels
 a stage leaves live, in pixel order, into full blocks for the next, so late
@@ -39,16 +39,13 @@ from __future__ import annotations
 import colorsys
 import json
 import math
-import os
 import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .kernel import (
-    _capture,
     _check_capture_args,
     _lag_scan,
     _pair_params,
@@ -60,11 +57,12 @@ from .kernel import (
     _pairs_within,
     _point_values,
     _rescale_interval,
+    _run_capture,
+    _run_stage,
     _start_pairs,
     _target_pairs,
 )
 from .orbits import (
-    SEED_ROUNDOFF,
     ConfigurationError,
     Cycle,
     _check_cycle_args,
@@ -74,9 +72,9 @@ from .orbits import (
 )
 from .sphere import MapParam, as_point
 
-# Fixed split units, independent of worker count.  A julia pixel carries little
-# scratch, and larger blocks make fewer numpy calls for threads to contend on.
-BLOCK_PIXELS, JULIA_BLOCK_PIXELS = 8192, 32768
+# Fixed split unit of the parameter raster, independent of worker count (the
+# julia raster's is kernel.JULIA_BLOCK_PIXELS).
+BLOCK_PIXELS = 8192
 
 PALETTE_VERSION = "period-hue-v1"
 
@@ -235,38 +233,6 @@ def _certified_period(T, max_period: int, eps2: float) -> np.ndarray:
     return q0
 
 
-def _run_stage(live: np.ndarray, block: int, workers: Optional[int], fn,
-               buffers: Optional[queue.SimpleQueue] = None, make_buffer=lambda: None):
-    """Run fn(start, stop, buffer) over blocks of ``block`` live pixels (flat
-    indices in pixel order) and pool, in pixel order, the flat indices and
-    states that each block returns as left live.  A block takes a buffer
-    from ``buffers`` or, when none is free, a new one from ``make_buffer()``,
-    and puts it back when done: at most one buffer per worker is ever made,
-    and runs passing the same ``buffers`` reuse them.
-    """
-    if buffers is None:
-        buffers = queue.SimpleQueue()
-    starts = range(0, live.size, block)
-    left = [None] * len(starts)
-
-    def run(start):
-        try:
-            buf = buffers.get_nowait()
-        except queue.Empty:
-            buf = make_buffer()
-        left[start // block] = fn(start, min(start + block, live.size), buf)
-        buffers.put(buf)
-
-    nworkers = min(workers or min(8, os.cpu_count() or 1), len(starts))
-    if nworkers <= 1:
-        list(map(run, starts))
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(run, starts))
-    idx, states = zip(*left)
-    return np.concatenate(idx), np.concatenate(states, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # renderers
 
@@ -281,25 +247,15 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     ``steps`` entry is the first iteration count at which it came within
     eps of a target point (0 = already there); unconverged pixels carry
     steps = max_iter and period = -1.  Requires 0 < eps < 1 and
-    max_iter >= 0; ValueError otherwise.  Every block runs steps 0..K (see
-    the module docstring); the pixels all blocks leave live run the rest pooled.
+    max_iter >= 0; ValueError otherwise.  The pixels run through the
+    blocked capture runner :func:`qubit_chaos.kernel._run_capture`, which
+    ``classify_basin`` runs with the roundoff certificate on.
     """
     _check_capture_args(eps, max_iter)
     cycles = _target_cycles(param, cycles)
     targets = _target_pairs(cycles)
-    eps2 = eps * eps
-    steps, label = np.empty((2, window.nx * window.ny), dtype=np.int32)
-    K = min(max(math.floor(math.log2(eps / SEED_ROUNDOFF)), 0), max_iter)
-    live, S_live = np.arange(label.size), None
-    for first, last in ((0, K), (K + 1, max_iter)):
-        def run(start, stop, _):
-            idx = live[start:stop]
-            S = _start_pairs(window.at(idx)) if first == 0 else S_live[:, start:stop].copy()
-            steps[idx], label[idx], _, keep, S = _capture(param.p, S, targets, eps2, first, last)
-            # the last stage leaves no pixel live
-            return (idx[:0], S[:, :0]) if last == max_iter else (idx[keep], S)
-        if live.size and first <= last:
-            live, S_live = _run_stage(live, JULIA_BLOCK_PIXELS, workers, run)
+    steps, label, _ = _run_capture(param.p, lambda start, stop: window.at(np.arange(start, stop)),
+                                   window.nx * window.ny, targets, eps, max_iter, workers=workers)
     shape = (window.ny, window.nx)
     # label -1 (never captured) picks the trailing -1
     period = np.array([c.period for c in cycles] + [-1], np.int32)[label].reshape(shape)

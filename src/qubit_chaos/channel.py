@@ -99,14 +99,21 @@ def rotation_unitary(x: float, phi: float) -> np.ndarray:
 
 def rotate(rho, x: float, phi: float) -> np.ndarray:
     """Unitary conjugation U rho U^dagger with the step rotation."""
-    rho = _as_density(rho, 2)
+    return _rotate(_as_density(rho, 2), x, phi)
+
+
+def _rotate(rho: np.ndarray, x: float, phi: float) -> np.ndarray:
+    """:func:`rotate` of a complex (..., 2, 2) array, unchecked."""
     u = rotation_unitary(x, phi)
     return u @ rho @ u.conj().T
 
 
 def step_density(rho, x: float, phi: float) -> np.ndarray:
-    """One full conditional step in density form: squaring then rotation."""
-    return rotate(squaring_map(rho), x, phi)
+    """One full conditional step in density form: squaring then rotation.
+
+    The input is checked once: the squaring output is exactly Hermitian by
+    construction, so the rotation takes it unchecked."""
+    return _rotate(squaring_map(rho), x, phi)
 
 
 def p_from_angles(x: float, phi: float) -> MapParam:

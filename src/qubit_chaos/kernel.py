@@ -1,4 +1,5 @@
-"""The projective-pair kernel of every vector pipeline and the basin classifier.
+"""The projective-pair kernel of every vector pipeline, and the blocked capture
+runner that the julia raster and the basin classifier share.
 
 A point is a pair (Z, W) with z = Z/W.  The step is polynomial (no
 division), infinity is the exact pair (1, 0), and the arithmetic commutes
@@ -8,17 +9,36 @@ scales the pairs by a power of two, which is exact in binary floating point
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002).
 Every test read off a pair is homogeneous in it, so no output
 depends on when the rescales happen (:func:`_rescale_interval`).
+
+Both capture pipelines run through :func:`_run_capture`: every block of
+JULIA_BLOCK_PIXELS points runs to step K = floor(log2(eps/SEED_ROUNDOFF)),
+32 at eps = 1e-6, up to which the roundoff certificate can refuse no
+capture, and the points all blocks leave live are pooled in input order
+into full blocks for the remaining steps, so late steps do not run on a few
+live points per block.  Blocks never depend on the worker count, and the
+arithmetic is elementwise within a block, so the output does not either.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .sphere import SpherePoint
 
+
+# Points per block of the capture runner.  A capture point carries little
+# scratch, and larger blocks make fewer numpy calls for threads to contend on.
+JULIA_BLOCK_PIXELS = 32768
+
+# Chordal-scale uncertainty of a double-precision starting point; the seed
+# error that the expansion certificate amplifies along an orbit.
+SEED_ROUNDOFF = float(np.finfo(float).eps)
 
 # The most steps a pair takes between two rescales (_rescale_interval), and
 # the log2 bound on |Z|**2 + |W|**2 the unscaled steps must stay below.
@@ -211,24 +231,29 @@ def _check_capture_args(eps: float, max_iter: int) -> None:
 
 
 def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: int,
-             limit: float | None = None):
-    """Test the pairs S (consumed) against the targets at steps first..last.
+             end: int | None = None, L: np.ndarray | None = None, limit: float | None = None):
+    """Test the pairs S (consumed) against the targets at steps first..last
+    of a run that ends at step ``end`` (default ``last``).
 
     S holds the pairs after step max(first - 1, 0), so runs over steps 0..K
-    and then K+1..last on the pairs left live step the orbits of one run.  A
+    and then K+1..end on the pairs left live step the orbits of one run.  A
     pair is captured at the first step where it lies within eps of a target
     from :func:`_target_pairs` (the first listed wins); returns int32
     ``step`` and ``label`` (-1 where nothing captured the pair), the
-    certificate's peaks, and the columns left live with their pairs.  With
-    ``limit`` (one run from step 0) the log spherical expansion rate of every
-    step (:func:`_pair_rate`: p-free, at most 2) is summed along each orbit
-    from the moduli the target test takes; a capture whose running peak
-    exceeds ``limit`` is refused (-1), which cannot happen by step
-    K = floor(log2(eps/roundoff)); each pair's peak at capture or at the end
-    is returned.  The pairs are rescaled at step ``first`` and every r steps
-    after it (:func:`_rescale_interval`), together with the moduli the
-    target test has just taken, and the rate is formed in place in the rows
-    the test is done with.
+    certificate's peaks, and the columns left live with their pairs and
+    certificate state.  With ``limit`` the log spherical expansion rate of
+    every step (:func:`_pair_rate`: p-free, at most 2) is summed along each
+    orbit from the moduli the target test takes, in ``L`` = (sum, running
+    peak), which starts at zeros at step 0 and is handed from stage to stage
+    with the pairs (consumed).  A capture whose running peak exceeds
+    ``limit`` is refused (-1), which cannot happen by step
+    K = floor(log2(eps/roundoff)); each pair's peak at capture or at
+    ``last`` is returned.  The rate of step k joins for every k < end, so a
+    stage that stops before ``end`` hands on the rate of its last step.  The
+    pairs are rescaled at step ``first`` and every r steps after it
+    (:func:`_rescale_interval`), together with the moduli the target test
+    has just taken, and the rate is formed in place in the rows the test is
+    done with.
     """
     n = S.shape[1]
     step, label = np.full((2, n), -1, dtype=np.int32)
@@ -245,9 +270,11 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
     tests = [(tz, tw, eps2 * tn, {(0, 1): 0, (1, 0): 1}.get((tz, tw), 2))
              for tz, tw, tn, _ in targets]
     tlabel = np.array([i for *_, i in targets], dtype=np.int32)
+    end = last if end is None else end
     certify = limit is not None
     peak = np.zeros(n) if certify else None
-    L = np.zeros((2, n)) if certify else None  # log expansion and its peak
+    if certify and L is None:
+        L = np.zeros((2, n))  # log expansion and its peak
     for k in range(first, last + 1):
         if alive.size == 0:
             break
@@ -271,7 +298,7 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
         hit = np.logical_or.reduce(hits, axis=0)
         if certify:
             peak[alive[hit]] = L[1][hit]  # before the next step's rate joins
-            if k < last:  # the rate of the next step, from here
+            if k < end:  # the rate of the next step, from here
                 log_e, log_peak = L
                 rate = _pair_rate(aZ, aW, aZ2, aW2, norm)
                 with np.errstate(divide="ignore"):  # a critical point: log 0 = -inf
@@ -294,4 +321,77 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
             hits = H[:nt * alive.size].reshape(nt, -1)
     if certify:
         peak[alive] = L[1]
-    return step, label, peak, alive, S
+    return step, label, peak, alive, S, L
+
+
+def _run_stage(live: np.ndarray, block: int, workers: Optional[int], fn,
+               buffers: Optional[queue.SimpleQueue] = None, make_buffer=lambda: None):
+    """Run fn(start, stop, buffer) over blocks of ``block`` live points (flat
+    indices in input order) and pool, in input order, the flat indices and
+    state arrays (stacked along their last axis) that each block returns
+    as left live; returns them as a tuple.  ``live`` is not empty.  A block
+    takes a buffer from ``buffers`` or, when none is free, a new one from
+    ``make_buffer()``, and puts it back when done: at most one buffer per
+    worker is ever made, and runs passing the same ``buffers`` reuse them.
+    """
+    if buffers is None:
+        buffers = queue.SimpleQueue()
+    starts = range(0, live.size, block)
+    left = [None] * len(starts)
+
+    def run(start):
+        try:
+            buf = buffers.get_nowait()
+        except queue.Empty:
+            buf = make_buffer()
+        left[start // block] = fn(start, min(start + block, live.size), buf)
+        buffers.put(buf)
+
+    nworkers = min(workers or min(8, os.cpu_count() or 1), len(starts))
+    if nworkers <= 1:
+        list(map(run, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            list(pool.map(run, starts))
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*left))
+
+
+def _run_capture(p: complex, points, n: int, targets, eps: float, max_iter: int,
+                 certify: bool = False, workers: Optional[int] = 1):
+    """:func:`_capture` over steps 0..max_iter of the n points
+    ``points(start, stop)`` (flat indices start..stop-1), in blocks of
+    JULIA_BLOCK_PIXELS (see the module docstring); returns int32 ``step``
+    and ``label`` and, with ``certify``, the certificate's peaks (else
+    None).  ``workers`` caps the thread pool.  With one block the points
+    run 0..max_iter in one call, with nothing gathered or scattered.
+    """
+    eps2 = eps * eps
+    limit = math.log(eps / SEED_ROUNDOFF) if certify else None
+    if n <= JULIA_BLOCK_PIXELS:
+        return _capture(p, _start_pairs(points(0, n)), targets, eps2, 0, max_iter,
+                        limit=limit)[:3]
+    K = min(max(math.floor(math.log2(eps / SEED_ROUNDOFF)), 0), max_iter)
+    step, label = np.empty((2, n), dtype=np.int32)
+    peak = np.empty(n) if certify else None
+    live = np.arange(n)
+    for first, last in ((0, K), (K + 1, max_iter)):
+        if live.size == 0 or first > last:
+            break
+
+        def run(start, stop, _):
+            idx = live[start:stop]
+            if first == 0:  # every point, in input order
+                S, L = _start_pairs(points(start, stop)), None
+            else:
+                S = S_live[:, start:stop].copy()
+                L = L_live[0][:, start:stop].copy() if certify else None
+            step[idx], label[idx], pk, keep, S, L = _capture(
+                p, S, targets, eps2, first, last, max_iter, L, limit)
+            if certify:
+                peak[idx] = pk
+            out = (S, L) if certify else (S,)
+            if last == max_iter:  # the last stage leaves no point live
+                return (idx[:0], *(a[:, :0] for a in out))
+            return (idx[keep], *out)
+        live, S_live, *L_live = _run_stage(live, JULIA_BLOCK_PIXELS, workers, run)
+    return step, label, peak

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import (_capture, _check_capture_args, _pairs_within, _point_values, _start_pairs,
-                     _target_pairs, _value_array)
+from .kernel import (SEED_ROUNDOFF, _check_capture_args, _pairs_within, _point_values,
+                     _run_capture, _start_pairs, _target_pairs, _value_array)
 from .roots import RootFindingError, aberth_roots, fixed_point_polynomial
 from .sphere import (
     INF,
@@ -63,9 +63,6 @@ NEUTRAL_TOL = 1e-9
 PARABOLIC_MAX_ROOT = 64
 # ... within this tolerance.
 PARABOLIC_TOL = 1e-8
-# Chordal-scale uncertainty of a double-precision starting point; the seed
-# error that the expansion certificate amplifies along an orbit.
-SEED_ROUNDOFF = float(np.finfo(float).eps)
 
 
 class ConfigurationError(RuntimeError):
@@ -491,7 +488,11 @@ def _periodic_orbits(param: MapParam, n: int, n_max: int, eps: float) -> list[li
     :func:`_polish_periodic_point` call, whose cycle claims every root
     within ``eps`` of one of its points.  A seed whose cycle was already
     found (its root lay farther than ``eps`` from its polished point) adds
-    nothing, so the points are pairwise distinct beyond ``eps``.
+    nothing, so the points are pairwise distinct beyond ``eps``.  Raises
+    :class:`RootFindingError`, naming p and n, when a cycle does not close
+    under the map within ``eps`` (:func:`_cycle_defect`), and before any
+    solve when the trimmed leading coefficient reports infinity as a root
+    but n steps do not bring infinity back within ``eps``.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
@@ -501,6 +502,14 @@ def _periodic_orbits(param: MapParam, n: int, n_max: int, eps: float) -> list[li
             f"2**n + 1 -- raise n_max explicitly if you mean it"
         )
     coeffs, inf_is_root = fixed_point_polynomial(param.p, n)
+    if inf_is_root:
+        image = _extend_orbit(param.p, [None], n + 1)[n]
+        miss = math.sqrt(_value_overlap(image, None))
+        if miss > eps:
+            raise RootFindingError(
+                f"periodic-point solve failed for p={param.p}, n={n}: the leading "
+                f"coefficient of G_{n} was trimmed as zero (degree {len(coeffs) - 1} of "
+                f"{2 ** n + 1}), but f^{n}(inf) lies {miss:.3e} from inf")
     try:
         raw = aberth_roots(coeffs)
     except RootFindingError as exc:
@@ -514,6 +523,10 @@ def _periodic_orbits(param: MapParam, n: int, n_max: int, eps: float) -> list[li
         if not unclaimed[i]:
             continue
         cycle = _polish_periodic_point(param, root, n)
+        defect = _cycle_defect(param, cycle, eps)
+        if defect:
+            raise RootFindingError(
+                f"periodic-point solve failed for p={param.p}, n={n}: {defect}")
         C = _start_pairs(_point_values(cycle))
         near = _pairs_within(C[:, :, None], pairs[:, None, :], eps * eps).any(axis=0)
         unclaimed &= ~near[:m]
@@ -533,7 +546,8 @@ def find_periodic_points(param: MapParam, n: int, n_max: int = 4,
     a polished point is on its cycle.  ``n_max`` guards the exponential
     degree growth; raise it explicitly for deeper searches (cost roughly
     quadruples per unit of n).  Raises :class:`RootFindingError`, naming
-    the parameter, if the solve fails.
+    the parameter, if the solve fails or returns points whose cycles do not
+    close under the map within ``eps``.
     """
     pts = [pt for cycle in _periodic_orbits(param, n, n_max, eps) for pt in cycle]
     pts.sort(key=_point_key)
@@ -542,8 +556,9 @@ def find_periodic_points(param: MapParam, n: int, n_max: int = 4,
 
 def periodic_cycles(param: MapParam, n: int, n_max: int = 4) -> list[Cycle]:
     """The periodic points of period dividing n, grouped into the cycles
-    :func:`find_periodic_points` polishes, each verified by :func:`make_cycle`."""
-    cycles = [make_cycle(param, pts) for pts in _periodic_orbits(param, n, n_max, EPS_POINT)]
+    :func:`find_periodic_points` polishes and checks under the map."""
+    cycles = [_make_cycle_unchecked(param, pts)
+              for pts in _periodic_orbits(param, n, n_max, EPS_POINT)]
     cycles.sort(key=lambda c: (c.period,) + _point_key(c.points[0]))
     return cycles
 
@@ -673,17 +688,22 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     lands says nothing about where the true one goes, so they are reported
     unresolved rather than misfiled.  Orbits sitting exactly on a repelling
     invariant set (e.g. |z| = 1 under the pure squaring map) are the
-    canonical unresolved case.  The orbits run through the capture loop
-    ``render_julia`` uses (:func:`qubit_chaos.kernel._capture`); the
-    certificate is the only difference.  Requires 0 < eps < 1 and
-    max_iter >= 0; ValueError otherwise.
+    canonical unresolved case.  The points run, in one thread, through the
+    blocked capture runner ``render_julia`` uses
+    (:func:`qubit_chaos.kernel._run_capture`): blocks of JULIA_BLOCK_PIXELS
+    points run to step K, up to which the certificate refuses nothing, and
+    the points still live are pooled into full blocks with their
+    certificate state, so the scratch is one block's, not the input's.  The
+    certificate is the only difference from the raster.
+    Requires 0 < eps < 1 and max_iter >= 0; ValueError otherwise.
     """
     _check_capture_args(eps, max_iter)
     pts = np.asarray(points, dtype=complex)
     cycles = _target_cycles(param, cycles)
-    steps, labels, peak = (a.reshape(pts.shape) for a in _capture(
-        param.p, _start_pairs(pts.ravel()), _target_pairs(cycles), eps * eps,
-        0, max_iter, limit=math.log(eps / SEED_ROUNDOFF))[:3])
+    flat = pts.ravel()
+    steps, labels, peak = (a.reshape(pts.shape) for a in _run_capture(
+        param.p, lambda start, stop: flat[start:stop], flat.size, _target_pairs(cycles), eps,
+        max_iter, certify=True))
     return BasinResult(labels.astype(int), steps.astype(int), peak, cycles)
 
 

@@ -277,7 +277,7 @@ def test_staged_raster_and_classifier_equal_reference_capture(
         monkeypatch, p, half, n, max_iter, eps, cycles):
     # small blocks, so that the pixels live after step K come from several
     # blocks and pool into several
-    monkeypatch.setattr(atlas, "JULIA_BLOCK_PIXELS", 256)
+    monkeypatch.setattr(kernel, "JULIA_BLOCK_PIXELS", 256)
     assert _K == 32
     param = MapParam(p)
     explicit = cycles is not None
@@ -311,6 +311,62 @@ def test_staged_raster_and_classifier_equal_reference_capture(
         assert np.unique(label[label >= 0]).size >= 2
 
 
+_HUGE_CYCLE = [Cycle(2, (SpherePoint(-1e-200), INF), 0j, "superattracting")]
+
+
+@pytest.mark.parametrize("p, half, max_iter", [
+    (1.0 + 0j, 2.0, 200), (1.5 + 0j, 1.5, 200), (0.3 + 0.3j, 1.5, 400), (1e200 + 0j, 2.0, 60),
+], ids=["p1", "p1.5", "p0.3+0.3i", "p1e200"])
+def test_blocked_classifier_equals_one_block_reference(monkeypatch, p, half, max_iter):
+    # 182**2 = 33 124 points: two blocks at the default size, 130 at 256.
+    # The pooled second stage takes the pairs and the certificate sums from
+    # several blocks, and must give the labels, steps and peaks of one run
+    # over the whole set from step 0
+    param = MapParam(p)
+    cycles = _HUGE_CYCLE if p == 1e200 else critical_orbits(param).attracting_cycles()
+    pts = Window.from_bounds(-half, half, -half, half, 182, 182).grid().ravel()
+    limit = math.log(1e-6 / SEED_ROUNDOFF)
+    want = _reference_capture(param.p, _start_pairs(pts), _target_pairs(cycles), 1e-12,
+                              max_iter, limit)
+    if p != 1e200:  # 1e200 captures every point by step K
+        assert (want[0] == _K).any() and (want[0] == _K + 1).any()
+    run_stage = kernel._run_stage
+    for block in (256, kernel.JULIA_BLOCK_PIXELS):
+        assert pts.size > block
+        pooled = []  # the points each stage leaves live
+
+        def spy(*args, **kwargs):
+            out = run_stage(*args, **kwargs)
+            pooled.append(out[0])
+            return out
+
+        monkeypatch.setattr(kernel, "JULIA_BLOCK_PIXELS", block)
+        monkeypatch.setattr(kernel, "_run_stage", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = classify_basin(param, pts, cycles=cycles, max_iter=max_iter)
+        assert np.array_equal(res.labels, want[1]), block
+        assert np.array_equal(res.steps, want[0]), block
+        assert np.array_equal(res.expansion_log_peak, want[2]), block
+        left = pooled[0]  # live after step K
+        if p != 1e200:
+            assert len(pooled) == 2
+            if block == 256:  # several blocks pool into several
+                assert np.unique(left // block).size >= 2 and left.size > block
+        else:
+            assert len(pooled) == 1 and left.size == 0
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), ()])
+def test_classifier_keeps_the_shape_of_empty_and_0d_inputs(shape):
+    pts = np.full(shape, 0.25 + 0j)
+    res = classify_basin(P0, pts)
+    for a in (res.labels, res.steps, res.expansion_log_peak):
+        assert a.shape == shape
+    if shape == ():
+        assert res.labels == 0 and res.steps > 0
+
+
 def test_julia_last_stage_pools_nothing(monkeypatch):
     # the pixels the last stage never captured are done: it hands back no
     # live set to pool, as the parameter raster's last stage does
@@ -321,9 +377,9 @@ def test_julia_last_stage_pools_nothing(monkeypatch):
         live_sizes.append((live.size, S.shape[1]))
         return live, S
 
-    run_stage = atlas._run_stage
-    monkeypatch.setattr(atlas, "_run_stage", spy)
-    monkeypatch.setattr(atlas, "JULIA_BLOCK_PIXELS", 256)
+    run_stage = kernel._run_stage
+    monkeypatch.setattr(kernel, "_run_stage", spy)
+    monkeypatch.setattr(kernel, "JULIA_BLOCK_PIXELS", 256)
     win = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 48, 48)
     for max_iter in (_K, 200):
         live_sizes.clear()
@@ -706,7 +762,7 @@ def test_capture_rate_in_place_equals_pair_rate():
     for p in (1.0 + 0j, -0.2 + 0.7j, 1e200 + 0j):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            step, _, peak, _, _ = _capture(p, S.copy(), _target_pairs([make_cycle(P0, [0j])]),
+            step, _, peak, _, _, _ = _capture(p, S.copy(), _target_pairs([make_cycle(P0, [0j])]),
                                            0.0, 0, 1, limit=math.inf)
             with np.errstate(divide="ignore"):
                 log_rate = np.log(want)
@@ -722,8 +778,8 @@ _EXTREME_POINTS = np.array([1e-150, -1e-150j, 3e-151 + 4e-151j, 1e150, -1e150j,
 
 def _pipeline_bytes():
     """The outputs of every vector pipeline on small inputs, as bytes: julia
-    rasters through both stages (small blocks, so the second pools), the
-    classifier with its peaks, parameter rasters (one on a window centered
+    rasters and the classifier with its peaks, through both stages (small
+    blocks, so the second pools), parameter rasters (one on a window centered
     on the real axis) and sweeps, at ordinary parameters and at p = 1e200."""
     out = {}
 
@@ -743,6 +799,9 @@ def _pipeline_bytes():
         add(f"classify {param.p}", res.labels, res.steps, res.expansion_log_peak)
     res = classify_basin(P0, _EXTREME_POINTS, max_iter=200)
     add("classify 0", res.labels, res.steps, res.expansion_log_peak)
+    # most of these points are live after step K and pool from every block
+    res = classify_basin(MapParam(1.5 + 0j), square.grid(), max_iter=200)
+    add("classify 1.5", res.labels, res.steps, res.expansion_log_peak)
     for name, window, z0 in (
             ("params", Window.from_bounds(0.0, 3.0, 0.0, 3.0, 30, 30), 0j),
             ("params real axis", Window.from_bounds(0.0, 3.0, -1.5, 1.5, 21, 21), 0j),
@@ -763,7 +822,7 @@ def test_outputs_do_not_depend_on_the_rescale_interval(monkeypatch, every):
     # a rescale multiplies by a power of two, which every test on the pairs
     # passes through exactly, so the pipelines give the same bytes whether
     # they rescale every step or every r steps
-    monkeypatch.setattr(atlas, "JULIA_BLOCK_PIXELS", 128)
+    monkeypatch.setattr(kernel, "JULIA_BLOCK_PIXELS", 128)
     assert kernel._rescale_interval(3.0 * math.sqrt(2.0)) == kernel.RESCALE_EVERY == 4
     assert kernel._rescale_interval(1e200) == 1
     with warnings.catch_warnings():

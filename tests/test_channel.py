@@ -195,3 +195,16 @@ def test_batched_operations_match_loop():
     batched = step_density(stack, 0.4, -0.9)
     for k in range(10):
         assert np.allclose(batched[k], step_density(stack[k], 0.4, -0.9), atol=1e-14)
+
+
+def test_step_density_equals_checked_rotation_bit_for_bit():
+    # the step takes the squaring output into the rotation unchecked; the
+    # bytes are those of the checked public rotation
+    rng = np.random.default_rng(41)
+    stack = np.stack([random_density(rng) for _ in range(16)])
+    for rho in (stack, stack[3], pure_to_density(0.5), pure_to_density(INF)):
+        for x, phi in ((0.4, -0.9), (0.0, 0.3), (1.3, 2.1)):
+            got = step_density(rho, x, phi)
+            want = rotate(squaring_map(rho), x, phi)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

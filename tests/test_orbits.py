@@ -38,7 +38,7 @@ from qubit_chaos.orbits import (
     make_cycle,
     periodic_cycles,
 )
-from qubit_chaos.roots import aberth_roots, fixed_point_polynomial
+from qubit_chaos.roots import RootFindingError, aberth_roots, fixed_point_polynomial
 from qubit_chaos.sphere import (
     INF,
     MapParam,
@@ -684,6 +684,49 @@ def test_period_six_solves(p):
         for _ in range(6):
             image = apply_map(param, image)
         assert chordal_distance(image, pt) <= 1e-12, pt
+
+
+# n = 7 parameters whose leading coefficient of G_7 falls below the trim
+# threshold, though infinity is not periodic: f^7(inf) lies 0.44 and 0.29
+# from inf
+_P_UNCLOSED = 0.6923106688875231 - 0.6979346744286996j
+_P_FALSE_INF = 0.5 + 0.5j
+
+
+@pytest.mark.parametrize("solve", [find_periodic_points, periodic_cycles])
+def test_periodic_points_that_do_not_close_raise(solve):
+    # these solves returned 136 points, the worst 0.99 chordal from its f^7
+    # image, where 129 exist
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RootFindingError, match="n=7"):
+            solve(MapParam(_P_UNCLOSED), 7, n_max=7)
+
+
+@pytest.mark.parametrize("solve", [find_periodic_points, periodic_cycles])
+def test_cycle_that_does_not_close_raises(monkeypatch, solve):
+    # with infinity's flag dropped the degree-127 solve runs, and the
+    # polished cycles are checked under the map
+    inner = orbits.fixed_point_polynomial
+    monkeypatch.setattr(orbits, "fixed_point_polynomial", lambda p, n: (inner(p, n)[0], False))
+    with pytest.raises(RootFindingError, match="n=7: points do not form a cycle"):
+        solve(MapParam(_P_UNCLOSED), 7, n_max=7)
+
+
+def test_trimmed_infinity_must_be_periodic(monkeypatch):
+    # the flag is checked under the map before any Aberth sweep
+    def no_solve(coeffs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(orbits, "aberth_roots", no_solve)
+    for solve in (find_periodic_points, periodic_cycles):
+        with pytest.raises(RootFindingError, match="leading coefficient of G_7 was trimmed"):
+            solve(MapParam(_P_FALSE_INF), 7, n_max=7)
+    monkeypatch.undo()
+    # a flagged infinity that is periodic stands: 0, and the 2-cycle {inf, -1} at p = 1
+    for p, n in ((0j, 3), (1 + 0j, 2), (1 + 0j, 4)):
+        assert fixed_point_polynomial(p, n)[1]
+        assert INF in find_periodic_points(MapParam(p), n), (p, n)
 
 
 def test_critical_orbits_polish_cycles_in_linear_time(monkeypatch):
