@@ -25,37 +25,33 @@ PURITY_TOL = 1e-8
 
 def validate_density(rho, dim: int = 2, *, herm_tol: float = 1e-12,
                      trace_tol: float = 1e-12, eig_floor: float = -1e-10) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity; return the array.
+    """Check finite entries, Hermiticity, unit trace, and positivity; return the array.
 
     Accepts anything ``np.asarray`` can turn into a complex (..., dim, dim)
     stack.  Raises ValueError naming the violated invariant.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-2:] != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
-    herm = np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))).max()
-    if herm > herm_tol:
-        raise ValueError(f"matrix is not Hermitian (max asymmetry {herm:.3e})")
-    traces = np.einsum("...ii->...", rho).real
-    off = np.abs(traces - 1.0).max()
-    if off > trace_tol:
-        raise ValueError(f"matrix trace differs from 1 by {off:.3e}")
+    rho = _as_density(rho, dim, herm_tol, trace_tol)
     low = np.linalg.eigvalsh(rho).min()
-    if low < eig_floor:
+    if not (low >= eig_floor):
         raise ValueError(f"matrix has negative eigenvalue {low:.3e}")
     return rho
 
 
-def _as_density(rho, dim: int) -> np.ndarray:
-    # light per-call check: shape, Hermiticity, trace (positivity is the
-    # caller's responsibility; use validate_density for the full gate)
+def _as_density(rho, dim: int, herm_tol: float = 1e-12, trace_tol: float = 1e-10) -> np.ndarray:
+    # light per-call check: shape, finiteness, Hermiticity, trace (positivity
+    # is the caller's responsibility; use validate_density for the full gate).
+    # Finiteness comes first, so that inf - inf raises no RuntimeWarning.
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
-    if np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))).max() > 1e-12:
-        raise ValueError("matrix is not Hermitian")
-    if np.abs(np.einsum("...ii->...", rho).real - 1.0).max() > 1e-10:
-        raise ValueError("matrix trace is not 1")
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has a NaN or infinite entry")
+    herm = np.abs(rho - rho.swapaxes(-1, -2).conj()).max()
+    if not (herm <= herm_tol):
+        raise ValueError(f"matrix is not Hermitian (max asymmetry {herm:.3e})")
+    off = np.abs(rho.diagonal(0, -2, -1).real.sum(-1) - 1.0).max()
+    if not (off <= trace_tol):
+        raise ValueError(f"matrix trace differs from 1 by {off:.3e}")
     return rho
 
 
@@ -82,7 +78,7 @@ def squaring_channel(rho, dim: int) -> np.ndarray:
     squared = rho * rho
     norm = np.einsum("...ii->...", squared).real
     out = squared / norm[..., None, None]
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+    return 0.5 * (out + out.swapaxes(-1, -2).conj())
 
 
 def squaring_map(rho) -> np.ndarray:

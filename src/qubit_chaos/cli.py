@@ -1,11 +1,11 @@
 """Command-line front end: render atlases, trace orbits, analyze cycles.
 
 Every subcommand writes its artifact(s) plus a ``<artifact>.json`` sidecar
-holding the complete job description, so any output can be reproduced from
-its sidecar alone (see :func:`config_to_argv`).  Output paths resolve
-against ``--out`` (a path prefix), relative paths landing in the directory
-named by the ``QUBIT_CHAOS_OUTDIR`` environment variable (default: the
-current directory).
+holding the complete job description, built from the parsed flags, so any
+output can be reproduced from its sidecar alone (see :func:`config_to_argv`).
+Output paths resolve against ``--out`` (a path prefix), relative paths
+landing in the directory named by the ``QUBIT_CHAOS_OUTDIR`` environment
+variable (default: the current directory).
 
 Exit codes: 0 success, 2 usage errors (unknown flags, malformed complex
 literals, invalid windows, bad input data), 1 numerical failures
@@ -160,74 +160,68 @@ def _resolve_out(out: str) -> str:
     return path
 
 
-def _emit(path: str, job: JobConfig, artifact_config: dict, extra: dict | None = None) -> None:
-    sidecar = {
-        "job": job.to_json_dict(),
-        "artifact": artifact_config,
-        "package_version": __version__,
-    }
-    if extra:
-        sidecar.update(extra)
-    write_sidecar(path, sidecar)
-    print(path)
+def _flag_text(val):
+    """A parsed flag value written back as the text its parser reads."""
+    if isinstance(val, complex):
+        return format_complex(val)
+    if isinstance(val, SpherePoint):
+        return format_point(val)
+    if isinstance(val, tuple):  # a window's float bounds or a resolution's ints
+        return ("x" if isinstance(val[0], int) else ",").join(repr(v) for v in val)
+    return val
 
 
-def _window_str(w) -> str:
-    return ",".join(repr(float(v)) for v in w)
+def _job(args) -> JobConfig:
+    """The job that ``args`` describe: each flag that holds a value, as flag text.
+
+    ``--out`` is the job's own field; ``--threads`` is left out, as it changes no byte.
+    """
+    options = {key: _flag_text(val) for key, val in vars(args).items()
+               if key not in ("command", "func", "out", "threads") and val is not None}
+    return JobConfig(args.command, options, args.out)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each writes its artifact and returns its path, the
+# artifact's config and any further sidecar keys
 
-def _cmd_julia(args) -> int:
+def _cmd_julia(args):
     window = Window.from_bounds(*args.window, *args.res)
     param = MapParam(args.p)
     raster = render_julia(param, window, max_iter=args.max_iter, eps=args.eps,
                           workers=args.threads)
     gray = julia_grayscale(raster, args.max_iter)
-    job = JobConfig("julia", {
-        "p": format_complex(args.p), "window": _window_str(args.window),
-        "res": f"{args.res[0]}x{args.res[1]}",
-        "max_iter": args.max_iter, "eps": args.eps,
-    }, args.out)
     path = _resolve_out(args.out) + ".pgm"
     write_pgm(path, gray)
-    _emit(path, job, raster.config)
-    return 0
+    return path, raster.config, {}
 
 
-def _cmd_params(args) -> int:
+def _cmd_params(args):
     window = Window.from_bounds(*args.window, *args.res)
     raster = render_parameter_space(window, z0=args.z0, transient=args.transient,
                                     max_period=args.max_period, eps=args.eps,
                                     workers=args.threads)
     rgb = period_rgb(raster, args.max_period)
-    job = JobConfig("params", {
-        "window": _window_str(args.window), "res": f"{args.res[0]}x{args.res[1]}",
-        "z0": format_point(args.z0), "transient": args.transient,
-        "max_period": args.max_period, "eps": args.eps,
-    }, args.out)
     path = _resolve_out(args.out) + ".ppm"
     write_ppm(path, rgb)
-    _emit(path, job, raster.config, {"palette_version": PALETTE_VERSION})
-    return 0
+    return path, raster.config, {"palette_version": PALETTE_VERSION}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     sweep = bifurcation_sweep(start=args.start, end=args.end, samples=args.samples,
                               transient=args.transient, record=args.record, z0=args.z0)
-    job = JobConfig("sweep", {
-        "start": format_complex(args.start), "end": format_complex(args.end),
-        "samples": args.samples, "transient": args.transient,
-        "record": args.record, "z0": format_point(args.z0),
-    }, args.out)
     path = _resolve_out(args.out) + ".csv"
     write_sweep_csv(path, sweep)
-    _emit(path, job, sweep.config)
-    return 0
+    return path, sweep.config, {}
 
 
-def _cmd_cycles(args) -> int:
+def _cmd_cycles(args):
     param = MapParam(args.p)
     cycles = periodic_cycles(param, args.n, n_max=args.n_max)
     doc = {
@@ -235,18 +229,12 @@ def _cmd_cycles(args) -> int:
         "n": args.n,
         "cycles": [c.to_json_dict() for c in cycles],
     }
-    job = JobConfig("cycles", {
-        "p": format_complex(args.p), "n": args.n, "n_max": args.n_max,
-    }, args.out)
     path = _resolve_out(args.out) + ".json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _emit(path, job, doc)
-    return 0
+    _write_json(path, doc)
+    return path, doc, {}
 
 
-def _cmd_lyapunov(args) -> int:
+def _cmd_lyapunov(args):
     param = MapParam(args.p)
     estimates = []
     if args.method in ("derivative", "both"):
@@ -264,27 +252,14 @@ def _cmd_lyapunov(args) -> int:
         "z0": "inf" if args.z0.is_infinity else [args.z0.value.real, args.z0.value.imag],
         "estimates": [e.to_json_dict() for e in estimates],
     }
-    options = {
-        "p": format_complex(args.p), "z0": format_point(args.z0),
-        "method": args.method, "steps": args.steps,
-    }
-    if args.z1 is not None:
-        options["z1"] = format_point(args.z1)
-    job = JobConfig("lyapunov", options, args.out)
     path = _resolve_out(args.out) + ".json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _emit(path, job, doc)
-    return 0
+    _write_json(path, doc)
+    return path, doc, {}
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args):
     param = MapParam(args.p)
     orbit = iterate_orbit(param, args.z0, args.n)
-    job = JobConfig("orbit", {
-        "p": format_complex(args.p), "z0": format_point(args.z0), "n": args.n,
-    }, args.out)
     path = _resolve_out(args.out) + ".csv"
     with open(path, "w", newline="") as fh:
         fh.write("step,z_re,z_im,is_infinity\n")
@@ -293,29 +268,17 @@ def _cmd_orbit(args) -> int:
                 fh.write(f"{k},,,1\n")
             else:
                 fh.write(f"{k},{pt.value.real!r},{pt.value.imag!r},0\n")
-    _emit(path, job, {"kind": "orbit", "p": [args.p.real, args.p.imag],
-                      "n": args.n})
-    return 0
+    return path, {"kind": "orbit", "p": [args.p.real, args.p.imag], "n": args.n}, {}
 
 
-def _cmd_twoqubit(args) -> int:
+def _cmd_twoqubit(args):
     rho0 = load_density_json(args.rho0, 4) if args.rho0 else default_initial_state()
     target = basis_state(args.target_basis) if args.target_basis is not None else None
     angles = (args.x1, args.phi1, args.x2, args.phi2)
     trace = purification_trace(rho0, angles, n=args.steps, target=target)
-    options = {
-        "x1": args.x1, "phi1": args.phi1, "x2": args.x2, "phi2": args.phi2,
-        "steps": args.steps,
-    }
-    if args.rho0:
-        options["rho0"] = args.rho0
-    if args.target_basis is not None:
-        options["target_basis"] = args.target_basis
-    job = JobConfig("twoqubit", options, args.out)
     path = _resolve_out(args.out) + ".csv"
     write_trace_csv(path, trace)
-    _emit(path, job, trace.config)
-    return 0
+    return path, trace.config, {}
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     julia.add_argument("--eps", type=float, default=1e-6,
                        help="capture radius, sqrt-overlap units")
     julia.add_argument("--threads", type=parse_threads, default=None)
-    julia.add_argument("--out", default="julia")
     julia.set_defaults(func=_cmd_julia)
 
     params = sub.add_parser("params", help="settled-period raster over p (PPM)")
@@ -348,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     params.add_argument("--max-period", type=int, default=64)
     params.add_argument("--eps", type=float, default=1e-6)
     params.add_argument("--threads", type=parse_threads, default=None)
-    params.add_argument("--out", default="params")
     params.set_defaults(func=_cmd_params)
 
     sweep = sub.add_parser("sweep", help="|z| tails along a parameter segment (CSV)")
@@ -358,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--transient", type=int, default=10_000)
     sweep.add_argument("--record", type=int, default=50)
     sweep.add_argument("--z0", type=parse_point, default=SpherePoint(0j))
-    sweep.add_argument("--out", default="sweep")
     sweep.set_defaults(func=_cmd_sweep)
 
     cycles = sub.add_parser("cycles", help="periodic points of period dividing n (JSON)")
@@ -366,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     cycles.add_argument("--n", type=int, required=True)
     cycles.add_argument("--n-max", type=int, default=4,
                         help="guard on n (polynomial degree is 2**n + 1)")
-    cycles.add_argument("--out", default="cycles")
     cycles.set_defaults(func=_cmd_cycles)
 
     lyap = sub.add_parser("lyapunov", help="Lyapunov exponent estimates (JSON)")
@@ -378,14 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     lyap.add_argument("--method", choices=("derivative", "overlap", "both"),
                       default="both")
     lyap.add_argument("--steps", type=int, default=200)
-    lyap.add_argument("--out", default="lyapunov")
     lyap.set_defaults(func=_cmd_lyapunov)
 
     orbit = sub.add_parser("orbit", help="forward orbit of a point (CSV)")
     orbit.add_argument("--p", type=parse_complex, required=True)
     orbit.add_argument("--z0", type=parse_point, required=True)
     orbit.add_argument("--n", type=int, default=100)
-    orbit.add_argument("--out", default="orbit")
     orbit.set_defaults(func=_cmd_orbit)
 
     twoq = sub.add_parser("twoqubit", help="two-qubit purification trace (CSV)")
@@ -399,9 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     twoq.add_argument("--steps", type=int, default=50)
     twoq.add_argument("--target-basis", type=int, choices=(0, 1, 2, 3), default=None,
                       help="record fidelity to this computational basis state")
-    twoq.add_argument("--out", default="twoqubit")
     twoq.set_defaults(func=_cmd_twoqubit)
 
+    for name, subparser in sub.choices.items():
+        subparser.add_argument("--out", default=name)
     return parser
 
 
@@ -413,13 +371,17 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        path, artifact_config, extra = args.func(args)
     except (RootFindingError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    write_sidecar(path, {"job": _job(args).to_json_dict(), "artifact": artifact_config,
+                         "package_version": __version__, **extra})
+    print(path)
+    return 0
 
 
 def main() -> None:

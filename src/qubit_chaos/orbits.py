@@ -751,6 +751,8 @@ def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200,
     estimator runs at twice the derivative estimator's value for the same
     dynamics.
     """
+    if n_max < 1:
+        raise ValueError("need at least one step")
     va, vb = [as_point(z0)._value], [as_point(z1)._value]
     d0 = _value_overlap(va[0], vb[0])
     if d0 == 0.0:

@@ -45,6 +45,22 @@ def test_validate_rejects_bad_states():
         validate_density(np.eye(3) / 3, dim=2)  # wrong shape
 
 
+NONFINITE = [np.array([[math.nan, 0], [0, 0.5]]), np.array([[0.5, math.nan], [math.nan, 0.5]]),
+             np.array([[math.inf, 0], [0, 0.5]]), np.array([[0.5, math.inf], [math.inf, 0.5]])]
+
+
+@pytest.mark.parametrize("rho", NONFINITE)
+@pytest.mark.parametrize("check", [
+    validate_density,
+    lambda rho: step_density(rho, 0.3, 0.1),
+    lambda rho: rotate(rho, 0.3, 0.1),
+    lambda rho: selection_trace(rho, 0.3, 0.1, 3),
+], ids=["validate_density", "step_density", "rotate", "selection_trace"])
+def test_nonfinite_entries_are_refused(check, rho):
+    with pytest.raises(ValueError):
+        check(rho)
+
+
 # ---------------------------------------------------------------------------
 # the squaring filter
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -254,6 +255,24 @@ def test_twoqubit_rejects_bad_state_file(outdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_twoqubit_rejects_nan_state_file(outdir, tmp_path, capsys):
+    rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    rows[0][0][0] = float("nan")
+    state = tmp_path / "rho.json"
+    state.write_text(json.dumps(rows))  # json writes the bare token NaN
+    assert run(["twoqubit", f"--rho0={state}", "--out=t4"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (outdir / "t4.csv").exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_overlap_lyapunov_without_steps_exits_two(outdir, capsys, steps):
+    assert run(["lyapunov", "--p=0", "--z0=1", "--method=overlap",
+                f"--steps={steps}", "--out=l3"]) == 2
+    assert "at least one step" in capsys.readouterr().err
+    assert not (outdir / "l3.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # output routing
 
@@ -293,14 +312,52 @@ def test_sidecar_argv_reruns_bit_identical(outdir):
     assert (outdir / "second.pgm").read_bytes() == original
 
 
-def test_sweep_rerun_from_sidecar(outdir):
-    argv = ["sweep", "--start=-1+0i", "--end", "0+2i", "--samples", "4",
-            "--transient", "40", "--record", "3", "--out", "sw1"]
-    assert run(argv) == 0
-    job = JobConfig.from_json_dict(read_sidecar(outdir / "sw1.csv")["job"])
-    rerun = dataclasses.replace(job, out="sw2")
-    assert run(config_to_argv(rerun)) == 0
-    assert (outdir / "sw2.csv").read_bytes() == (outdir / "sw1.csv").read_bytes()
+# One flag text per parser type, for building an argv that sets every flag.
+FLAG_TEXT = {cli.parse_complex: "0.5+0.25i", cli.parse_point: "0.5-1e-3i",
+             cli.parse_window: "-1,1,0,2", cli.parse_resolution: "6x4",
+             cli.parse_threads: "2", int: "3", float: "0.25", None: "rho.json"}
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", list(subparsers(cli.build_parser())))
+def test_job_records_every_flag_but_out_and_threads(name):
+    # a flag added to the parser must reach the sidecar, or fail here
+    parser = cli.build_parser()
+    flags = [a for a in subparsers(parser)[name]._actions if a.option_strings and a.dest != "help"]
+    argv = [name] + [f"{a.option_strings[0]}={a.choices[0] if a.choices else FLAG_TEXT[a.type]}"
+                     for a in flags]
+    args = parser.parse_args(argv)
+    job = cli._job(args)
+    assert set(job.options) == {a.dest for a in flags} - {"out", "threads"}
+    # and the recorded text parses back to the same values; --threads reruns at its default
+    again = vars(parser.parse_args(config_to_argv(job)))
+    assert again == {k: None if k == "threads" else v for k, v in vars(args).items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["julia", "--p=1", "--res=12", "--max-iter=30", "--threads=2"],
+    ["params", "--window=0,2,0,2", "--res=6x5", "--transient=64", "--max-period=8"],
+    ["sweep", "--start=-1+0i", "--end=0+2i", "--samples=4", "--transient=40", "--record=3"],
+    ["cycles", "--p=0.5+0.25i", "--n=2"],
+    ["lyapunov", "--p=0.3+0.3i", "--z0=0.5", "--z1=0.5+1e-9i", "--steps=40"],
+    ["orbit", "--p=1", "--z0=inf", "--n=6"],
+    ["twoqubit", "--rho0=rho.json", "--steps=4", "--target-basis=0"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_reruns_from_its_sidecar(outdir, monkeypatch, capsys, argv):
+    monkeypatch.chdir(outdir)  # where --rho0 finds its file
+    rows = [[[0.4 if i == j == 0 else 0.2 if i == j else 0.0, 0.0] for j in range(4)]
+            for i in range(4)]
+    (outdir / "rho.json").write_text(json.dumps(rows))
+    assert run(argv + ["--out=first"]) == 0
+    first = Path(capsys.readouterr().out.strip())
+    job = JobConfig.from_json_dict(read_sidecar(first)["job"])
+    assert run(config_to_argv(dataclasses.replace(job, out="again"))) == 0
+    again = Path(capsys.readouterr().out.strip())
+    assert again != first
+    assert again.read_bytes() == first.read_bytes()
 
 
 # The README's default command lines (all but the windowed julia example)

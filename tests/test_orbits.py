@@ -1100,6 +1100,13 @@ def test_overlap_estimator_validates_seeds():
         lyapunov_overlap(P0, 0.3, 0.9)  # far apart
 
 
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_overlap_estimator_needs_a_step(n_max):
+    # with no step there is no fit, and the estimate would be NaN
+    with pytest.raises(ValueError, match="at least one step"):
+        lyapunov_overlap(P0, 1.0, cmath.exp(1e-8j), n_max=n_max)
+
+
 def test_factor_two_between_estimators():
     # overlap distance is quadratic in separation, so its growth rate runs
     # at twice the derivative estimate
