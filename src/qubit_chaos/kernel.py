@@ -13,10 +13,12 @@ depends on when the rescales happen (:func:`_rescale_interval`).
 Both capture pipelines run through :func:`_run_capture`: every block of
 JULIA_BLOCK_PIXELS points runs to step K = floor(log2(eps/SEED_ROUNDOFF)),
 32 at eps = 1e-6, up to which the roundoff certificate can refuse no
-capture, and the points all blocks leave live are pooled in input order
-into full blocks for the remaining steps, so late steps do not run on a few
-live points per block.  Blocks never depend on the worker count, and the
-arithmetic is elementwise within a block, so the output does not either.
+capture, and the points all blocks leave live are pooled into full blocks
+for the remaining steps, so late steps do not run on a few live points per
+block.  In a block the live points are a prefix of the columns, whose holes
+a capture fills from its end (:func:`_capture`): O(captures) moves a step.
+Blocks never depend on the worker count, and the arithmetic is elementwise,
+so neither the workers nor the order of the columns changes an output bit.
 """
 
 from __future__ import annotations
@@ -241,30 +243,28 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
     from :func:`_target_pairs` (the first listed wins); returns int32
     ``step`` and ``label`` (-1 where nothing captured the pair), the
     certificate's peaks, and the columns left live with their pairs and
-    certificate state.  With ``limit`` the log spherical expansion rate of
-    every step (:func:`_pair_rate`: p-free, at most 2) is summed along each
-    orbit from the moduli the target test takes, in ``L`` = (sum, running
-    peak), which starts at zeros at step 0 and is handed from stage to stage
-    with the pairs (consumed).  A capture whose running peak exceeds
-    ``limit`` is refused (-1), which cannot happen by step
-    K = floor(log2(eps/roundoff)); each pair's peak at capture or at
-    ``last`` is returned.  The rate of step k joins for every k < end, so a
-    stage that stops before ``end`` hands on the rate of its last step.  The
-    pairs are rescaled at step ``first`` and every r steps after it
-    (:func:`_rescale_interval`), together with the moduli the target test
-    has just taken, and the rate is formed in place in the rows the test is
-    done with.
+    certificate state.  The live pairs are columns :m of S, L, ``alive`` and
+    the scratch, and a step that captures moves the live columns at or above
+    the new end m into the holes below it, so the live set comes back in that
+    order.  With ``limit`` the log spherical expansion rate of every step
+    (:func:`_pair_rate`: p-free, at most 2) is summed along each orbit from
+    the moduli the target test takes, in ``L`` = (sum, running peak), which
+    starts at zeros at step 0 and is handed on with the pairs (consumed).  A
+    capture whose running peak exceeds ``limit`` is refused (-1), which
+    cannot happen by step K = floor(log2(eps/roundoff)); each pair's peak at
+    capture or at ``last`` is returned.  The rate of step k joins for every
+    k < end, so a stage that stops before ``end`` hands on the rate of its
+    last step.  The pairs are rescaled at step ``first`` and every r steps
+    after it (:func:`_rescale_interval`), together with the moduli the
+    target test has just taken, and the rate is formed in place in the rows
+    the test is done with.
     """
-    n = S.shape[1]
+    n = m = S.shape[1]
     step, label = np.full((2, n), -1, dtype=np.int32)
     alive = np.arange(n)
     P = np.array([[p], [-p.conjugate()]])
     r = _rescale_interval(abs(p))
-    # flat so that the scratch for the live pixels is contiguous: strided
-    # views cost more per call, and late steps are many calls on few pixels
-    nt = len(targets)
-    C, A, H = np.empty(2 * n, dtype=complex), np.empty(5 * n), np.empty(nt * n, dtype=bool)
-    C2, R, hits = C.reshape(2, n), A.reshape(5, n), H.reshape(nt, n)
+    C2, R, hits = np.empty((2, n), complex), np.empty((5, n)), np.empty((len(targets), n), bool)
     E = np.empty(n, dtype=np.int32)  # rescale exponents
     # |Z tw - tz W|**2 is |Z|**2 at the target (0, 1), |W|**2 at (1, 0), bit for bit
     tests = [(tz, tw, eps2 * tn, {(0, 1): 0, (1, 0): 1}.get((tz, tw), 2))
@@ -276,7 +276,7 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
     if certify and L is None:
         L = np.zeros((2, n))  # log expansion and its peak
     for k in range(first, last + 1):
-        if alive.size == 0:
+        if m == 0:
             break
         if k:
             _pair_step(P, S, (C2,))
@@ -285,7 +285,7 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
         thr_norm, cross = C2[1].view(float).reshape(2, -1)  # in tz W's row, once read
         np.abs(S, out=R[:2])
         if (k - first) % r == 0:
-            R[:2] *= _pair_rescale(S, R[:2], R[2:4], E[:alive.size])
+            R[:2] *= _pair_rescale(S, R[:2], R[2:4], E[:m])
         np.multiply(R[:2], R[:2], out=R[2:4])
         np.add(aZ2, aW2, out=norm)
         for j, (tz, tw, thr, row) in enumerate(tests):
@@ -296,32 +296,35 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
             np.multiply(norm, thr, out=thr_norm)
             np.less((aZ2, aW2, cross)[row], thr_norm, out=hits[j])
         hit = np.logical_or.reduce(hits, axis=0)
+        idx = np.flatnonzero(hit)
         if certify:
-            peak[alive[hit]] = L[1][hit]  # before the next step's rate joins
+            got_peak = L[1, idx]  # before the next step's rate joins
             if k < end:  # the rate of the next step, from here
                 log_e, log_peak = L
                 rate = _pair_rate(aZ, aW, aZ2, aW2, norm)
                 with np.errstate(divide="ignore"):  # a critical point: log 0 = -inf
                     log_e += np.log(rate, out=rate)
                 np.maximum(log_peak, log_e, out=log_peak)
-        if hit.any():
-            sel, got = alive[hit], tlabel[hits[:, hit].argmax(axis=0)]
+        if idx.size:
+            sel, got = alive[idx], tlabel[hits[:, idx].argmax(axis=0)]
             if certify:
-                ok = peak[sel] <= limit
+                peak[sel] = got_peak
+                ok = got_peak <= limit
                 sel, got = sel[ok], got[ok]
             step[sel] = k
             label[sel] = got
-            keep = ~hit
-            alive = alive[keep]
-            # compress, not S[:, keep], which is several times slower
-            S = np.compress(keep, S, axis=1)
+            # the live columns at or above the new end fill the captured holes below it
+            m -= idx.size
+            src = m + np.flatnonzero(~hit[m:])
+            holes = idx[:src.size]
+            S[:, holes], alive[holes] = S[:, src], alive[src]
             if certify:
-                L = np.compress(keep, L, axis=1)
-            C2, R = C[:2 * alive.size].reshape(2, -1), A[:5 * alive.size].reshape(5, -1)
-            hits = H[:nt * alive.size].reshape(nt, -1)
+                L[:, holes] = L[:, src]
+                L = L[:, :m]
+            S, C2, R, hits = S[:, :m], C2[:, :m], R[:, :m], hits[:, :m]
     if certify:
-        peak[alive] = L[1]
-    return step, label, peak, alive, S, L
+        peak[alive[:m]] = L[1]
+    return step, label, peak, alive[:m], S, L
 
 
 def _run_stage(live: np.ndarray, block: int, workers: Optional[int], fn,
@@ -363,7 +366,9 @@ def _run_capture(p: complex, points, n: int, targets, eps: float, max_iter: int,
     JULIA_BLOCK_PIXELS (see the module docstring); returns int32 ``step``
     and ``label`` and, with ``certify``, the certificate's peaks (else
     None).  ``workers`` caps the thread pool.  With one block the points
-    run 0..max_iter in one call, with nothing gathered or scattered.
+    run 0..max_iter in one call, with nothing gathered or scattered.  The
+    points live after step K are pooled in block order, and within a block in
+    the order its compaction leaves them, which no worker count changes.
     """
     eps2 = eps * eps
     limit = math.log(eps / SEED_ROUNDOFF) if certify else None
@@ -391,7 +396,8 @@ def _run_capture(p: complex, points, n: int, targets, eps: float, max_iter: int,
                 peak[idx] = pk
             out = (S, L) if certify else (S,)
             if last == max_iter:  # the last stage leaves no point live
-                return (idx[:0], *(a[:, :0] for a in out))
-            return (idx[keep], *out)
+                keep = keep[:0]
+            # copies, or the pool would hold every block's whole arrays until it ends
+            return (idx[keep], *(a[:, :keep.size].copy() for a in out))
         live, S_live, *L_live = _run_stage(live, JULIA_BLOCK_PIXELS, workers, run)
     return step, label, peak

@@ -260,13 +260,13 @@ def detect_cycle(orbit: Orbit, eps: float = EPS_POINT,
     dropping the cycle.  Requires len(orbit) > 2*max_period.
 
     A matched tail is only reported when the path into it passes the
-    roundoff certificate (see :func:`_expansion_certified`): orbits that hug
-    a repelling set long enough for seed roundoff to blow up eventually fall
-    into *some* attractor purely by floating-point drift, and reporting that
-    landing would manufacture convergence the dynamics does not have.
-    Requires 0 < eps < 1 and max_period >= 1; ValueError otherwise.  The
-    scan runs on the orbit's coordinates (:func:`_settled_cycle`, which
-    :func:`critical_orbits` calls too).
+    roundoff certificate (:func:`_expansion_certified`): an orbit that hugs
+    a repelling set until seed roundoff blows up falls into *some* attractor
+    by floating-point drift alone, which is no convergence of the dynamics.
+    A path through a critical point (rate 0) always passes, so the scan on
+    coordinates (:func:`_settled_cycle`) guards nothing in
+    :func:`critical_orbits`, whose orbits start at 0 and infinity.
+    Requires 0 < eps < 1 and max_period >= 1; ValueError otherwise.
     """
     _check_cycle_args(eps, max_period)
     n = len(orbit.points)
@@ -574,9 +574,11 @@ def critical_orbits(param: MapParam, max_iter: int = DEFAULT_MAX_ITER,
     The orbit is extended geometrically and rechecked for a settled tail, so
     quickly converging parameters stop long before ``max_iter``.  The report
     carries the distinct landing cycles and the hyperbolicity verdict: True
-    only if both orbits converged to attracting-class cycles, None (verdict
-    withheld) if either orbit never settled.  Requires 0 < eps < 1,
-    max_period >= 1 and max_iter >= 0; ValueError otherwise.
+    only if both tails settled on attracting-class cycles, None (verdict
+    withheld) if either orbit never settled.  No roundoff certificate backs
+    a settled tail: that of :func:`detect_cycle` passes every orbit from a
+    critical point.  Requires 0 < eps < 1, max_period >= 1 and
+    max_iter >= 0; ValueError otherwise.
     """
     _check_cycle_args(eps, max_period, max_iter)
     results = []

@@ -151,17 +151,18 @@ def load_density_json(path, dim: int = 4) -> np.ndarray:
 
     The file holds the matrix row-major: a list of ``dim`` rows, each a list
     of ``dim`` two-element [re, im] entries.  The result must pass the full
-    density-matrix validation (Hermitian, unit trace, positive).
+    density-matrix validation (Hermitian, unit trace, positive).  A file that
+    cannot be opened or parsed raises ValueError naming the path.
     """
-    with open(path) as fh:
-        data = json.load(fh)
     try:
+        with open(path) as fh:
+            data = json.load(fh)
         rho = np.array(
             [[complex(entry[0], entry[1]) for entry in row] for row in data],
             dtype=complex,
         )
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed density-matrix JSON in {path}: {exc}") from None
+    except (OSError, TypeError, IndexError, ValueError) as exc:
+        raise ValueError(f"cannot read a density matrix from {path}: {exc}") from None
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix in {path}, got {rho.shape}")
     return validate_density(rho, dim)

@@ -179,11 +179,13 @@ def test_julia_config_records_inputs():
     json.dumps(raster.config)
 
 
-def _reference_capture(p, S, targets, eps2, max_iter, limit=None):
+def _reference_capture(p, S, targets, eps2, max_iter, limit=None, live=False):
     """The capture loop before the two-stage raster: one run from step 0 over
     the whole set, a step normalized every time (:func:`_pow2_step`), and a
     target test that folds each target into hit and label as it goes, in
-    fresh arrays every step."""
+    fresh arrays every step.  The live columns are kept in input order by a
+    boolean compress, and with ``live`` they are returned too, with their
+    pairs and certificate state."""
     n = S.shape[1]
     step, label = np.full((2, n), -1, dtype=np.int32)
     alive = np.arange(n)
@@ -231,7 +233,7 @@ def _reference_capture(p, S, targets, eps2, max_iter, limit=None):
             scratch = None, A[:3 * alive.size].reshape(3, -1)
     if certify:
         peak[alive] = L[1]
-    return step, label, peak
+    return (step, label, peak, alive, S, L) if live else (step, label, peak)
 
 
 # Steps by which roundoff cannot refuse a capture at eps = 1e-6: the raster's
@@ -355,6 +357,63 @@ def test_blocked_classifier_equals_one_block_reference(monkeypatch, p, half, max
                 assert np.unique(left // block).size >= 2 and left.size > block
         else:
             assert len(pooled) == 1 and left.size == 0
+
+
+def _normalized(S):
+    """The pairs S scaled by powers of two to a larger modulus in [1/2, 1),
+    which is exact: pairs that differ only in how often they were rescaled
+    come out bit-identical."""
+    T = S.copy()
+    _pair_rescale(T, np.abs(T), np.empty(T.shape), np.empty(T.shape[1], dtype=np.int32))
+    return T
+
+
+_CAPTURED_AT_STEP_2 = {
+    "last": lambda cols: cols >= 32, "first": lambda cols: cols < 8,
+    "alternate": lambda cols: cols % 2 == 0, "all": lambda cols: cols >= 0,
+    "none": lambda cols: cols < 0,
+}
+
+
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certified"])
+@pytest.mark.parametrize("pattern", list(_CAPTURED_AT_STEP_2))
+def test_capture_compaction_edge_cases(pattern, certify):
+    # p = 0, targets 0 and infinity, eps = 1e-3: the pattern's columns of 40
+    # are captured together at step 2, by 0 (|z| = 0.1) and by infinity
+    # (|z| = 10) in turn.  Where the pattern leaves columns and captures any,
+    # every third column left is captured at step 4 (|z| = 0.6), after the
+    # first compaction has moved columns; the rest sit on |z| = 1 and stay
+    # live.  The live prefix refills its holes from its end, so the live set
+    # comes back in another order than the reference's and is compared as a set
+    cols = np.arange(40)
+    first = _CAPTURED_AT_STEP_2[pattern](cols)
+    later = ~first & (cols % 3 == 1) & first.any()
+    z = np.exp(1j * (0.3 + 0.7 * cols))
+    z[first] *= np.where(cols[first] % 4 < 2, 0.1, 10.0)
+    z[later] *= 0.6
+    targets = _target_pairs(_p0_targets(("0", "inf")))
+    limit = math.log(1e-3 / SEED_ROUNDOFF) if certify else None
+    S = _start_pairs(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step, label, peak, alive, S_live, L_live = _reference_capture(
+            0j, S.copy(), targets, 1e-6, 6, limit, live=True)
+        got = _capture(0j, S.copy(), targets, 1e-6, 0, 6, limit=limit)
+    assert np.array_equal(step, np.select([first, later], [2, 4], -1))
+    assert np.array_equal(label[first], (cols[first] % 4 >= 2).astype(np.int32))
+    assert np.array_equal(got[0], step)
+    assert np.array_equal(got[1], label)
+    if certify:
+        assert np.array_equal(got[2], peak)
+    else:
+        assert got[2] is None and got[5] is None
+    order = np.argsort(got[3])
+    assert np.array_equal(got[3][order], alive)
+    assert np.array_equal(_normalized(got[4][:, order]), _normalized(S_live))
+    if certify:
+        assert np.array_equal(got[5][:, order], L_live)
+    if pattern in ("first", "alternate"):  # holes below the end were refilled
+        assert not np.array_equal(got[3], alive)
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), ()])

@@ -2,7 +2,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -263,6 +265,24 @@ def test_twoqubit_rejects_nan_state_file(outdir, tmp_path, capsys):
     assert run(["twoqubit", f"--rho0={state}", "--out=t4"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (outdir / "t4.csv").exists()
+
+
+@pytest.mark.parametrize("unreadable", ["missing", "directory"])
+def test_twoqubit_unreadable_state_file_exits_two(outdir, tmp_path, unreadable):
+    # a process of its own, so that an escaping exception would print its
+    # traceback to stderr and exit 1
+    rho0 = "missing.json" if unreadable == "missing" else str(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "qubit_chaos.cli", "twoqubit",
+                           f"--rho0={rho0}", "--out=t5"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error: cannot read a density matrix from" in proc.stderr
+    assert rho0 in proc.stderr
+    assert not (outdir / "t5.csv").exists()
 
 
 @pytest.mark.parametrize("steps", ["0", "-5"])
