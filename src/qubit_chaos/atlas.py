@@ -37,7 +37,6 @@ reproduces the payload bit-for-bit.
 from __future__ import annotations
 
 import colorsys
-import json
 import math
 import queue
 from dataclasses import dataclass, field
@@ -63,14 +62,13 @@ from .kernel import (
     _target_pairs,
 )
 from .orbits import (
-    ConfigurationError,
     Cycle,
     _check_cycle_args,
     _fmt_point,
     _target_cycles,
     critical_orbits,  # no caller here: the benchmark's trace hooks patch this name
 )
-from .sphere import MapParam, as_point
+from .sphere import ConfigurationError, MapParam, as_point
 
 # Fixed split unit of the parameter raster, independent of worker count (the
 # julia raster's is kernel.JULIA_BLOCK_PIXELS).
@@ -457,23 +455,11 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 def write_sweep_csv(path, sweep: Sweep) -> None:
     """CSV rows (p_re,p_im,step,abs_z,is_infinity); abs_z empty at infinity."""
+    steps = [f",{int(sweep.start_step) + k}," for k in range(sweep.abs_z.shape[1])]
+    rows = ["p_re,p_im,step,abs_z,is_infinity\n"]
+    for p, zs, flags in zip(sweep.p.tolist(), sweep.abs_z.tolist(), sweep.is_infinity.tolist()):
+        head = f"{p.real!r},{p.imag!r}"
+        rows += [f"{head}{step},1\n" if flag else f"{head}{step}{z!r},0\n"
+                 for step, z, flag in zip(steps, zs, flags)]
     with open(path, "w", newline="") as fh:
-        fh.write("p_re,p_im,step,abs_z,is_infinity\n")
-        samples, record = sweep.abs_z.shape
-        for i in range(samples):
-            pre, pim = float(sweep.p[i].real), float(sweep.p[i].imag)
-            for k in range(record):
-                step = int(sweep.start_step) + k
-                if sweep.is_infinity[i, k]:
-                    fh.write(f"{pre!r},{pim!r},{step},,1\n")
-                else:
-                    fh.write(f"{pre!r},{pim!r},{step},{float(sweep.abs_z[i, k])!r},0\n")
-
-
-def write_sidecar(artifact_path, config: dict) -> str:
-    """Write ``<artifact>.json`` recording the full job config; returns its path."""
-    sidecar = f"{artifact_path}.json"
-    with open(sidecar, "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return sidecar
+        fh.write("".join(rows))

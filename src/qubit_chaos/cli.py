@@ -8,13 +8,15 @@ landing in the directory named by the ``QUBIT_CHAOS_OUTDIR`` environment
 variable (default: the current directory).
 
 Exit codes: 0 success, 2 usage errors (unknown flags, malformed complex
-literals, invalid windows, bad input data), 1 numerical failures
+literals, invalid windows, bad input data, an ``--out`` that cannot be
+written), 1 numerical failures
 (root-finder non-convergence, no attracting cycle to render against).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -22,35 +24,43 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .atlas import (
-    ConfigurationError,
-    Window,
-    bifurcation_sweep,
-    julia_grayscale,
-    period_rgb,
-    render_julia,
-    render_parameter_space,
-    write_pgm,
-    write_ppm,
-    write_sidecar,
-    write_sweep_csv,
-    PALETTE_VERSION,
-)
-from .orbits import (
-    iterate_orbit,
-    lyapunov_derivative,
-    lyapunov_overlap,
-    periodic_cycles,
-)
-from .roots import RootFindingError
-from .sphere import INF, MapParam, SpherePoint, as_point
-from .twoqubit import (
-    basis_state,
-    default_initial_state,
-    load_density_json,
-    purification_trace,
-    write_trace_csv,
-)
+from .sphere import (INF, ConfigurationError, MapParam, RootFindingError, SpherePoint,
+                     iterate_orbit)
+
+# The library names the handlers call, by module.  A handler binds its
+# module's names as globals of this module (_bind) before it calls them, so a
+# process imports only the modules its subcommand runs: ``--version`` and
+# ``orbit`` import no numpy.  Until bound, each name still resolves as an
+# attribute of this module (__getattr__).
+_LIBRARY = {
+    "atlas": ("PALETTE_VERSION", "Window", "bifurcation_sweep", "julia_grayscale",
+              "period_rgb", "render_julia", "render_parameter_space", "write_pgm",
+              "write_ppm", "write_sweep_csv"),
+    "orbits": ("lyapunov_derivative", "lyapunov_overlap", "periodic_cycles"),
+    "twoqubit": ("basis_state", "default_initial_state", "load_density_json",
+                 "purification_trace", "write_trace_csv"),
+}
+
+
+def _bind(module: str) -> None:
+    """Bind the names of ``module`` in ``_LIBRARY`` as globals of this module.
+
+    A name already bound keeps its object, so a function replaced on this
+    module (by a test or a tracer) is the one the handlers call.
+    """
+    lib = importlib.import_module(f".{module}", __package__)
+    scope = globals()
+    for name in _LIBRARY[module]:
+        scope.setdefault(name, getattr(lib, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LIBRARY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 OUTDIR_ENV = "QUBIT_CHAOS_OUTDIR"
 
@@ -187,11 +197,19 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+def write_sidecar(artifact_path, config: dict) -> str:
+    """Write ``<artifact>.json`` recording the full job config; returns its path."""
+    sidecar = f"{artifact_path}.json"
+    _write_json(sidecar, config)
+    return sidecar
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each writes its artifact and returns its path, the
 # artifact's config and any further sidecar keys
 
 def _cmd_julia(args):
+    _bind("atlas")
     window = Window.from_bounds(*args.window, *args.res)
     param = MapParam(args.p)
     raster = render_julia(param, window, max_iter=args.max_iter, eps=args.eps,
@@ -203,6 +221,7 @@ def _cmd_julia(args):
 
 
 def _cmd_params(args):
+    _bind("atlas")
     window = Window.from_bounds(*args.window, *args.res)
     raster = render_parameter_space(window, z0=args.z0, transient=args.transient,
                                     max_period=args.max_period, eps=args.eps,
@@ -214,6 +233,7 @@ def _cmd_params(args):
 
 
 def _cmd_sweep(args):
+    _bind("atlas")
     sweep = bifurcation_sweep(start=args.start, end=args.end, samples=args.samples,
                               transient=args.transient, record=args.record, z0=args.z0)
     path = _resolve_out(args.out) + ".csv"
@@ -222,6 +242,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_cycles(args):
+    _bind("orbits")
     param = MapParam(args.p)
     cycles = periodic_cycles(param, args.n, n_max=args.n_max)
     doc = {
@@ -235,6 +256,7 @@ def _cmd_cycles(args):
 
 
 def _cmd_lyapunov(args):
+    _bind("orbits")
     param = MapParam(args.p)
     estimates = []
     if args.method in ("derivative", "both"):
@@ -272,6 +294,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_twoqubit(args):
+    _bind("twoqubit")
     rho0 = load_density_json(args.rho0, 4) if args.rho0 else default_initial_state()
     target = basis_state(args.target_basis) if args.target_basis is not None else None
     angles = (args.x1, args.phi1, args.x2, args.phi2)
@@ -372,14 +395,14 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         path, artifact_config, extra = args.func(args)
+        write_sidecar(path, {"job": _job(args).to_json_dict(), "artifact": artifact_config,
+                             "package_version": __version__, **extra})
     except (RootFindingError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError names the path it could not write
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    write_sidecar(path, {"job": _job(args).to_json_dict(), "artifact": artifact_config,
-                         "package_version": __version__, **extra})
     print(path)
     return 0
 

@@ -26,13 +26,17 @@ import numpy as np
 
 from .kernel import (SEED_ROUNDOFF, _check_capture_args, _pairs_within, _point_values,
                      _run_capture, _start_pairs, _target_pairs, _value_array)
-from .roots import RootFindingError, aberth_roots, fixed_point_polynomial
+from .roots import aberth_roots, fixed_point_polynomial
 from .sphere import (
     INF,
+    ConfigurationError,
     MapParam,
+    Orbit,
+    RootFindingError,
     SpherePoint,
     _chart_step,
     _extend_orbit,
+    _points,
     _preferred_chart,
     _value_overlap,
     _value_rate,
@@ -65,11 +69,6 @@ PARABOLIC_MAX_ROOT = 64
 PARABOLIC_TOL = 1e-8
 
 
-class ConfigurationError(RuntimeError):
-    """A request the dynamics at this parameter cannot satisfy (for example,
-    asking to target attracting cycles where none exist)."""
-
-
 def _point_key(pt: SpherePoint):
     if pt.is_infinity:
         return (1, 0.0, 0.0)
@@ -80,21 +79,6 @@ def _fmt_point(pt: SpherePoint):
     if pt.is_infinity:
         return "inf"
     return [pt.value.real, pt.value.imag]
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """A finite forward orbit: points[k+1] = map(points[k])."""
-
-    param: MapParam
-    points: tuple[SpherePoint, ...]
-
-    @property
-    def start(self) -> SpherePoint:
-        return self.points[0]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -228,18 +212,6 @@ class LyapunovEstimate:
             "saturated": self.saturated,
             "reliable": self.reliable,
         }
-
-
-def iterate_orbit(param: MapParam, z0, n: int) -> Orbit:
-    """Forward orbit of length n+1 starting at z0 (total: never raises mid-orbit)."""
-    if n < 0:
-        raise ValueError("orbit length must be nonnegative")
-    return Orbit(param, tuple(_points(_extend_orbit(param.p, [as_point(z0)._value], n + 1))))
-
-
-def _points(vals) -> list[SpherePoint]:
-    """Sphere points of orbit values (see :func:`qubit_chaos.sphere._extend_orbit`)."""
-    return [INF if v is None else SpherePoint(v) for v in vals]
 
 
 def _check_cycle_args(eps: float, max_period: int, max_iter: int = 0) -> None:

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-class RootFindingError(RuntimeError):
-    """The simultaneous root iteration failed to converge."""
+from .sphere import RootFindingError
 
 
 def map_polynomials(p: complex, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,11 @@ rotation) acts on z as the quadratic rational map
 with a single complex parameter p = tan(x) * exp(i*phi) built from the
 rotation angles.  This module provides the sphere arithmetic everything else
 builds on: the point type with a tagged infinity, the map itself with all of
-its algebraic limits, the overlap distance between states, and the local
-expansion rate of the map in that metric.
+its algebraic limits, forward orbits, the overlap distance between states,
+and the local expansion rate of the map in that metric.  It imports no
+numpy, so the numpy-free paths (``iterate_orbit``, the CLI's ``orbit``) start
+fast; it also holds the two errors the CLI reports, which the numpy modules
+raise.
 
 All functions are pure; no global state, safe to call from worker threads.
 """
@@ -32,6 +35,15 @@ SNAP_MAGNITUDE = 1e150
 # Default tolerance for treating two points as the same, measured in
 # sqrt(overlap_distance) units (i.e. a chordal length on the unit sphere).
 POINT_TOL = 1e-9
+
+
+class ConfigurationError(RuntimeError):
+    """A request the dynamics at this parameter cannot satisfy (for example,
+    asking to target attracting cycles where none exist)."""
+
+
+class RootFindingError(RuntimeError):
+    """The simultaneous root iteration failed to converge."""
 
 
 class SpherePoint:
@@ -219,6 +231,33 @@ def _extend_orbit(p: complex, vals: list, goal: int) -> list:
                     z = None
         append(z)
     return vals
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """A finite forward orbit: points[k+1] = map(points[k])."""
+
+    param: MapParam
+    points: tuple[SpherePoint, ...]
+
+    @property
+    def start(self) -> SpherePoint:
+        return self.points[0]
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+def iterate_orbit(param: MapParam, z0, n: int) -> Orbit:
+    """Forward orbit of length n+1 starting at z0 (total: never raises mid-orbit)."""
+    if n < 0:
+        raise ValueError("orbit length must be nonnegative")
+    return Orbit(param, tuple(_points(_extend_orbit(param.p, [as_point(z0)._value], n + 1))))
+
+
+def _points(vals) -> list[SpherePoint]:
+    """Sphere points of orbit values (see :func:`_extend_orbit`)."""
+    return [INF if v is None else SpherePoint(v) for v in vals]
 
 
 def overlap_distance(a, b) -> float:

@@ -38,7 +38,8 @@ from qubit_chaos import (
     step_density,
 )
 from qubit_chaos.channel import purity, selection_trace
-from qubit_chaos.orbits import REPELLING, SUPERATTRACTING, detect_cycle, iterate_orbit
+from qubit_chaos.orbits import REPELLING, SUPERATTRACTING, detect_cycle
+from qubit_chaos.sphere import iterate_orbit
 from qubit_chaos.twoqubit import (
     basis_state,
     fidelity,

@@ -26,10 +26,10 @@ from qubit_chaos.atlas import (
     render_parameter_space,
     write_pgm,
     write_ppm,
-    write_sidecar,
     write_sweep_csv,
     _certified_period,
 )
+from qubit_chaos.cli import write_sidecar
 from qubit_chaos.kernel import (
     _capture,
     _lag_scan,

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import shlex
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from argparse import ArgumentTypeError
 
+import qubit_chaos
 from qubit_chaos import cli
 from qubit_chaos.cli import (
     JobConfig,
@@ -38,6 +40,16 @@ def read_sidecar(artifact):
     doc = json.loads((artifact.parent / (artifact.name + ".json")).read_text())
     assert set(doc) >= {"job", "artifact", "package_version"}
     return doc
+
+
+def _cli_process(argv, cwd, code=None):
+    """A fresh interpreter running the CLI from this checkout's src/ (or ``code``)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, OUTDIR_ENV: str(cwd), "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    head = ["-c", code] if code else ["-m", "qubit_chaos.cli"]
+    return subprocess.run([sys.executable, *head, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +322,101 @@ def test_absolute_out_ignores_env(outdir, tmp_path):
               "--out", str(target)])
     assert rc == 0
     assert (tmp_path / "elsewhere" / "o.csv").exists()
+
+
+@pytest.mark.parametrize("unusable", ["file-as-directory", "artifact-is-directory",
+                                      "sidecar-is-directory"])
+def test_unusable_out_exits_two(tmp_path, unusable):
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "d.csv").mkdir()
+    (tmp_path / "s.csv.json").mkdir()
+    out, named = {"file-as-directory": ("taken/x", "taken"),
+                  "artifact-is-directory": ("d", "d.csv"),
+                  "sidecar-is-directory": ("s", "s.csv.json")}[unusable]
+    proc = _cli_process(["orbit", "--p=1+0i", "--z0=0+0i", f"--out={out}"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and named in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# process startup: each subcommand imports only the modules it runs
+
+# runs the CLI as ``python -m`` does, then prints the modules it loaded
+_MODULES_AFTER_RUN = """
+import runpy, sys
+sys.argv = ["qubit-chaos", *sys.argv[1:]]
+try:
+    runpy.run_module("qubit_chaos.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(*sorted(sys.modules))
+"""
+
+_ATLAS_AND_DENSITY = {"qubit_chaos.atlas", "qubit_chaos.channel", "qubit_chaos.twoqubit"}
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("--version", {"numpy"}),
+    ("orbit", {"numpy"}),
+    ("twoqubit", {"qubit_chaos.atlas", "qubit_chaos.orbits"}),
+    ("cycles", _ATLAS_AND_DENSITY),
+    ("lyapunov", _ATLAS_AND_DENSITY),
+])
+def test_subcommand_imports_only_what_it_runs(tmp_path, command, absent):
+    argv = ["--version"]
+    if command != "--version":  # the README line, as written
+        line = next(line for line in README.read_text().splitlines()
+                    if line.startswith(f"qubit-chaos {command} "))
+        argv = shlex.split(line, comments=True)[1:]
+    proc = _cli_process(argv, tmp_path, code=_MODULES_AFTER_RUN)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "qubit_chaos.sphere" in loaded
+    assert not absent & loaded
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("iterate_orbit", ["orbit", "--p=1", "--z0=0", "--n=3"]),
+    ("render_julia", ["julia", "--p=1", "--res=4", "--max-iter=5"]),
+])
+def test_run_calls_what_is_patched_on_cli(outdir, monkeypatch, name, argv):
+    for lazy in (lazy for names in cli._LIBRARY.values() for lazy in names):
+        monkeypatch.delitem(vars(cli), lazy, raising=False)  # as in a fresh process
+    real, calls = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert run(argv) == 0
+    assert len(calls) == 1
+
+
+def test_package_names_resolve_on_first_access():
+    homes = {
+        "sphere": "INF MapParam SpherePoint apply_map as_point chordal_distance "
+                  "overlap_distance spherical_derivative Orbit iterate_orbit "
+                  "RootFindingError ConfigurationError",
+        "channel": "density_to_pure p_from_angles pure_to_density purity rotate "
+                   "rotation_unitary selection_probability squaring_map step_density "
+                   "validate_density",
+        "orbits": "BasinResult CriticalReport Cycle LyapunovEstimate classify_basin "
+                  "critical_orbits cycle_multiplier detect_cycle find_periodic_points "
+                  "lyapunov_derivative lyapunov_overlap make_cycle periodic_cycles",
+        "atlas": "Raster Sweep Window bifurcation_sweep render_julia render_parameter_space",
+        "twoqubit": "purification_trace reduced_state rotate_local squaring4 step_two_qubit",
+    }
+    home_of = {name: module for module, names in homes.items() for name in names.split()}
+    assert set(qubit_chaos.__all__) == {*home_of, "__version__"}
+    for name, module in home_of.items():
+        home = importlib.import_module(f"qubit_chaos.{module}")
+        assert getattr(qubit_chaos, name) is getattr(home, name), name
+    assert set(qubit_chaos.__all__) | {"atlas", "cli", "kernel"} <= set(dir(qubit_chaos))
+    assert qubit_chaos.kernel is importlib.import_module("qubit_chaos.kernel")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qubit_chaos.no_such_name
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from qubit_chaos.orbits import (
     CriticalOrbitResult,
     CriticalReport,
     LyapunovEstimate,
-    Orbit,
     _build_cycle,
     _cycle_defect,
     _make_cycle_unchecked,
@@ -32,7 +31,6 @@ from qubit_chaos.orbits import (
     cycle_multiplier,
     detect_cycle,
     find_periodic_points,
-    iterate_orbit,
     lyapunov_derivative,
     lyapunov_overlap,
     make_cycle,
@@ -42,12 +40,14 @@ from qubit_chaos.roots import RootFindingError, aberth_roots, fixed_point_polyno
 from qubit_chaos.sphere import (
     INF,
     MapParam,
+    Orbit,
     SpherePoint,
     _chart_step,
     _preferred_chart,
     apply_map,
     as_point,
     chordal_distance,
+    iterate_orbit,
     overlap_distance,
     spherical_derivative,
 )
