@@ -8,7 +8,8 @@ dynamical and parameter planes, the two-qubit extension, and a CLI.
 
 Names and submodules load on first access (PEP 562), so ``import
 qubit_chaos`` imports nothing more, and ``qubit_chaos.iterate_orbit`` imports
-only the numpy-free :mod:`qubit_chaos.sphere`.
+only the numpy-free :mod:`qubit_chaos.sphere`, as does
+``qubit_chaos.lyapunov_overlap``.
 """
 
 import importlib
@@ -19,7 +20,8 @@ _EXPORTS = {
     "sphere": (
         "INF", "MapParam", "SpherePoint", "apply_map", "as_point", "chordal_distance",
         "overlap_distance", "spherical_derivative", "Orbit", "iterate_orbit",
-        "RootFindingError", "ConfigurationError",
+        "RootFindingError", "ConfigurationError", "LyapunovEstimate", "lyapunov_derivative",
+        "lyapunov_overlap",
     ),
     "channel": (
         "density_to_pure", "p_from_angles", "pure_to_density", "purity", "rotate",
@@ -27,9 +29,9 @@ _EXPORTS = {
         "validate_density",
     ),
     "orbits": (
-        "BasinResult", "CriticalReport", "Cycle", "LyapunovEstimate", "classify_basin",
-        "critical_orbits", "cycle_multiplier", "detect_cycle", "find_periodic_points",
-        "lyapunov_derivative", "lyapunov_overlap", "make_cycle", "periodic_cycles",
+        "BasinResult", "CriticalReport", "Cycle", "classify_basin", "critical_orbits",
+        "cycle_multiplier", "detect_cycle", "find_periodic_points", "make_cycle",
+        "periodic_cycles",
     ),
     "atlas": (
         "Raster", "Sweep", "Window", "bifurcation_sweep", "render_julia",

@@ -25,18 +25,18 @@ from dataclasses import dataclass
 
 from . import __version__
 from .sphere import (INF, ConfigurationError, MapParam, RootFindingError, SpherePoint,
-                     iterate_orbit)
+                     iterate_orbit, lyapunov_derivative, lyapunov_overlap)
 
 # The library names the handlers call, by module.  A handler binds its
 # module's names as globals of this module (_bind) before it calls them, so a
-# process imports only the modules its subcommand runs: ``--version`` and
-# ``orbit`` import no numpy.  Until bound, each name still resolves as an
-# attribute of this module (__getattr__).
+# process imports only the modules its subcommand runs: ``--version``,
+# ``orbit`` and ``lyapunov`` import no numpy.  Until bound, each name still
+# resolves as an attribute of this module (__getattr__).
 _LIBRARY = {
     "atlas": ("PALETTE_VERSION", "Window", "bifurcation_sweep", "julia_grayscale",
               "period_rgb", "render_julia", "render_parameter_space", "write_pgm",
               "write_ppm", "write_sweep_csv"),
-    "orbits": ("lyapunov_derivative", "lyapunov_overlap", "periodic_cycles"),
+    "orbits": ("periodic_cycles",),
     "twoqubit": ("basis_state", "default_initial_state", "load_density_json",
                  "purification_trace", "write_trace_csv"),
 }
@@ -256,7 +256,6 @@ def _cmd_cycles(args):
 
 
 def _cmd_lyapunov(args):
-    _bind("orbits")
     param = MapParam(args.p)
     estimates = []
     if args.method in ("derivative", "both"):

@@ -1,4 +1,4 @@
-"""Orbits, cycles, multipliers, and chaos diagnostics for the one-step map.
+"""Orbits, cycles and multipliers for the one-step map.
 
 Cycle detection works on computed orbits (sustained closeness of the orbit
 tail to itself at lag q); exact periodic points of low period come instead
@@ -10,7 +10,9 @@ Multipliers are evaluated as products of per-step derivatives taken in
 whichever coordinate chart keeps each cycle point small, so cycles through
 the point at infinity need no special casing.  Stability classes follow the
 usual dichotomy; the neutral band and the root-of-unity probe for the
-parabolic subcase are documented constants below.
+parabolic subcase are documented constants below.  The Lyapunov estimators
+run on the numpy-free scalar path in :mod:`qubit_chaos.sphere`; their names
+are re-exported here.
 
 Everything here is a pure function of its arguments.
 """
@@ -30,6 +32,7 @@ from .roots import aberth_roots, fixed_point_polynomial
 from .sphere import (
     INF,
     ConfigurationError,
+    LyapunovEstimate,  # re-exported with the two estimators: callers take them from here
     MapParam,
     Orbit,
     RootFindingError,
@@ -43,6 +46,8 @@ from .sphere import (
     apply_map,
     as_point,
     chordal_distance,
+    lyapunov_derivative,
+    lyapunov_overlap,
     spherical_derivative,  # no caller here: the benchmark's trace hooks patch this name
 )
 
@@ -188,32 +193,6 @@ class CriticalReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    """A Lyapunov exponent estimate (nats per iteration) with its caveats.
-
-    ``saturated`` is set by the overlap method when the pre-saturation
-    window closed before the requested step budget; ``reliable`` is cleared
-    when too few usable steps back the number (short window, or more than
-    the allowed fraction of excluded critical hits).
-    """
-
-    value: float
-    method: str
-    steps_used: int
-    saturated: bool
-    reliable: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "steps_used": self.steps_used,
-            "saturated": self.saturated,
-            "reliable": self.reliable,
-        }
-
-
 def _check_cycle_args(eps: float, max_period: int, max_iter: int = 0) -> None:
     _check_capture_args(eps, max_iter)
     if max_period < 1:
@@ -275,9 +254,9 @@ def _expansion_certified(prefix, eps: float) -> bool:
     the spherical expansion rate at every step.  If the accumulated factor
     ever lifts it past eps, linear error analysis is dead from that step on
     and nothing after it can be attributed to the starting point.  Orbits
-    through a critical point certify trivially: the rate there is zero, so
-    the product collapses and stays collapsed.  ``prefix`` holds orbit
-    values (None for infinity).
+    through a critical point certify at it: the rate there is zero, so the
+    product collapses and stays collapsed, and the walk stops.  ``prefix``
+    holds orbit values (None for infinity).
     """
     limit = math.log(eps / SEED_ROUNDOFF)
     log_e = 0.0
@@ -285,7 +264,9 @@ def _expansion_certified(prefix, eps: float) -> bool:
         if log_e > limit:
             return False
         rate = _value_rate(v)
-        log_e += math.log(rate) if rate > 0.0 else -math.inf
+        if rate == 0.0:
+            return True
+        log_e += math.log(rate)
     return log_e <= limit
 
 
@@ -679,81 +660,3 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
         param.p, lambda start, stop: flat[start:stop], flat.size, _target_pairs(cycles), eps,
         max_iter, certify=True))
     return BasinResult(labels.astype(int), steps.astype(int), peak, cycles)
-
-
-# ---------------------------------------------------------------------------
-# Lyapunov estimators
-
-def lyapunov_derivative(param: MapParam, z0, n: int,
-                        exclusion_limit: float = 0.01) -> LyapunovEstimate:
-    """Mean log expansion rate along n steps of the orbit from z0.
-
-    Exact critical hits contribute log(0); they are excluded from the mean
-    and counted, and the estimate is marked unreliable when they exceed
-    ``exclusion_limit`` as a fraction of n (an orbit glued to a
-    superattracting cycle has no meaningful finite exponent).  Returns
-    -inf when every step was excluded.
-    """
-    if n < 1:
-        raise ValueError("need at least one step")
-    total = 0.0
-    used = 0
-    for v in _extend_orbit(param.p, [as_point(z0)._value], n):
-        rate = _value_rate(v)
-        if rate > 0.0:
-            total += math.log(rate)
-            used += 1
-    excluded = n - used
-    value = total / used if used else float("-inf")
-    reliable = used > 0 and excluded <= exclusion_limit * n
-    return LyapunovEstimate(value, "derivative", used, False, reliable)
-
-
-def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200,
-                     saturation: float = 0.01, max_initial: float = 1e-16,
-                     min_window: int = 5) -> LyapunovEstimate:
-    """Growth rate of the overlap distance between two nearby orbits.
-
-    Both seeds evolve together and log(overlap) is fitted by least squares
-    over the pre-saturation window (overlap below ``saturation``).  The
-    seeds must start distinct but no farther apart than ``max_initial`` in
-    overlap distance, so growth is measured before the sphere folds it.
-    ``saturated`` is set when the window closed before n_max; the estimate
-    is unreliable when the window has fewer than ``min_window`` points.
-
-    Because the overlap distance is quadratic in state separation, this
-    estimator runs at twice the derivative estimator's value for the same
-    dynamics.
-    """
-    if n_max < 1:
-        raise ValueError("need at least one step")
-    va, vb = [as_point(z0)._value], [as_point(z1)._value]
-    d0 = _value_overlap(va[0], vb[0])
-    if d0 == 0.0:
-        raise ValueError("seeds coincide; overlap separation must be positive")
-    if d0 > max_initial:
-        raise ValueError(
-            f"initial overlap {d0:.3e} exceeds {max_initial:.0e}; start closer "
-            "so the growth window is usable"
-        )
-    logs = [math.log(d0)]
-    saturated = False
-    for k in range(1, n_max + 1):
-        if k == len(va):  # both orbits end here: double their length
-            goal = min(2 * k, n_max + 1)
-            _extend_orbit(param.p, va, goal)
-            _extend_orbit(param.p, vb, goal)
-        d = _value_overlap(va[k], vb[k])
-        if d >= saturation:
-            saturated = True
-            break
-        if d == 0.0:
-            break  # orbits merged below floating-point resolution
-        logs.append(math.log(d))
-    window = len(logs)
-    if window >= 2:
-        slope = float(np.polyfit(np.arange(window), np.array(logs), 1)[0])
-    else:
-        slope = float("nan")
-    return LyapunovEstimate(slope, "overlap", window, saturated,
-                            window >= min_window)

@@ -11,10 +11,11 @@ with a single complex parameter p = tan(x) * exp(i*phi) built from the
 rotation angles.  This module provides the sphere arithmetic everything else
 builds on: the point type with a tagged infinity, the map itself with all of
 its algebraic limits, forward orbits, the overlap distance between states,
-and the local expansion rate of the map in that metric.  It imports no
-numpy, so the numpy-free paths (``iterate_orbit``, the CLI's ``orbit``) start
-fast; it also holds the two errors the CLI reports, which the numpy modules
-raise.
+the local expansion rate of the map in that metric, and the two Lyapunov
+estimators built on that rate and that distance.  It imports no numpy, so
+the numpy-free paths (``iterate_orbit``, the Lyapunov estimators, the CLI's
+``orbit`` and ``lyapunov``) start fast; it also holds the two errors the CLI
+reports, which the numpy modules raise.
 
 All functions are pure; no global state, safe to call from worker threads.
 """
@@ -357,3 +358,122 @@ def _chart_step(p: complex, coord: complex, in_w: bool, out_w: bool) -> tuple[co
         num, den = den, num
     wronskian = 2.0 * coord * g if in_w == out_w else -2.0 * coord * g
     return num / den, wronskian / (den * den)
+
+
+# ---------------------------------------------------------------------------
+# Lyapunov estimators
+
+@dataclass(frozen=True)
+class LyapunovEstimate:
+    """A Lyapunov exponent estimate (nats per iteration) with its caveats.
+
+    ``saturated`` is set by the overlap method when the pre-saturation
+    window closed before the requested step budget; ``reliable`` is cleared
+    when too few usable steps back the number (short window, or more than
+    the allowed fraction of excluded critical hits).
+    """
+
+    value: float
+    method: str
+    steps_used: int
+    saturated: bool
+    reliable: bool
+
+    def to_json_dict(self) -> dict:
+        value = self.value
+        return {
+            # JSON has no inf or NaN: a non-finite value is written "inf", "-inf" or "nan"
+            "value": value if math.isfinite(value) else repr(value),
+            "method": self.method,
+            "steps_used": self.steps_used,
+            "saturated": self.saturated,
+            "reliable": self.reliable,
+        }
+
+
+def lyapunov_derivative(param: MapParam, z0, n: int,
+                        exclusion_limit: float = 0.01) -> LyapunovEstimate:
+    """Mean log expansion rate along n steps of the orbit from z0.
+
+    Exact critical hits contribute log(0); they are excluded from the mean
+    and counted, and the estimate is marked unreliable when they exceed
+    ``exclusion_limit`` as a fraction of n (an orbit glued to a
+    superattracting cycle has no meaningful finite exponent).  Returns
+    -inf when every step was excluded.
+    """
+    if n < 1:
+        raise ValueError("need at least one step")
+    total = 0.0
+    used = 0
+    for v in _extend_orbit(param.p, [as_point(z0)._value], n):
+        rate = _value_rate(v)
+        if rate > 0.0:
+            total += math.log(rate)
+            used += 1
+    excluded = n - used
+    value = total / used if used else float("-inf")
+    reliable = used > 0 and excluded <= exclusion_limit * n
+    return LyapunovEstimate(value, "derivative", used, False, reliable)
+
+
+def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200,
+                     saturation: float = 0.01, max_initial: float = 1e-16,
+                     min_window: int = 5) -> LyapunovEstimate:
+    """Growth rate of the overlap distance between two nearby orbits.
+
+    Both seeds evolve together and log(overlap) is fitted by least squares
+    (:func:`_fit_slope`) over the pre-saturation window (overlap below
+    ``saturation``).  The seeds must start distinct but no farther apart
+    than ``max_initial`` in overlap distance, so growth is measured before
+    the sphere folds it.  ``saturated`` is set when the window closed before
+    n_max; the estimate is unreliable when the window has fewer than
+    ``min_window`` points, and NaN when it has one (the orbits merged at the
+    first step).
+
+    Because the overlap distance is quadratic in state separation, this
+    estimator runs at twice the derivative estimator's value for the same
+    dynamics.
+    """
+    if n_max < 1:
+        raise ValueError("need at least one step")
+    va, vb = [as_point(z0)._value], [as_point(z1)._value]
+    d0 = _value_overlap(va[0], vb[0])
+    if d0 == 0.0:
+        raise ValueError("seeds coincide; overlap separation must be positive")
+    if d0 > max_initial:
+        raise ValueError(
+            f"initial overlap {d0:.3e} exceeds {max_initial:.0e}; start closer "
+            "so the growth window is usable"
+        )
+    logs = [math.log(d0)]
+    saturated = False
+    for k in range(1, n_max + 1):
+        if k == len(va):  # both orbits end here: double their length
+            goal = min(2 * k, n_max + 1)
+            _extend_orbit(param.p, va, goal)
+            _extend_orbit(param.p, vb, goal)
+        d = _value_overlap(va[k], vb[k])
+        if d >= saturation:
+            saturated = True
+            break
+        if d == 0.0:
+            break  # orbits merged below floating-point resolution
+        logs.append(math.log(d))
+    window = len(logs)
+    slope = _fit_slope(logs) if window >= 2 else float("nan")
+    return LyapunovEstimate(slope, "overlap", window, saturated,
+                            window >= min_window)
+
+
+def _fit_slope(ys: list) -> float:
+    """Least-squares slope of ``ys`` (at least two values) against 0, 1, 2, ...
+
+    Closed form on the centred abscissae: sum((k - km) * y_k) over
+    sum((k - km)**2) = w (w**2 - 1) / 12, with km = (w - 1) / 2 the mean of
+    0 .. w - 1.  The numerator is one ``math.fsum`` of the products, so the
+    slope is plain IEEE arithmetic: two values give y_1 - y_0, and integer
+    values on a line give its slope, exactly.
+    """
+    w = len(ys)
+    km = (w - 1) / 2
+    return math.fsum((k - km) * y for k, y in enumerate(ys)) / (w * (w * w - 1) / 12)

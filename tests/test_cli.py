@@ -232,6 +232,23 @@ def test_lyapunov_needs_partner_at_origin(outdir, capsys):
     assert "--z1" in capsys.readouterr().err
 
 
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["--p=0", "--z0=inf", "--method=derivative"], "-inf"),  # every step critical
+    (["--p=0", "--z0=1e-9", "--z1=-1e-9", "--method=overlap"], "nan"),  # merged at step 1
+])
+def test_lyapunov_writes_nonfinite_estimates_as_json(outdir, argv, value):
+    assert run(["lyapunov", *argv, "--out=l3"]) == 0
+    doc = _strict_json(outdir / "l3.json")
+    assert [e["value"] for e in doc["estimates"]] == [value]
+    assert _strict_json(outdir / "l3.json.json")["artifact"] == doc
+
+
 def test_orbit_writes_csv_with_infinity_rows(outdir):
     rc = run(["orbit", "--p", "1+0i", "--z0", "0+0i", "--n", "4",
               "--out", "o1"])
@@ -361,7 +378,8 @@ _ATLAS_AND_DENSITY = {"qubit_chaos.atlas", "qubit_chaos.channel", "qubit_chaos.t
     ("orbit", {"numpy"}),
     ("twoqubit", {"qubit_chaos.atlas", "qubit_chaos.orbits"}),
     ("cycles", _ATLAS_AND_DENSITY),
-    ("lyapunov", _ATLAS_AND_DENSITY),
+    ("lyapunov", _ATLAS_AND_DENSITY | {"numpy", "qubit_chaos.orbits", "qubit_chaos.kernel",
+                                       "qubit_chaos.roots"}),
 ])
 def test_subcommand_imports_only_what_it_runs(tmp_path, command, absent):
     argv = ["--version"]
@@ -398,13 +416,14 @@ def test_package_names_resolve_on_first_access():
     homes = {
         "sphere": "INF MapParam SpherePoint apply_map as_point chordal_distance "
                   "overlap_distance spherical_derivative Orbit iterate_orbit "
-                  "RootFindingError ConfigurationError",
+                  "RootFindingError ConfigurationError LyapunovEstimate "
+                  "lyapunov_derivative lyapunov_overlap",
         "channel": "density_to_pure p_from_angles pure_to_density purity rotate "
                    "rotation_unitary selection_probability squaring_map step_density "
                    "validate_density",
-        "orbits": "BasinResult CriticalReport Cycle LyapunovEstimate classify_basin "
-                  "critical_orbits cycle_multiplier detect_cycle find_periodic_points "
-                  "lyapunov_derivative lyapunov_overlap make_cycle periodic_cycles",
+        "orbits": "BasinResult CriticalReport Cycle classify_basin critical_orbits "
+                  "cycle_multiplier detect_cycle find_periodic_points make_cycle "
+                  "periodic_cycles",
         "atlas": "Raster Sweep Window bifurcation_sweep render_julia render_parameter_space",
         "twoqubit": "purification_trace reduced_state rotate_local squaring4 step_two_qubit",
     }
@@ -495,8 +514,8 @@ DEFAULT_ARTIFACT_SHA256 = {
     "cycles.json.json": "4e5fd822b28a90b49dc620a0d899c9f9d93e4e609d74b6f9347182d94ac81d46",
     "figs/p1.pgm": "07ddf02def15e9ce8ffed04ea272a41ac327cb604f907cc3cc83c7c0a5c618a6",
     "figs/p1.pgm.json": "d03f77f7576ac5ea0572af5bd561a94c99ca0d7403e2c9e1e87cf0761d05d7fd",
-    "lyapunov.json": "4f2fe0a8753989e669f1ede812bba64940679842a687fc6148d380b5348e8d83",
-    "lyapunov.json.json": "732a3c0abef1bca1227b6919c7bbc4963e61fd06076c99ae8cdffccce26f92dc",
+    "lyapunov.json": "52970d56845d8030e2ee095db04edf86034b9a4bb850bbcdcd3281baee39f05a",
+    "lyapunov.json.json": "324aede91d06e00aa7e0d09fbee999f8a2f1822e0475b15b2b569763af3f7848",
     "orbit.csv": "cbe9b7a91cac83899a13996dfdb4d71cd204f88e37e30b7b21e7b251305c9120",
     "orbit.csv.json": "fc345f78010de57ec9d163b8556024ff0e236f60797d7cf45b5d52febd8d8355",
     "params.ppm": "8ad4f7bf8749643e97439607bbee2ad6337300b1124978e86806448aa0824755",

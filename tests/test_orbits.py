@@ -43,7 +43,10 @@ from qubit_chaos.sphere import (
     Orbit,
     SpherePoint,
     _chart_step,
+    _extend_orbit,
+    _fit_slope,
     _preferred_chart,
+    _value_rate,
     apply_map,
     as_point,
     chordal_distance,
@@ -336,6 +339,45 @@ def _sphere_point_cycle(param, pts, eps, max_period):
                 return None
             return _build_cycle(param, list(pts[n - q:]), eps)
     return None
+
+
+def _walked_certificate(prefix, eps):
+    """orbits._expansion_certified before it stopped at a critical point:
+    the whole prefix walked, a zero rate adding -inf to the log sum."""
+    limit = math.log(eps / SEED_ROUNDOFF)
+    log_e = 0.0
+    for v in prefix:
+        if log_e > limit:
+            return False
+        rate = _value_rate(v)
+        log_e += math.log(rate) if rate > 0.0 else -math.inf
+    return log_e <= limit
+
+
+def test_certificate_stops_at_a_critical_point_with_the_same_verdict():
+    rng = np.random.default_rng(53)
+    prefixes = []
+    for _ in range(60):
+        p = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-1.5, 0.5)
+        for start in (0j, None):  # the critical orbits, through 0 and infinity
+            prefixes.append(_extend_orbit(p, [start], int(rng.integers(1, 400))))
+        orbit = _extend_orbit(p, [complex(*rng.normal(size=2))], int(rng.integers(2, 400)))
+        prefixes.append(orbit)
+        for critical in (0j, None):  # a critical point hit mid-prefix
+            hit = int(rng.integers(1, len(orbit)))
+            prefixes.append(orbit[:hit] + [critical] + orbit[hit:])
+    for _ in range(20):  # the unit circle at p = 0 doubles roundoff at every step
+        circle = _extend_orbit(0j, [cmath.exp(1j * rng.uniform(0, 2 * math.pi))], 120)
+        prefixes.append(circle)
+        prefixes.append(circle + [0j])  # refused before the critical point
+        prefixes.append(circle[:5] + [None] + circle)
+    verdicts = {True: 0, False: 0}
+    for eps in (1e-9, 1e-6, 1e-3):
+        for prefix in prefixes:
+            got = orbits._expansion_certified(prefix, eps)
+            assert got == _walked_certificate(prefix, eps), prefix
+            verdicts[got] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 50, verdicts
 
 
 def _sphere_point_trace(param, start, max_iter, eps, max_period):
@@ -1153,7 +1195,7 @@ def _sphere_point_lyapunov_overlap(param, z0, z1, n_max):
             break
         logs.append(math.log(d))
     window = len(logs)
-    slope = float(np.polyfit(np.arange(window), np.array(logs), 1)[0]) if window >= 2 else float("nan")
+    slope = _fit_slope(logs) if window >= 2 else float("nan")
     return LyapunovEstimate(slope, "overlap", window, saturated, window >= 5)
 
 

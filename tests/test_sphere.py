@@ -4,17 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from qubit_chaos import sphere
 from qubit_chaos.sphere import (
     INF,
     SNAP_MAGNITUDE,
     MapParam,
     SpherePoint,
     _chart_step,
+    _fit_slope,
     _preferred_chart,
     _value_rate,
     apply_map,
     as_point,
     chordal_distance,
+    lyapunov_overlap,
     overlap_distance,
     spherical_derivative,
 )
@@ -441,3 +444,48 @@ def test_as_point_coercion():
     assert as_point(INF) is INF
     with pytest.raises(TypeError):
         as_point("not a point")
+
+
+# ---------------------------------------------------------------------------
+# the least-squares slope of the overlap estimator
+
+def _overlap_windows(monkeypatch, runs):
+    """The log-overlap windows that lyapunov_overlap fits, for (p, z0) runs
+    with the partner z0 turned by 1e-8 radians."""
+    windows = []
+
+    def spy(ys):
+        windows.append(list(ys))
+        return _fit_slope(ys)
+
+    monkeypatch.setattr(sphere, "_fit_slope", spy)
+    for p, z0 in runs:
+        lyapunov_overlap(MapParam(p), z0, z0 * cmath.exp(1e-8j))
+    return windows
+
+
+def test_fit_slope_agrees_with_polyfit(monkeypatch):
+    rng = np.random.default_rng(19)
+    runs = [(0j, z) for z in np.exp(1j * rng.uniform(0, 2 * math.pi, 400))]
+    runs += [(complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-1.5, 0.5),
+              complex(*rng.normal(size=2))) for _ in range(200)]
+    windows = _overlap_windows(monkeypatch, runs)
+    assert len(windows) > 500
+    assert {25, 201} <= {len(ys) for ys in windows}  # saturated, and the whole budget
+    for ys in windows:
+        want = float(np.polyfit(np.arange(len(ys)), np.array(ys), 1)[0])
+        assert _fit_slope(ys) == pytest.approx(want, rel=1e-13, abs=0), ys
+
+
+@pytest.mark.parametrize("slope", [-7, -1, 0, 1, 2, 3])
+@pytest.mark.parametrize("intercept", [-40, 0, 11])
+def test_fit_slope_exact_on_integer_lines(slope, intercept):
+    for w in (2, 3, 4, 25, 201):
+        assert _fit_slope([intercept + slope * k for k in range(w)]) == slope
+        assert _fit_slope([float(intercept + slope * k) for k in range(w)]) == slope
+
+
+def test_fit_slope_of_two_values_is_their_difference():
+    rng = np.random.default_rng(29)
+    for a, b in rng.normal(scale=30.0, size=(100, 2)):
+        assert _fit_slope([a, b]) == b - a
