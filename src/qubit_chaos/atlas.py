@@ -11,9 +11,11 @@ Three instruments:
 * :func:`bifurcation_sweep` -- |z| samples recorded after a long transient
   along a line segment of parameters (CSV).
 
-Every pipeline steps projective pairs through the in-place kernel of
-:mod:`qubit_chaos.kernel`; the julia raster runs its blocked capture
-runner, the one ``classify_basin`` runs with the roundoff certificate on.
+Every pipeline steps projective pairs through :mod:`qubit_chaos.kernel`:
+``_pair_run`` runs the parameter raster's transient and fills its tail
+window, and runs the sweep's transient and fills its record; the julia
+raster runs the blocked capture runner, the one ``classify_basin`` runs
+with the roundoff certificate on.
 
 Both rasters run in stages over fixed-size pixel blocks and pool the pixels
 a stage leaves live, in pixel order, into full blocks for the next, so late
@@ -21,12 +23,11 @@ steps do not run on a few live pixels per block.  The julia raster runs
 every pixel to step K = floor(log2(eps/SEED_ROUNDOFF)), 32 at eps = 1e-6,
 up to which the roundoff certificate refuses no capture.  The parameter
 raster retires a pixel at a checkpoint (RETIRE_CHECKPOINTS) if its period
-is certified there: the kernel's lag scan runs at a wide radius, then the
-lag it finds must pass a tight radius and a contracting multiplier (the
-RETIRE_* constants below); 13% of the default window is left after step
-384 to run out the transient and the lag scan at eps.  Retirement never
-changes a period -- the tests check it pixel for pixel against straight
-iteration -- it only skips iterations.
+is certified there: one lag scan of the kernel at a wide and a tight
+radius, then a contracting multiplier (the RETIRE_* constants below); 13%
+of the default window is left after step 384 to run out the transient and
+the lag scan at eps.  Retirement never changes a period -- the tests check
+it pixel for pixel against straight iteration -- it only skips iterations.
 
 Blocks and pooled pixels never depend on the worker count, and arithmetic
 is elementwise within a block, so output is bit-identical however many
@@ -49,11 +50,8 @@ from .kernel import (
     _lag_scan,
     _pair_params,
     _pair_rate,
-    _pair_rescale,
     _pair_run,
     _pair_scratch,
-    _pair_step,
-    _pairs_within,
     _point_values,
     _rescale_interval,
     _run_capture,
@@ -68,7 +66,7 @@ from .orbits import (
     _target_cycles,
     critical_orbits,  # no caller here: the benchmark's trace hooks patch this name
 )
-from .sphere import ConfigurationError, MapParam, as_point
+from .sphere import MapParam, as_point
 
 # Fixed split unit of the parameter raster, independent of worker count (the
 # julia raster's is kernel.JULIA_BLOCK_PIXELS).
@@ -114,6 +112,9 @@ class Window:
     ny: int
 
     def __post_init__(self):
+        c = complex(self.center)
+        if not all(map(math.isfinite, (c.real, c.imag, self.width, self.height))):
+            raise ValueError("window center and extents must be finite")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("window extents must be positive")
         if self.nx < 2 or self.ny < 2:
@@ -189,45 +190,25 @@ class Sweep:
 # ---------------------------------------------------------------------------
 # parameter-raster kernel
 
-def _pair_tail(P, S, scratch, window: np.ndarray, r: int) -> None:
-    """Fill ``window`` (rows of stacked pairs) with consecutive states from S,
-    rescaling rows 0, r, 2r, ..., so that no row is read more than r - 1
-    steps past a rescale (:func:`qubit_chaos.kernel._rescale_interval`)."""
-    _, A, E = scratch
-    window[0] = S
-    for i, row in enumerate(window):
-        if i:
-            _pair_step(P, window[i - 1], scratch, out=row)
-        if i % r == 0:
-            _pair_rescale(row, np.abs(row, out=A), A, E)
-
-
 def _certified_period(T, max_period: int, eps2: float) -> np.ndarray:
     """Period each pixel of the tail window T is certified to settle into,
     or -1 (the RETIRE_* rule).
 
-    Scan at the wide radius, then check the tight radius and the
-    contraction: the lag scan at RETIRE_MARGIN*eps gives each pixel the
-    smallest lag q0 with no pair wide apart, and q0 stands only if all of
-    its q0 pairs match within RETIRE_TIGHT*eps and the multiplier over the
-    last q0 states has modulus at most 1 - RETIRE_CONTRACTION.  Offset k
-    checks, in one pass, every candidate with q0 > k still tight.
+    One lag scan at two radii gives each pixel the smallest lag q0 with no
+    pair RETIRE_MARGIN*eps apart, standing only if all of its q0 pairs
+    match within RETIRE_TIGHT*eps; q0 is then kept if the multiplier over
+    the last q0 states has modulus at most 1 - RETIRE_CONTRACTION.
     """
-    q0 = _lag_scan(T, max_period, eps2 * RETIRE_MARGIN ** 2)
+    q0 = _lag_scan(T, max_period, eps2 * RETIRE_MARGIN ** 2, eps2 * RETIRE_TIGHT ** 2)
     last = len(T) - 1
-    tight2 = eps2 * RETIRE_TIGHT ** 2
     cand = np.flatnonzero(q0 > 0)
     q = q0[cand]
-    tight = np.ones(cand.size, dtype=bool)
     log_lam = np.zeros(cand.size)
     for k in range(q.max(initial=0)):
-        sel = np.flatnonzero(tight & (q > k))
-        cols = cand[sel]
-        A = T[last - k].take(cols, axis=1)
-        tight[sel] = _pairs_within(A, T[last - k - q[sel], :, cols].T, tight2)
+        sel = np.flatnonzero(q > k)
         with np.errstate(divide="ignore"):  # a critical hit: log 0 = -inf
-            log_lam[sel] += np.log(_pair_rate(*np.abs(A)))
-    q0[cand[~tight | (log_lam > math.log1p(-RETIRE_CONTRACTION))]] = -1
+            log_lam[sel] += np.log(_pair_rate(*np.abs(T[last - k].take(cand[sel], axis=1))))
+    q0[cand[log_lam > math.log1p(-RETIRE_CONTRACTION)]] = -1
     return q0
 
 
@@ -331,12 +312,13 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
         def stage(start, stop, buf):
             idx = live[start:stop]
             p = window.at(idx)
-            P, S = _pair_params(p), S_live[:, start:stop].copy()
+            P = _pair_params(p)
             win, scratch = buf
             win, scratch = win[:2 * lags + 1, :, :p.size], [a[..., :p.size] for a in scratch]
             r = _rescale_interval(np.abs(p).max())
-            _pair_run(P, S, scratch, start_step - done, r)
-            _pair_tail(P, S, scratch, win, r)
+            win[0] = S_live[:, start:stop]
+            _pair_run(P, win[0], scratch, start_step - done, r)
+            _pair_run(P, win[0], scratch, 2 * lags, r, rows=win[1:])
             # the last stage scans at eps and leaves no pixel live
             period[idx] = q0 = (_lag_scan if final else _certified_period)(win, lags, eps2)
             keep = np.flatnonzero((q0 < 0) & (not final))
@@ -362,6 +344,8 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     Runs the orbit of z0 for ``transient`` iterations at every sampled
     parameter, then records |z| for the next ``record`` iterations.  Visits
     to the point at infinity are flagged rather than given a magnitude.
+    ValueError if a sampled parameter is not finite or overflows where the
+    segment is formed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -370,24 +354,26 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     if transient < 0:
         raise ValueError(f"transient must be at least 0, got {transient}")
     t = np.arange(samples) / (samples - 1) if samples > 1 else np.zeros(1)
-    p = np.asarray(start) + t * (np.asarray(end) - np.asarray(start))
-    p = p.astype(complex)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            p = (np.asarray(start) + t * (np.asarray(end) - np.asarray(start))).astype(complex)
+        finite = np.isfinite(p).all()
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise ValueError(f"the segment from {start} to {end} samples a non-finite parameter")
     z0 = as_point(z0)
     P, S = _pair_params(p), np.repeat(_start_pairs(_point_values([z0])), samples, axis=1)
     scratch = _pair_scratch(samples)
     r = _rescale_interval(np.abs(p).max())
     _pair_run(P, S, scratch, transient, r)
-    abs_z = np.empty((samples, record), dtype=float)
-    is_inf = np.empty((samples, record), dtype=bool)
-    for k in range(record):
-        Z, W = _pair_run(P, S, scratch, 1, r)
-        aw = np.abs(W)
-        flag = aw == 0.0
-        with np.errstate(divide="ignore", over="ignore"):
-            ratio = np.abs(Z) / aw
-        flag |= ~np.isfinite(ratio)
-        abs_z[:, k] = np.where(flag, 0.0, ratio)
-        is_inf[:, k] = flag
+    tail = np.empty((record, 2, samples), dtype=complex)
+    _pair_run(P, S, scratch, record, r, rows=tail)
+    # a pair never vanishes, so |W| = 0 gives a ratio of inf
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.divide(*np.abs(tail).transpose(1, 2, 0))
+    is_inf = ~np.isfinite(ratio)
+    abs_z = np.where(is_inf, 0.0, ratio)
     config = {
         "kind": "sweep", "start": _fmt(complex(start)), "end": _fmt(complex(end)),
         "samples": samples, "transient": transient, "record": record,

@@ -133,6 +133,8 @@ def parse_window(text: str) -> tuple[float, float, float, float]:
         re0, re1, im0, im1 = (float(v) for v in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"window has non-numeric bounds: {text!r}") from None
+    if not all(map(math.isfinite, (re0, re1, im0, im1))):
+        raise argparse.ArgumentTypeError(f"window bounds must be finite: {text!r}")
     if not (re1 > re0 and im1 > im0):
         raise argparse.ArgumentTypeError(f"window bounds out of order: {text!r}")
     return re0, re1, im0, im1

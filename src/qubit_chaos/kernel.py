@@ -61,7 +61,7 @@ def _rescale_interval(p_max: float) -> int:
     g**(2**k - 1) * 2**(2**k).  A pair is rescaled whenever it has taken r
     steps since the last rescale, so everything read off a pair (the
     fourth powers of :func:`_pair_rate`, eps**2 |t|**2 N in the target test,
-    the cross products of :func:`_pairs_within`) is formed from a pair at
+    the cross products of :func:`_pair_gap`) is formed from a pair at
     most r - 1 steps unscaled.  With N <= 2**480 after r steps, N**2 stays
     below 2 N / g <= 2**481 one step earlier; for r <= 4, N >= 2**-23, so
     the fourth powers stay above 2**-47 and eps**2 times them above 2**-250
@@ -121,14 +121,21 @@ def _pair_rescale(S, aS, M, E):
     return f
 
 
-def _pair_run(P, S, scratch, steps: int, r: int):
+def _pair_run(P, S, scratch, steps: int, r: int, rows=None):
     """Step the pairs S ``steps`` times in place, rescaling them before the
-    first step and after every r steps (r from :func:`_rescale_interval`)."""
+    first step and after every r steps (r from :func:`_rescale_interval`);
+    returns the last state.  With ``rows`` (shape (steps, 2, n)) S only
+    takes the first rescale and the state after step k+1 goes to
+    ``rows[k]``, rescaled where the in-place run would rescale it and in
+    the last row, so that no row is read more than r - 1 steps past one.
+    """
     _, A, E = scratch
     for k in range(steps):
         if k % r == 0:
             _pair_rescale(S, np.abs(S, out=A), A, E)
-        _pair_step(P, S, scratch)
+        S = _pair_step(P, S, scratch, None if rows is None else rows[k])
+    if rows is not None and steps:
+        _pair_rescale(S, np.abs(S, out=A), A, E)
     return S
 
 
@@ -150,37 +157,51 @@ def _pair_rate(aZ, aW, aZ2=None, aW2=None, norm=None):
     return norm
 
 
-def _pairs_within(A, B, eps2: float) -> np.ndarray:
-    """Whether the stacked pairs A and B lie within eps of each other, column
-    by column: |Za Wb - Zb Wa|**2 < eps2 * na * nb, with na = |Za|**2 + |Wa|**2."""
+def _pair_gap(A, B):
+    """The cross product |Za Wb - Zb Wa|**2 of the stacked pairs A and B,
+    column by column, and their norms na = |Za|**2 + |Wa|**2 and nb."""
     (za, wa), (zb, wb) = A, B
     cross = np.abs(za * wb - zb * wa) ** 2
-    na = np.abs(za) ** 2 + np.abs(wa) ** 2
-    nb = np.abs(zb) ** 2 + np.abs(wb) ** 2
+    return cross, np.abs(za) ** 2 + np.abs(wa) ** 2, np.abs(zb) ** 2 + np.abs(wb) ** 2
+
+
+def _pairs_within(A, B, eps2: float) -> np.ndarray:
+    """Whether the stacked pairs A and B lie within eps of each other, column
+    by column: cross < eps2 * na * nb (:func:`_pair_gap`)."""
+    cross, na, nb = _pair_gap(A, B)
     return cross < eps2 * na * nb
 
 
-def _lag_scan(T, max_period: int, eps2: float) -> np.ndarray:
+def _lag_scan(T, max_period: int, eps2: float, tight2: float | None = None) -> np.ndarray:
     """Smallest lag q whose last q pairs all match their pairs q states
     earlier within eps, per column of the tail window T, or -1.
 
     ``T`` holds consecutive states of stacked pairs, shape
     (2*max_period+1, 2, n).  A column leaves the scan at its first matching
-    lag, and a lag stops at its first pair that misses.
+    lag, and a lag stops at its first pair that misses.  With ``tight2`` the
+    lag stands only if its pairs also match within sqrt(tight2), and the
+    column leaves with -1 otherwise; both radii test one :func:`_pair_gap`.
     """
     last = len(T) - 1
     period = np.full(T.shape[2], -1, dtype=np.int32)
+    closed = np.zeros(period.size, dtype=bool)
     open_ = np.arange(period.size)  # columns with no matching lag yet
     for q in range(1, max_period + 1):
         idx = open_
+        tight = None if tight2 is None else np.ones(idx.size, dtype=bool)
         for k in range(q):
             a = last - k
-            idx = idx[_pairs_within(T[a].take(idx, axis=1), T[a - q].take(idx, axis=1), eps2)]
+            cross, na, nb = _pair_gap(T[a].take(idx, axis=1), T[a - q].take(idx, axis=1))
+            near = np.flatnonzero(cross < eps2 * na * nb)
+            idx = idx[near]
+            if tight is not None:
+                tight = tight[near] & (cross[near] < tight2 * na[near] * nb[near])
             if idx.size == 0:
                 break
         if idx.size:
-            period[idx] = q
-            open_ = open_[period[open_] < 0]
+            period[idx if tight is None else idx[tight]] = q
+            closed[idx] = True
+            open_ = open_[~closed[open_]]
             if open_.size == 0:
                 break
     return period
@@ -365,16 +386,13 @@ def _run_capture(p: complex, points, n: int, targets, eps: float, max_iter: int,
     ``points(start, stop)`` (flat indices start..stop-1), in blocks of
     JULIA_BLOCK_PIXELS (see the module docstring); returns int32 ``step``
     and ``label`` and, with ``certify``, the certificate's peaks (else
-    None).  ``workers`` caps the thread pool.  With one block the points
-    run 0..max_iter in one call, with nothing gathered or scattered.  The
-    points live after step K are pooled in block order, and within a block in
-    the order its compaction leaves them, which no worker count changes.
+    None).  ``workers`` caps the thread pool.  One block runs through both
+    stages too.  The points live after step K are pooled in block order, and
+    within a block in the order its compaction leaves them, which no worker
+    count changes.
     """
     eps2 = eps * eps
     limit = math.log(eps / SEED_ROUNDOFF) if certify else None
-    if n <= JULIA_BLOCK_PIXELS:
-        return _capture(p, _start_pairs(points(0, n)), targets, eps2, 0, max_iter,
-                        limit=limit)[:3]
     K = min(max(math.floor(math.log2(eps / SEED_ROUNDOFF)), 0), max_iter)
     step, label = np.empty((2, n), dtype=np.int32)
     peak = np.empty(n) if certify else None

@@ -37,6 +37,10 @@ SNAP_MAGNITUDE = 1e150
 # sqrt(overlap_distance) units (i.e. a chordal length on the unit sphere).
 POINT_TOL = 1e-9
 
+# Orbit values lyapunov_derivative holds at a time: it extends the orbit
+# chunk by chunk from the last value, in constant memory.
+ORBIT_CHUNK = 4096
+
 
 class ConfigurationError(RuntimeError):
     """A request the dynamics at this parameter cannot satisfy (for example,
@@ -405,11 +409,16 @@ def lyapunov_derivative(param: MapParam, z0, n: int,
         raise ValueError("need at least one step")
     total = 0.0
     used = 0
-    for v in _extend_orbit(param.p, [as_point(z0)._value], n):
-        rate = _value_rate(v)
-        if rate > 0.0:
-            total += math.log(rate)
-            used += 1
+    vals = [as_point(z0)._value]
+    for first in range(0, n, ORBIT_CHUNK):
+        # values first .. first + ORBIT_CHUNK - 1, after value first - 1 (z0 is value 0)
+        skip = 1 if first else 0
+        vals = _extend_orbit(param.p, vals[-1:], skip + min(ORBIT_CHUNK, n - first))
+        for v in vals[skip:]:
+            rate = _value_rate(v)
+            if rate > 0.0:
+                total += math.log(rate)
+                used += 1
     excluded = n - used
     value = total / used if used else float("-inf")
     reliable = used > 0 and excluded <= exclusion_limit * n

@@ -14,7 +14,6 @@ from qubit_chaos.atlas import (
     RETIRE_CONTRACTION,
     RETIRE_MARGIN,
     RETIRE_TIGHT,
-    ConfigurationError,
     Raster,
     Sweep,
     Window,
@@ -51,7 +50,7 @@ from qubit_chaos.orbits import (
     critical_orbits,
     make_cycle,
 )
-from qubit_chaos.sphere import INF, MapParam, SpherePoint, as_point
+from qubit_chaos.sphere import INF, ConfigurationError, MapParam, SpherePoint, as_point
 
 P0 = MapParam(0j)
 P1 = MapParam(1 + 0j)
@@ -84,6 +83,19 @@ def test_window_validation():
         Window(0j, 1.0, 1.0, 1, 4)
     with pytest.raises(ValueError):
         Window.from_bounds(2.0, -2.0, 0.0, 1.0, 4, 4)
+
+
+def test_window_refuses_non_finite_geometry():
+    for args in ((complex(math.inf, 0.0), 1.0, 1.0), (complex(0.0, math.nan), 1.0, 1.0),
+                 (0j, math.inf, 1.0), (0j, 1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Window(*args, 4, 4)
+    for bounds in ((-math.inf, math.inf, -2.0, 2.0), (0.0, math.inf, 0.0, 3.0),
+                   (-1e308, 1e308, -2.0, 2.0),  # the width overflows
+                   (1e308, 1.7e308, 0.0, 1.0)):  # so does the center's sum
+        with pytest.raises(ValueError):
+            Window.from_bounds(*bounds, 4, 4)
+    assert Window(1e200, 1e199, 1e199, 8, 8).at(np.arange(64)).real.min() > 9e199
 
 
 def test_window_json_round_trip():
@@ -750,6 +762,46 @@ def _assert_kernel_tracks_division(p, Z, W, steps):
         return _chordal(Z, W, Zd, Wd)
 
 
+def _run_in_place(P, S, scratch, steps, r):
+    """The in-place pair run as one loop: rescale before steps 0, r, 2r, ..."""
+    _, A, E = scratch
+    for k in range(steps):
+        if k % r == 0:
+            _pair_rescale(S, np.abs(S, out=A), A, E)
+        _pair_step(P, S, scratch)
+    return S
+
+
+def test_pair_run_rows_equal_the_in_place_run():
+    rng = np.random.default_rng(71)
+    z = np.concatenate([[np.inf, 0j, 1.0, -1j], rng.normal(size=20) + 1j * rng.normal(size=20)])
+    p = np.concatenate([[1.0, 0.5j, -0.2 + 0.7j, 0.3 + 0.3j], rng.uniform(-3, 3, 20) + 0.5j])
+    steps = 13
+    # (1, 0) and (0, 1) are the pairs of infinity and 0; p = 1e200 needs r = 1
+    cases = [(p, z, r) for r in (1, 3, 4)]
+    cases.append((np.full(4, 1e200 + 0j), np.array([np.inf, 0j, 1.0, 2j]), 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, z, r in cases:
+            assert r <= _rescale_interval(np.abs(p).max())
+            P, S0 = _pair_params(p), _start_pairs(z)
+            S, scratch = S0 * 8.0, _pair_scratch(z.size)  # no start pair is rescaled yet
+            rows = np.empty((steps, 2, z.size), dtype=complex)
+            last = kernel._pair_run(P, S, scratch, steps, r, rows=rows)
+            assert np.shares_memory(last, rows[-1])
+            assert np.array_equal(S, _normalized(S0))  # S takes the first rescale only
+            for k in range(steps):
+                want = kernel._pair_run(P, S0.copy(), scratch, k + 1, r)
+                assert np.array_equal(_normalized(rows[k]), _normalized(want)), (r, k)
+                if (k + 1) % r == 0 or k == steps - 1:
+                    m = np.max(np.abs(rows[k]), axis=0)
+                    assert np.all((0.5 <= m) & (m < 1.0)), (r, k)
+                # the in-place run is the loop it always was, bit for bit
+                S = S0.copy()
+                assert kernel._pair_run(P, S, scratch, k + 1, r) is S
+                assert np.array_equal(S, _run_in_place(P, S0.copy(), scratch, k + 1, r))
+
+
 def test_pair_kernel_equals_division_form_on_julia_orbits():
     grid = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 40, 40).grid().ravel()
     m0 = np.maximum(np.abs(grid), 1.0)
@@ -1040,6 +1092,19 @@ def test_sweep_argument_guards():
         bifurcation_sweep(record=0)
     with pytest.raises(ValueError, match="transient"):
         bifurcation_sweep(samples=4, transient=-5)
+
+
+@pytest.mark.parametrize("start, end", [
+    (0j, complex(1e308, 1e308)),  # the segment overflows where it is formed
+    (-1e308 + 0j, 1e308 + 0j),  # end - start overflows
+    (complex(math.inf, 0.0), 0j),
+    (0j, complex(0.0, math.nan)),
+])
+def test_sweep_refuses_a_non_finite_segment(start, end):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            bifurcation_sweep(start, end, samples=3, transient=5, record=2)
 
 
 # ---------------------------------------------------------------------------

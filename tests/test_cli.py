@@ -149,6 +149,25 @@ def test_sweep_negative_transient_exits_two(outdir, capsys):
     assert not (outdir / "bad.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "julia --p=1 --window=-inf,inf,-2,2 --res=4x4",  # every pixel at infinity
+    "params --window=0,inf,0,3 --res=4x4",
+    "julia --p=1 --window=-1e308,1e308,-2,2 --res=4x4",  # the width overflows
+    "sweep --end=1e308+1e308i --samples=3 --transient=5 --record=2",  # the segment overflows
+])
+def test_non_finite_window_or_segment_exits_two(tmp_path, argv):
+    # a process of its own, so that a traceback or a numpy warning shows on stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "qubit_chaos.cli", *argv.split(), "--out=bad"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+    assert not list(tmp_path.glob("bad*"))
+
+
 def test_degree_guard_exits_two(outdir, capsys):
     assert run(["cycles", "--p", "0+0i", "--n", "9", "--out", "big"]) == 2
     assert "error:" in capsys.readouterr().err

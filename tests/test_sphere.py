@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +8,20 @@ import pytest
 from qubit_chaos import sphere
 from qubit_chaos.sphere import (
     INF,
+    ORBIT_CHUNK,
     SNAP_MAGNITUDE,
+    LyapunovEstimate,
     MapParam,
     SpherePoint,
     _chart_step,
+    _extend_orbit,
     _fit_slope,
     _preferred_chart,
     _value_rate,
     apply_map,
     as_point,
     chordal_distance,
+    lyapunov_derivative,
     lyapunov_overlap,
     overlap_distance,
     spherical_derivative,
@@ -489,3 +494,47 @@ def test_fit_slope_of_two_values_is_their_difference():
     rng = np.random.default_rng(29)
     for a, b in rng.normal(scale=30.0, size=(100, 2)):
         assert _fit_slope([a, b]) == b - a
+
+
+# ---------------------------------------------------------------------------
+# the derivative estimator in chunks
+
+def _whole_orbit_lyapunov_derivative(param, z0, n, exclusion_limit=0.01):
+    """lyapunov_derivative as one loop over the whole n-value orbit list."""
+    total = 0.0
+    used = 0
+    for v in _extend_orbit(param.p, [as_point(z0)._value], n):
+        rate = _value_rate(v)
+        if rate > 0.0:
+            total += math.log(rate)
+            used += 1
+    value = total / used if used else float("-inf")
+    reliable = used > 0 and n - used <= exclusion_limit * n
+    return LyapunovEstimate(value, "derivative", used, False, reliable)
+
+
+def test_chunked_lyapunov_derivative_equals_whole_orbit_loop():
+    rng = np.random.default_rng(67)
+    # p = 0 holds 0 and infinity fixed; p = 1 runs 0 -> 1 -> infinity -> -1 -> ...
+    runs = [(0j, 0j), (0j, INF), (1 + 0j, 0j), (1 + 0j, INF), (1e200 + 0j, 0j)]
+    runs += [(complex(*rng.uniform(-2, 2, 2)), complex(*rng.normal(size=2))) for _ in range(6)]
+    for p, z0 in runs:
+        for n in (1, 40, ORBIT_CHUNK - 1, ORBIT_CHUNK, ORBIT_CHUNK + 1, 2 * ORBIT_CHUNK + 17):
+            got = lyapunov_derivative(MapParam(p), z0, n)
+            want = _whole_orbit_lyapunov_derivative(MapParam(p), z0, n)
+            assert (repr(got.value), got.steps_used, got.reliable) == (
+                repr(want.value), want.steps_used, want.reliable), (p, z0, n)
+
+
+def test_lyapunov_derivative_runs_in_constant_memory():
+    # the whole 10**5-value orbit list takes about 4 MB
+    param = MapParam(0.3 + 0.2j)
+    lyapunov_derivative(param, cmath.exp(0.5j), 10)
+    tracemalloc.start()
+    try:
+        got = lyapunov_derivative(param, cmath.exp(0.5j), 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert got.steps_used == 10 ** 5
