@@ -17,17 +17,12 @@ window, and runs the sweep's transient and fills its record; the julia
 raster runs the blocked capture runner, the one ``classify_basin`` runs
 with the roundoff certificate on.
 
-Both rasters run in stages over fixed-size pixel blocks and pool the pixels
-a stage leaves live, in pixel order, into full blocks for the next, so late
-steps do not run on a few live pixels per block.  The julia raster runs
-every pixel to step K = floor(log2(eps/SEED_ROUNDOFF)), 32 at eps = 1e-6,
-up to which the roundoff certificate refuses no capture.  The parameter
-raster retires a pixel at a checkpoint (RETIRE_CHECKPOINTS) if its period
-is certified there: one lag scan of the kernel at a wide and a tight
-radius, then a contracting multiplier (the RETIRE_* constants below); 13%
-of the default window is left after step 384 to run out the transient and
-the lag scan at eps.  Retirement never changes a period -- the tests check
-it pixel for pixel against straight iteration -- it only skips iterations.
+Both rasters run in stages through the kernel's block runner
+``_run_blocks``, which pools the pixels a stage leaves live into full
+blocks for the next.  The julia raster's stages split at the step K of the
+kernel docstring; the parameter raster retires a pixel at a checkpoint by
+the RETIRE_* rule below, and 13% of the default window is left after step
+384 to run out the transient and the lag scan at eps.
 
 Blocks and pooled pixels never depend on the worker count, and arithmetic
 is elementwise within a block, so output is bit-identical however many
@@ -39,7 +34,6 @@ from __future__ import annotations
 
 import colorsys
 import math
-import queue
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -54,19 +48,18 @@ from .kernel import (
     _pair_scratch,
     _point_values,
     _rescale_interval,
+    _run_blocks,
     _run_capture,
-    _run_stage,
     _start_pairs,
     _target_pairs,
 )
 from .orbits import (
     Cycle,
     _check_cycle_args,
-    _fmt_point,
     _target_cycles,
     critical_orbits,  # no caller here: the benchmark's trace hooks patch this name
 )
-from .sphere import MapParam, as_point
+from .sphere import MapParam, _json_complex, _json_point, as_point
 
 # Fixed split unit of the parameter raster, independent of worker count (the
 # julia raster's is kernel.JULIA_BLOCK_PIXELS).
@@ -85,10 +78,13 @@ PALETTE_VERSION = "period-hue-v1"
 #       1 - RETIRE_CONTRACTION (a critical hit gives 0 and certifies).
 # A cycle that attracts this strongly holds an orbit this close to it
 # (Milnor, Dynamics in One Complex Variable, 3rd ed., Sec. 8), so the lag
-# scan after the full transient finds the same q0.  The tight radius keeps
-# slow period doublings near |multiplier| = 1 iterating: with RETIRE_TIGHT =
-# 0.5 and no contraction margin, 205 pixels of the default window on the arc
-# through p = 0.68+1.59i retire with period 6 where the full run settles to 2.
+# scan after the full transient finds the same q0: retirement never changes
+# a period (the tests check it pixel for pixel against straight iteration),
+# it only skips iterations.  (a) and (b) take one lag scan at both radii.
+# The tight radius keeps slow period doublings near |multiplier| = 1
+# iterating: with RETIRE_TIGHT = 0.5 and no contraction margin, 205 pixels
+# of the default window on the arc through p = 0.68+1.59i retire with
+# period 6 where the full run settles to 2.
 RETIRE_CHECKPOINTS = (32, 256)
 RETIRE_TIGHT = 1e-3
 RETIRE_MARGIN = 2.0
@@ -145,11 +141,12 @@ class Window:
     def at(self, idx: np.ndarray) -> np.ndarray:
         """Pixel centers of the flat indices idx, as grid().ravel() has them
         (formed per block: the whole grid would raise the peak memory)."""
-        return self.real_axis()[idx % self.nx] + 1j * self.imag_axis()[idx // self.nx]
+        row, col = np.divmod(idx, self.nx)
+        return self.real_axis()[col] + 1j * self.imag_axis()[row]
 
     def to_json_dict(self) -> dict:
         return {
-            "center": [self.center.real, self.center.imag],
+            "center": _json_complex(self.center),
             "width": self.width, "height": self.height,
             "nx": self.nx, "ny": self.ny,
         }
@@ -191,14 +188,8 @@ class Sweep:
 # parameter-raster kernel
 
 def _certified_period(T, max_period: int, eps2: float) -> np.ndarray:
-    """Period each pixel of the tail window T is certified to settle into,
-    or -1 (the RETIRE_* rule).
-
-    One lag scan at two radii gives each pixel the smallest lag q0 with no
-    pair RETIRE_MARGIN*eps apart, standing only if all of its q0 pairs
-    match within RETIRE_TIGHT*eps; q0 is then kept if the multiplier over
-    the last q0 states has modulus at most 1 - RETIRE_CONTRACTION.
-    """
+    """Period each pixel of the tail window T is certified to settle into
+    by the RETIRE_* rule, or -1."""
     q0 = _lag_scan(T, max_period, eps2 * RETIRE_MARGIN ** 2, eps2 * RETIRE_TIGHT ** 2)
     last = len(T) - 1
     cand = np.flatnonzero(q0 > 0)
@@ -233,23 +224,20 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     _check_capture_args(eps, max_iter)
     cycles = _target_cycles(param, cycles)
     targets = _target_pairs(cycles)
-    steps, label, _ = _run_capture(param.p, lambda start, stop: window.at(np.arange(start, stop)),
-                                   window.nx * window.ny, targets, eps, max_iter, workers=workers)
+    steps, label, _ = _run_capture(param.p, window.at, window.nx * window.ny, targets, eps,
+                                   max_iter, workers=workers)
     shape = (window.ny, window.nx)
     # label -1 (never captured) picks the trailing -1
     period = np.array([c.period for c in cycles] + [-1], np.int32)[label].reshape(shape)
     converged = period >= 0
     steps = np.where(converged, steps.reshape(shape), max_iter)
     config = {
-        "kind": "julia", "p": [param.p.real, param.p.imag],
+        "kind": "julia", "p": _json_complex(param.p),
         "window": window.to_json_dict(), "max_iter": max_iter, "eps": eps,
-        "targets": [[_fmt(tz), _fmt(tw), cycles[i].period] for tz, tw, _, i in targets],
+        "targets": [[_json_complex(tz), _json_complex(tw), cycles[i].period]
+                    for tz, tw, _, i in targets],
     }
     return Raster(window, converged, steps, period, config)
-
-
-def _fmt(c: complex) -> list[float]:
-    return [c.real, c.imag]
 
 
 def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
@@ -264,73 +252,62 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     lag are marked unconverged.  Requires 0 < eps < 1, max_period >= 1 and
     transient >= 2*max_period; ValueError otherwise.
 
-    The raster runs in stages, each over fixed blocks of BLOCK_PIXELS
-    pixels.  At each checkpoint c of RETIRE_CHECKPOINTS whose window of
-    2*min(c, max_period)+1 states ends inside the transient (steps 96 and
-    384 at the defaults), a pixel whose orbit is already certified to have
-    settled stops early: it retires with period q0 if q0 is the smallest lag
-    matching within RETIRE_MARGIN*eps, all of its matches lie within
-    RETIRE_TIGHT*eps, and the multiplier over those q0 states has modulus
-    at most 1 - RETIRE_CONTRACTION.  The pixels left over from every block
-    are pooled in pixel order, with their last window state, into fresh
-    full blocks for the next stage, so their orbit is the uninterrupted
-    one; the last stage runs the rest of the transient and the lag scan.
-    Retirement never changes a period: it is the one the full transient and
-    scan report.  So ``steps`` still records transient + 2*max_period for
-    every pixel, the depth the period stands for.
+    The raster runs in stages over fixed blocks of BLOCK_PIXELS pixels
+    (:func:`qubit_chaos.kernel._run_blocks`).  At each checkpoint c of
+    RETIRE_CHECKPOINTS whose window of 2*min(c, max_period)+1 states ends
+    inside the transient (steps 96 and 384 at the defaults), a pixel whose
+    period the RETIRE_* rule certifies stops early; the others carry their
+    last window state into the next stage, so their orbit is the
+    uninterrupted one, and the last stage runs the rest of the transient
+    and the lag scan.  A retired pixel keeps the period the full run
+    reports, so ``steps`` records transient + 2*max_period for every pixel,
+    the depth the period stands for.
     """
     _check_cycle_args(eps, max_period)
     if transient < 2 * max_period:
         raise ValueError("transient must be at least 2*max_period")
     z0 = as_point(z0)
-    S0 = _start_pairs(_point_values([z0]))
     eps2 = eps * eps
     total = window.nx * window.ny
     # one window of tail states plus step scratch per worker, kept through
     # every stage: a fresh window per block inflates peak RSS through heap
     # retention
-    buffers = queue.SimpleQueue()
     cols = min(BLOCK_PIXELS, total)
 
     def make_buffer():
         return np.empty((2 * max_period + 1, 2, cols), dtype=complex), _pair_scratch(cols)
 
-    # (window start, lags scanned) per stage: each checkpoint whose window
-    # ends inside the transient, then the transient itself
-    stages = [(c, min(c, max_period)) for c in RETIRE_CHECKPOINTS
-              if c + 2 * min(c, max_period) <= transient]
-    stages.append((transient, max_period))
+    def run(stage, idx, state, buf):
+        done, start_step, lags = stage
+        p = window.at(idx)
+        P = _pair_params(p)
+        win, scratch = buf
+        win, scratch = win[:2 * lags + 1, :, :p.size], [a[..., :p.size] for a in scratch]
+        r = _rescale_interval(np.abs(p).max())
+        win[0] = state[0]
+        _pair_run(P, win[0], scratch, start_step - done, r)
+        _pair_run(P, win[0], scratch, 2 * lags, r, rows=win[1:])
+        # the last stage, at the end of the transient, scans at eps
+        scan = _lag_scan if start_step == transient else _certified_period
+        period[idx] = q0 = scan(win, lags, eps2)
+        keep = np.flatnonzero(q0 < 0)
+        return keep, win[-1][:, keep]
+
+    # (steps done, window start, lags scanned) per stage: each checkpoint whose
+    # window ends inside the transient, then the transient itself
+    starts = [c for c in RETIRE_CHECKPOINTS if c + 2 * min(c, max_period) <= transient]
+    starts.append(transient)
+    ends = [c + 2 * min(c, max_period) for c in starts]
+    stages = [(done, c, min(c, max_period)) for done, c in zip([0] + ends, starts)]
     period = np.full(total, -1, dtype=np.int32)
-    live = np.arange(total)  # pixels still iterating, in pixel order
-    S_live = np.broadcast_to(S0, (2, total))  # their states after `done` steps
-    done = 0
-    for i, (start_step, lags) in enumerate(stages):
-        if live.size == 0:
-            break
-        final = i == len(stages) - 1
-
-        def stage(start, stop, buf):
-            idx = live[start:stop]
-            p = window.at(idx)
-            P = _pair_params(p)
-            win, scratch = buf
-            win, scratch = win[:2 * lags + 1, :, :p.size], [a[..., :p.size] for a in scratch]
-            r = _rescale_interval(np.abs(p).max())
-            win[0] = S_live[:, start:stop]
-            _pair_run(P, win[0], scratch, start_step - done, r)
-            _pair_run(P, win[0], scratch, 2 * lags, r, rows=win[1:])
-            # the last stage scans at eps and leaves no pixel live
-            period[idx] = q0 = (_lag_scan if final else _certified_period)(win, lags, eps2)
-            keep = np.flatnonzero((q0 < 0) & (not final))
-            return idx[keep], win[-1][:, keep]
-
-        live, S_live = _run_stage(live, BLOCK_PIXELS, workers, stage, buffers, make_buffer)
-        done = start_step + 2 * lags
+    S0 = _start_pairs(_point_values([z0]))
+    _run_blocks(total, BLOCK_PIXELS, workers, stages, run,
+                (np.broadcast_to(S0, (2, total)),), make_buffer)
     shape = (window.ny, window.nx)
     period = period.reshape(shape)
     steps = np.full(shape, transient + 2 * max_period, dtype=np.int32)
     config = {
-        "kind": "parameter-space", "z0": _fmt_point(z0),
+        "kind": "parameter-space", "z0": _json_point(z0),
         "window": window.to_json_dict(), "transient": transient,
         "max_period": max_period, "eps": eps,
     }
@@ -344,8 +321,7 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     Runs the orbit of z0 for ``transient`` iterations at every sampled
     parameter, then records |z| for the next ``record`` iterations.  Visits
     to the point at infinity are flagged rather than given a magnitude.
-    ValueError if a sampled parameter is not finite or overflows where the
-    segment is formed.
+    ValueError if a sampled parameter is not finite.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -354,13 +330,11 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     if transient < 0:
         raise ValueError(f"transient must be at least 0, got {transient}")
     t = np.arange(samples) / (samples - 1) if samples > 1 else np.zeros(1)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            p = (np.asarray(start) + t * (np.asarray(end) - np.asarray(start))).astype(complex)
-        finite = np.isfinite(p).all()
-    except FloatingPointError:
-        finite = False
-    if not finite:
+    # decided by the sampled values: numpy's overflow flag for this product
+    # depends on its SIMD loop, not on the segment
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = (np.asarray(start) + t * (np.asarray(end) - np.asarray(start))).astype(complex)
+    if not np.isfinite(p).all():
         raise ValueError(f"the segment from {start} to {end} samples a non-finite parameter")
     z0 = as_point(z0)
     P, S = _pair_params(p), np.repeat(_start_pairs(_point_values([z0])), samples, axis=1)
@@ -375,9 +349,9 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     is_inf = ~np.isfinite(ratio)
     abs_z = np.where(is_inf, 0.0, ratio)
     config = {
-        "kind": "sweep", "start": _fmt(complex(start)), "end": _fmt(complex(end)),
+        "kind": "sweep", "start": _json_complex(complex(start)), "end": _json_complex(complex(end)),
         "samples": samples, "transient": transient, "record": record,
-        "z0": _fmt_point(z0),
+        "z0": _json_point(z0),
     }
     return Sweep(p, transient + 1, abs_z, is_inf, config)
 

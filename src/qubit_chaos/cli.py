@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 from . import __version__
 from .sphere import (INF, ConfigurationError, MapParam, RootFindingError, SpherePoint,
-                     iterate_orbit, lyapunov_derivative, lyapunov_overlap)
+                     _json_complex, _json_point, iterate_orbit, lyapunov_derivative,
+                     lyapunov_overlap)
 
 # The library names the handlers call, by module.  A handler binds its
 # module's names as globals of this module (_bind) before it calls them, so a
@@ -248,7 +249,7 @@ def _cmd_cycles(args):
     param = MapParam(args.p)
     cycles = periodic_cycles(param, args.n, n_max=args.n_max)
     doc = {
-        "p": [args.p.real, args.p.imag],
+        "p": _json_complex(args.p),
         "n": args.n,
         "cycles": [c.to_json_dict() for c in cycles],
     }
@@ -271,8 +272,8 @@ def _cmd_lyapunov(args):
             z1 = SpherePoint(args.z0.value * complex(math.cos(1e-8), math.sin(1e-8)))
         estimates.append(lyapunov_overlap(param, args.z0, z1, n_max=args.steps))
     doc = {
-        "p": [args.p.real, args.p.imag],
-        "z0": "inf" if args.z0.is_infinity else [args.z0.value.real, args.z0.value.imag],
+        "p": _json_complex(args.p),
+        "z0": _json_point(args.z0),
         "estimates": [e.to_json_dict() for e in estimates],
     }
     path = _resolve_out(args.out) + ".json"
@@ -291,7 +292,7 @@ def _cmd_orbit(args):
                 fh.write(f"{k},,,1\n")
             else:
                 fh.write(f"{k},{pt.value.real!r},{pt.value.imag!r},0\n")
-    return path, {"kind": "orbit", "p": [args.p.real, args.p.imag], "n": args.n}, {}
+    return path, {"kind": "orbit", "p": _json_complex(args.p), "n": args.n}, {}
 
 
 def _cmd_twoqubit(args):

@@ -1,5 +1,6 @@
-"""The projective-pair kernel of every vector pipeline, and the blocked capture
-runner that the julia raster and the basin classifier share.
+"""The projective-pair kernel of every vector pipeline, the block runner of
+every raster pipeline, and the capture runner that the julia raster and the
+basin classifier share.
 
 A point is a pair (Z, W) with z = Z/W.  The step is polynomial (no
 division), infinity is the exact pair (1, 0), and the arithmetic commutes
@@ -10,15 +11,18 @@ scales the pairs by a power of two, which is exact in binary floating point
 Every test read off a pair is homogeneous in it, so no output
 depends on when the rescales happen (:func:`_rescale_interval`).
 
-Both capture pipelines run through :func:`_run_capture`: every block of
-JULIA_BLOCK_PIXELS points runs to step K = floor(log2(eps/SEED_ROUNDOFF)),
-32 at eps = 1e-6, up to which the roundoff certificate can refuse no
-capture, and the points all blocks leave live are pooled into full blocks
-for the remaining steps, so late steps do not run on a few live points per
-block.  In a block the live points are a prefix of the columns, whose holes
-a capture fills from its end (:func:`_capture`): O(captures) moves a step.
-Blocks never depend on the worker count, and the arithmetic is elementwise,
-so neither the workers nor the order of the columns changes an output bit.
+The rasters and the basin classifier run in stages over fixed blocks of
+points through :func:`_run_blocks`, which pools the points a stage leaves
+live into full blocks for the next, so late steps do not run on a few live
+points per block.  Both capture pipelines run through :func:`_run_capture`:
+every block of JULIA_BLOCK_PIXELS points runs to step
+K = floor(log2(eps/SEED_ROUNDOFF)), 32 at eps = 1e-6, up to which the
+roundoff certificate can refuse no capture, and the points left live run
+the remaining steps in the second stage.  In a block the live points are a
+prefix of the columns, whose holes a capture fills from its end
+(:func:`_capture`): O(captures) moves a step.  Blocks never depend on the
+worker count, and the arithmetic is elementwise, so neither the workers nor
+the order of the columns changes an output bit.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -348,74 +354,74 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
     return step, label, peak, alive[:m], S, L
 
 
-def _run_stage(live: np.ndarray, block: int, workers: Optional[int], fn,
-               buffers: Optional[queue.SimpleQueue] = None, make_buffer=lambda: None):
-    """Run fn(start, stop, buffer) over blocks of ``block`` live points (flat
-    indices in input order) and pool, in input order, the flat indices and
-    state arrays (stacked along their last axis) that each block returns
-    as left live; returns them as a tuple.  ``live`` is not empty.  A block
-    takes a buffer from ``buffers`` or, when none is free, a new one from
-    ``make_buffer()``, and puts it back when done: at most one buffer per
-    worker is ever made, and runs passing the same ``buffers`` reuse them.
-    """
-    if buffers is None:
-        buffers = queue.SimpleQueue()
-    starts = range(0, live.size, block)
-    left = [None] * len(starts)
+def _run_blocks(n: int, block: int, workers: Optional[int], stages: Sequence, fn,
+                state: tuple = (), make_buffer=lambda: None) -> None:
+    """Run the stages over n points, each over blocks of ``block`` live points.
 
-    def run(start):
+    fn(stage, idx, state, buf) runs one stage on one block: ``idx`` holds
+    the block's flat indices in input order, ``state`` its columns of the
+    pooled state arrays (their last axis runs over the live points; the
+    initial ``state`` covers all n) and ``buf`` a buffer of ``make_buffer()``,
+    made at most once per worker for the whole run.  fn returns the block
+    positions it leaves live and their state arrays.  After every stage but
+    the last the runner pools copies of them, in input order, as the next
+    stage's live points and state, so no block's scratch outlives its block;
+    the last stage's are not pooled, and a stage that leaves nothing live
+    ends the run.  Blocks never depend on ``workers``, which caps the pool.
+    """
+    buffers = queue.SimpleQueue()
+
+    def run(stage, final, live, state, start):
         try:
             buf = buffers.get_nowait()
         except queue.Empty:
             buf = make_buffer()
-        left[start // block] = fn(start, min(start + block, live.size), buf)
+        idx = live[start:start + block]
+        keep, *out = fn(stage, idx, tuple(a[..., start:start + block] for a in state), buf)
         buffers.put(buf)
+        return None if final else (idx[keep], *(a.copy() for a in out))
 
-    nworkers = min(workers or min(8, os.cpu_count() or 1), len(starts))
-    if nworkers <= 1:
-        list(map(run, starts))
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(run, starts))
-    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*left))
+    live = np.arange(n)
+    nworkers = min(workers or min(8, os.cpu_count() or 1), -(-n // block))
+    with ThreadPoolExecutor(nworkers) if nworkers > 1 else nullcontext() as pool:
+        for i, stage in enumerate(stages):
+            if live.size == 0:
+                break
+            final = i == len(stages) - 1
+            left = list((pool.map if pool else map)(
+                partial(run, stage, final, live, state), range(0, live.size, block)))
+            if not final:
+                live, *state = (np.concatenate(parts, axis=-1) for parts in zip(*left))
+            del left  # or the blocks' parts would stay held through the next stage
 
 
 def _run_capture(p: complex, points, n: int, targets, eps: float, max_iter: int,
                  certify: bool = False, workers: Optional[int] = 1):
     """:func:`_capture` over steps 0..max_iter of the n points
-    ``points(start, stop)`` (flat indices start..stop-1), in blocks of
-    JULIA_BLOCK_PIXELS (see the module docstring); returns int32 ``step``
-    and ``label`` and, with ``certify``, the certificate's peaks (else
-    None).  ``workers`` caps the thread pool.  One block runs through both
-    stages too.  The points live after step K are pooled in block order, and
-    within a block in the order its compaction leaves them, which no worker
-    count changes.
+    ``points(idx)`` (flat indices idx) in the stages (0, K) and
+    (K+1, max_iter) of the module docstring; returns int32 ``step`` and
+    ``label`` and, with ``certify``, the certificate's peaks (else None).
+    ``workers`` caps the thread pool.  One block runs through both stages
+    too.  The points live after step K are pooled in block order, and
+    within a block in the order its compaction leaves them.
     """
     eps2 = eps * eps
     limit = math.log(eps / SEED_ROUNDOFF) if certify else None
     K = min(max(math.floor(math.log2(eps / SEED_ROUNDOFF)), 0), max_iter)
     step, label = np.empty((2, n), dtype=np.int32)
     peak = np.empty(n) if certify else None
-    live = np.arange(n)
-    for first, last in ((0, K), (K + 1, max_iter)):
-        if live.size == 0 or first > last:
-            break
 
-        def run(start, stop, _):
-            idx = live[start:stop]
-            if first == 0:  # every point, in input order
-                S, L = _start_pairs(points(start, stop)), None
-            else:
-                S = S_live[:, start:stop].copy()
-                L = L_live[0][:, start:stop].copy() if certify else None
-            step[idx], label[idx], pk, keep, S, L = _capture(
-                p, S, targets, eps2, first, last, max_iter, L, limit)
-            if certify:
-                peak[idx] = pk
-            out = (S, L) if certify else (S,)
-            if last == max_iter:  # the last stage leaves no point live
-                keep = keep[:0]
-            # copies, or the pool would hold every block's whole arrays until it ends
-            return (idx[keep], *(a[:, :keep.size].copy() for a in out))
-        live, S_live, *L_live = _run_stage(live, JULIA_BLOCK_PIXELS, workers, run)
+    def run(stage, idx, state, _):
+        first, last = stage
+        # stage 1 starts every point; stage 2 takes its pairs and sums from stage 1
+        S = state[0].copy() if state else _start_pairs(points(idx))
+        L = state[1].copy() if certify and state else None
+        step[idx], label[idx], pk, keep, S, L = _capture(
+            p, S, targets, eps2, first, last, max_iter, L, limit)
+        if certify:
+            peak[idx] = pk
+        return (keep, S, L) if certify else (keep, S)
+
+    stages = [(0, K)] + ([(K + 1, max_iter)] if K < max_iter else [])
+    _run_blocks(n, JULIA_BLOCK_PIXELS, workers, stages, run)
     return step, label, peak

@@ -39,6 +39,8 @@ from .sphere import (
     SpherePoint,
     _chart_step,
     _extend_orbit,
+    _json_complex,
+    _json_point,
     _points,
     _preferred_chart,
     _value_overlap,
@@ -80,12 +82,6 @@ def _point_key(pt: SpherePoint):
     return (0, pt.value.real, pt.value.imag)
 
 
-def _fmt_point(pt: SpherePoint):
-    if pt.is_infinity:
-        return "inf"
-    return [pt.value.real, pt.value.imag]
-
-
 @dataclass(frozen=True)
 class Cycle:
     """A periodic orbit with its multiplier and stability class.
@@ -119,8 +115,8 @@ class Cycle:
     def to_json_dict(self) -> dict:
         return {
             "period": self.period,
-            "points": [_fmt_point(pt) for pt in self.points],
-            "multiplier": [self.multiplier.real, self.multiplier.imag],
+            "points": [_json_point(pt) for pt in self.points],
+            "multiplier": _json_complex(self.multiplier),
             "class": self.stability,
         }
 
@@ -183,7 +179,7 @@ class CriticalReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "p": [self.param.p.real, self.param.p.imag],
+            "p": _json_complex(self.param.p),
             "hyperbolic": self.hyperbolic,
             "critical_orbits": [r.to_json_dict() for r in self.critical],
             "cycles": [c.to_json_dict() for c in self.cycles],
@@ -645,11 +641,11 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     invariant set (e.g. |z| = 1 under the pure squaring map) are the
     canonical unresolved case.  The points run, in one thread, through the
     blocked capture runner ``render_julia`` uses
-    (:func:`qubit_chaos.kernel._run_capture`): blocks of JULIA_BLOCK_PIXELS
-    points run to step K, up to which the certificate refuses nothing, and
-    the points still live are pooled into full blocks with their
-    certificate state, so the scratch is one block's, not the input's.  The
-    certificate is the only difference from the raster.
+    (:func:`qubit_chaos.kernel._run_capture`, whose stages the kernel
+    docstring gives), and the points still live after the first stage carry
+    their certificate state into the second, so the scratch is one block's,
+    not the input's.  The certificate is the only difference from the
+    raster.
     Requires 0 < eps < 1 and max_iter >= 0; ValueError otherwise.
     """
     _check_capture_args(eps, max_iter)
@@ -657,6 +653,5 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     cycles = _target_cycles(param, cycles)
     flat = pts.ravel()
     steps, labels, peak = (a.reshape(pts.shape) for a in _run_capture(
-        param.p, lambda start, stop: flat[start:stop], flat.size, _target_pairs(cycles), eps,
-        max_iter, certify=True))
+        param.p, flat.take, flat.size, _target_pairs(cycles), eps, max_iter, certify=True))
     return BasinResult(labels.astype(int), steps.astype(int), peak, cycles)

@@ -130,6 +130,16 @@ def as_point(z) -> SpherePoint:
     raise TypeError(f"cannot interpret {z!r} as a point on the sphere")
 
 
+def _json_complex(c) -> list:
+    """The JSON form of a complex number: [re, im]."""
+    return [c.real, c.imag]
+
+
+def _json_point(pt: SpherePoint):
+    """The JSON form of a sphere point: "inf", or [re, im]."""
+    return "inf" if pt.is_infinity else _json_complex(pt.value)
+
+
 @dataclass(frozen=True)
 class MapParam:
     """The complex parameter of the one-step map, p = tan(x) * exp(i*phi).

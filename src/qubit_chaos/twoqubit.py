@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import purity, rotation_unitary, selection_probability, squaring_channel, validate_density
+from .sphere import _json_complex
 
 BASIS_LABELS = ("00", "01", "10", "11")
 
@@ -131,7 +132,7 @@ def purification_trace(rho0, angles=DEFAULT_ANGLES, n: int = 50,
     config = {
         "kind": "twoqubit", "angles": list(angles), "steps": n,
         "target": None if target is None else
-        [[c.real, c.imag] for c in np.asarray(target, dtype=complex).reshape(4)],
+        [_json_complex(c) for c in np.asarray(target, dtype=complex).reshape(4)],
     }
     return PurificationTrace(np.arange(n + 1), pur, fid, sel, config)
 

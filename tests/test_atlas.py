@@ -344,24 +344,27 @@ def test_blocked_classifier_equals_one_block_reference(monkeypatch, p, half, max
                               max_iter, limit)
     if p != 1e200:  # 1e200 captures every point by step K
         assert (want[0] == _K).any() and (want[0] == _K + 1).any()
-    run_stage = kernel._run_stage
+    run_blocks = kernel._run_blocks
     for block in (256, kernel.JULIA_BLOCK_PIXELS):
         assert pts.size > block
-        pooled = []  # the points each stage leaves live
+        kept = {}  # per stage, the points each block leaves live
 
-        def spy(*args, **kwargs):
-            out = run_stage(*args, **kwargs)
-            pooled.append(out[0])
-            return out
+        def spy(n, size, workers, stages, fn, *args):
+            def counted(stage, idx, state, buf):
+                out = fn(stage, idx, state, buf)
+                kept.setdefault(stage, []).append(idx[out[0]])
+                return out
+            return run_blocks(n, size, workers, stages, counted, *args)
 
         monkeypatch.setattr(kernel, "JULIA_BLOCK_PIXELS", block)
-        monkeypatch.setattr(kernel, "_run_stage", spy)
+        monkeypatch.setattr(kernel, "_run_blocks", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = classify_basin(param, pts, cycles=cycles, max_iter=max_iter)
         assert np.array_equal(res.labels, want[1]), block
         assert np.array_equal(res.steps, want[0]), block
         assert np.array_equal(res.expansion_log_peak, want[2]), block
+        pooled = [np.concatenate(parts) for parts in kept.values()]
         left = pooled[0]  # live after step K
         if p != 1e200:
             assert len(pooled) == 2
@@ -438,18 +441,53 @@ def test_classifier_keeps_the_shape_of_empty_and_0d_inputs(shape):
         assert res.labels == 0 and res.steps > 0
 
 
+class _Unpooled:
+    """Stands in for a state array that the runner must not pool: it adds
+    itself to ``read`` on any attribute read or conversion to an array."""
+
+    def __init__(self, a, read):
+        self.a, self.read = a, read
+
+    def __getattr__(self, name):
+        self.read.add(self)
+        return getattr(self.a, name)
+
+    def __array__(self, dtype=None, copy=None):
+        self.read.add(self)
+        return np.asarray(self.a, dtype)
+
+
+def _run_blocks_probed(run_blocks, live_sizes):
+    """A spy on kernel._run_blocks that appends to ``live_sizes``, per stage
+    run, the points and state columns the runner pools after it: those the
+    next stage receives, and after the last stage those of the state it
+    returns (as :class:`_Unpooled` probes) that the runner reads."""
+
+    def spy(n, block, workers, stages, fn, *args):
+        received, read = {}, set()
+
+        def probed(stage, idx, state, buf):
+            got = received.setdefault(stage, [0, 0])
+            got[0] += idx.size
+            got[1] += sum(a.shape[-1] for a in state[:1])
+            keep, *out = fn(stage, idx, state, buf)
+            if stage == stages[-1]:
+                out = [_Unpooled(a, read) for a in out]
+            return keep, *out
+
+        run_blocks(n, block, workers, stages, probed, *args)
+        live_sizes.extend(tuple(got) for got in list(received.values())[1:])
+        cols = sum(probe.a.shape[-1] for probe in read)
+        live_sizes.append((cols, cols))
+
+    return spy
+
+
 def test_julia_last_stage_pools_nothing(monkeypatch):
-    # the pixels the last stage never captured are done: it hands back no
-    # live set to pool, as the parameter raster's last stage does
+    # the pixels the last stage never captured are done: the runner pools
+    # nothing after it, as after the parameter raster's last stage
     live_sizes = []
-
-    def spy(*args, **kwargs):
-        live, S = run_stage(*args, **kwargs)
-        live_sizes.append((live.size, S.shape[1]))
-        return live, S
-
-    run_stage = kernel._run_stage
-    monkeypatch.setattr(kernel, "_run_stage", spy)
+    monkeypatch.setattr(kernel, "_run_blocks", _run_blocks_probed(kernel._run_blocks, live_sizes))
     monkeypatch.setattr(kernel, "JULIA_BLOCK_PIXELS", 256)
     win = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 48, 48)
     for max_iter in (_K, 200):
@@ -458,6 +496,80 @@ def test_julia_last_stage_pools_nothing(monkeypatch):
         assert not raster.converged.all()
         assert live_sizes[-1] == (0, 0)
     assert len(live_sizes) == 2 and live_sizes[0][0] > 0
+
+
+_TOY_STAGES = ("a", "b", "c")
+
+
+def _toy_keeps(n, empty_stage=None):
+    """Per stage of _TOY_STAGES, a seeded mask of the points it leaves live
+    (none at ``empty_stage``)."""
+    rng = np.random.default_rng(21)
+    return {s: rng.random(n) < 0.6 if s != empty_stage else np.zeros(n, bool)
+            for s in _TOY_STAGES}
+
+
+def _toy_block(keeps, stage, idx, state):
+    """One toy block: the masked points, in reverse order, and their state
+    plus the stage's index."""
+    keep = np.flatnonzero(keeps[stage][idx])[::-1]
+    return keep, state[0][:, keep] + _TOY_STAGES.index(stage)
+
+
+def _toy_reference(n, block, keeps):
+    """Per stage run, the blocks (indices, state) a serial loop gives it."""
+    live, x = np.arange(n), np.stack([np.arange(n), -np.arange(n)]) * 1.0
+    runs = {}
+    for stage in _TOY_STAGES:
+        if live.size == 0:
+            break
+        blocks = [(live[s:s + block], x[:, s:s + block]) for s in range(0, live.size, block)]
+        runs[stage] = blocks
+        left = []
+        for idx, xb in blocks:
+            keep, out = _toy_block(keeps, stage, idx, (xb,))
+            left.append((idx[keep], out))
+        live = np.concatenate([idx for idx, _ in left])
+        x = np.concatenate([out for _, out in left], axis=-1)
+    return runs
+
+
+def _block_bytes(blocks):
+    return sorted((idx.tobytes(), x.tobytes()) for idx, x in blocks)
+
+
+@pytest.mark.parametrize("n, block", [(50, 7), (50, 16), (50, 64), (1, 4), (0, 4)])
+@pytest.mark.parametrize("empty_stage", [None, "b"], ids=["seeded", "b-keeps-none"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_blocks_equals_serial_pooling(n, block, empty_stage, workers):
+    # every stage gets the blocks that a serial loop pooling each block's
+    # survivors in block order gives it, whatever the worker count; each
+    # worker makes one buffer for the whole run, and the last stage's state
+    # is never read
+    keeps = _toy_keeps(n, empty_stage)
+    want = _toy_reference(n, block, keeps)
+    runs, made, read = {}, [], set()
+
+    def fn(stage, idx, state, buf):
+        assert buf in made
+        runs.setdefault(stage, []).append((idx.copy(), state[0].copy()))
+        keep, out = _toy_block(keeps, stage, idx, state)
+        return keep, (_Unpooled(out, read) if stage == _TOY_STAGES[-1] else out)
+
+    def make_buffer():
+        buf = object()
+        made.append(buf)
+        return buf
+
+    x0 = np.stack([np.arange(n), -np.arange(n)]) * 1.0
+    kernel._run_blocks(n, block, workers, _TOY_STAGES, fn, (x0,), make_buffer)
+    assert list(runs) == list(want)
+    for stage in want:
+        assert _block_bytes(runs[stage]) == _block_bytes(want[stage]), stage
+    assert len(made) <= min(workers, -(-n // block)) and bool(made) == (n > 0)
+    assert not read
+    if n == 50:  # stage b keeps nothing, or some points reach the last stage
+        assert list(runs) == (["a", "b"] if empty_stage else list(_TOY_STAGES))
 
 
 # ---------------------------------------------------------------------------
@@ -1095,16 +1207,28 @@ def test_sweep_argument_guards():
 
 
 @pytest.mark.parametrize("start, end", [
-    (0j, complex(1e308, 1e308)),  # the segment overflows where it is formed
     (-1e308 + 0j, 1e308 + 0j),  # end - start overflows
     (complex(math.inf, 0.0), 0j),
     (0j, complex(0.0, math.nan)),
 ])
 def test_sweep_refuses_a_non_finite_segment(start, end):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="non-finite"):
-            bifurcation_sweep(start, end, samples=3, transient=5, record=2)
+    for samples in (1, 2, 3, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                bifurcation_sweep(start, end, samples=samples, transient=5, record=2)
+
+
+def test_sweep_runs_a_finite_segment_at_either_parity():
+    # every sampled parameter is finite, though numpy flags an overflow in
+    # t * (end - start) for some element counts: each runs, with no warning
+    for samples in (1, 2, 3, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = bifurcation_sweep(0j, complex(1e308, 1e308), samples=samples,
+                                      transient=5, record=2)
+        assert np.isfinite(sweep.p).all() and sweep.p.size == samples
+        assert np.isfinite(sweep.abs_z).all()
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,9 @@ def test_sweep_negative_transient_exits_two(outdir, capsys):
     "julia --p=1 --window=-inf,inf,-2,2 --res=4x4",  # every pixel at infinity
     "params --window=0,inf,0,3 --res=4x4",
     "julia --p=1 --window=-1e308,1e308,-2,2 --res=4x4",  # the width overflows
-    "sweep --end=1e308+1e308i --samples=3 --transient=5 --record=2",  # the segment overflows
+    # end - start overflows, at either parity of the sample count
+    "sweep --samples=3 --start=-1e308+0i --end=1e308+0i --transient=5 --record=2",
+    "sweep --samples=4 --start=-1e308+0i --end=1e308+0i --transient=5 --record=2",
 ])
 def test_non_finite_window_or_segment_exits_two(tmp_path, argv):
     # a process of its own, so that a traceback or a numpy warning shows on stderr

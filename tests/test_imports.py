@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Source checks over the modules of the package: every name a module imports
+is used there, and no refusal reads numpy's floating-point flags."""
 
 import ast
 import pathlib
@@ -41,3 +42,43 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused <= ALLOWED, sorted(unused - ALLOWED)
     # an allowlist entry whose import was used or deleted goes too
     assert unused == ALLOWED, sorted(ALLOWED - unused)
+
+
+def _flag_reads(source: str) -> list[int]:
+    """Lines of ``source`` that decide by numpy's floating-point flags: an
+    ``errstate`` call with a keyword set to "raise", or an ``except`` clause
+    naming FloatingPointError.  Which operations raise a flag can depend on
+    numpy's SIMD loops, so a refusal decides by the values instead."""
+    def name(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and name(node.func) == "errstate":
+            if any(isinstance(k.value, ast.Constant) and k.value.value == "raise"
+                   for k in node.keywords):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(name(t) == "FloatingPointError" for t in types):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_finds_a_flag_read():
+    source = "\n".join([
+        "with np.errstate(over='raise', invalid='ignore'): pass",
+        "with np.errstate(divide='ignore'): pass",
+        "with errstate(all='raise'): pass",
+        "try: pass",
+        "except (ValueError, FloatingPointError): pass",
+        "try: pass",
+        "except ValueError: pass",
+    ])
+    assert sorted(_flag_reads(source)) == [1, 3, 5]
+
+
+def test_no_module_reads_floating_point_flags():
+    reads = {path.stem: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := _flag_reads(path.read_text()))}
+    assert not reads, reads
