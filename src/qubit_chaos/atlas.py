@@ -40,23 +40,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .kernel import (
-    _check_capture_args,
     _lag_scan,
     _pair_params,
     _pair_rate,
     _pair_run,
     _pair_scratch,
-    _point_values,
     _rescale_interval,
     _run_blocks,
-    _run_capture,
-    _start_pairs,
-    _target_pairs,
+    _value_pairs,
 )
 from .orbits import (
     Cycle,
+    _capture_cycles,
     _check_cycle_args,
-    _target_cycles,
     critical_orbits,  # no caller here: the benchmark's trace hooks patch this name
 )
 from .sphere import MapParam, _json_complex, _json_point, as_point
@@ -216,16 +212,13 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     ``eps`` is the capture radius in sqrt-overlap units.  A pixel's
     ``steps`` entry is the first iteration count at which it came within
     eps of a target point (0 = already there); unconverged pixels carry
-    steps = max_iter and period = -1.  Requires 0 < eps < 1 and
+    steps = max_iter and period = -1.  Requires 1e-30 < eps < 1 and
     max_iter >= 0; ValueError otherwise.  The pixels run through the
-    blocked capture runner :func:`qubit_chaos.kernel._run_capture`, which
+    capture front end :func:`qubit_chaos.orbits._capture_cycles`, which
     ``classify_basin`` runs with the roundoff certificate on.
     """
-    _check_capture_args(eps, max_iter)
-    cycles = _target_cycles(param, cycles)
-    targets = _target_pairs(cycles)
-    steps, label, _ = _run_capture(param.p, window.at, window.nx * window.ny, targets, eps,
-                                   max_iter, workers=workers)
+    cycles, targets, (steps, label, _) = _capture_cycles(
+        param, window.at, window.nx * window.ny, cycles, eps, max_iter, workers=workers)
     shape = (window.ny, window.nx)
     # label -1 (never captured) picks the trailing -1
     period = np.array([c.period for c in cycles] + [-1], np.int32)[label].reshape(shape)
@@ -249,7 +242,7 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     next 2*max_period+1 points are scanned for the smallest lag q whose
     matches are sustained over a full extra period (the same rule the scalar
     detector uses), with eps in sqrt-overlap units.  Pixels with no settled
-    lag are marked unconverged.  Requires 0 < eps < 1, max_period >= 1 and
+    lag are marked unconverged.  Requires 1e-30 < eps < 1, max_period >= 1 and
     transient >= 2*max_period; ValueError otherwise.
 
     The raster runs in stages over fixed blocks of BLOCK_PIXELS pixels
@@ -287,10 +280,10 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
         win[0] = state[0]
         _pair_run(P, win[0], scratch, start_step - done, r)
         _pair_run(P, win[0], scratch, 2 * lags, r, rows=win[1:])
-        # the last stage, at the end of the transient, scans at eps
-        scan = _lag_scan if start_step == transient else _certified_period
-        period[idx] = q0 = scan(win, lags, eps2)
-        keep = np.flatnonzero(q0 < 0)
+        # the last stage, at the end of the transient, scans at eps and keeps nothing
+        last = start_step == transient
+        period[idx] = q0 = (_lag_scan if last else _certified_period)(win, lags, eps2)
+        keep = np.flatnonzero(q0 < 0) if not last else np.empty(0, np.intp)
         return keep, win[-1][:, keep]
 
     # (steps done, window start, lags scanned) per stage: each checkpoint whose
@@ -300,7 +293,7 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     ends = [c + 2 * min(c, max_period) for c in starts]
     stages = [(done, c, min(c, max_period)) for done, c in zip([0] + ends, starts)]
     period = np.full(total, -1, dtype=np.int32)
-    S0 = _start_pairs(_point_values([z0]))
+    S0 = _value_pairs([z0._value])
     _run_blocks(total, BLOCK_PIXELS, workers, stages, run,
                 (np.broadcast_to(S0, (2, total)),), make_buffer)
     shape = (window.ny, window.nx)
@@ -337,7 +330,7 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     if not np.isfinite(p).all():
         raise ValueError(f"the segment from {start} to {end} samples a non-finite parameter")
     z0 = as_point(z0)
-    P, S = _pair_params(p), np.repeat(_start_pairs(_point_values([z0])), samples, axis=1)
+    P, S = _pair_params(p), np.repeat(_value_pairs([z0._value]), samples, axis=1)
     scratch = _pair_scratch(samples)
     r = _rescale_interval(np.abs(p).max())
     _pair_run(P, S, scratch, transient, r)

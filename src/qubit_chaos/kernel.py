@@ -37,8 +37,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .sphere import SpherePoint
-
 
 # Points per block of the capture runner.  A capture point carries little
 # scratch, and larger blocks make fewer numpy calls for threads to contend on.
@@ -52,6 +50,10 @@ SEED_ROUNDOFF = float(np.finfo(float).eps)
 # the log2 bound on |Z|**2 + |W|**2 the unscaled steps must stay below.
 RESCALE_EVERY = 4
 RESCALE_LOG2_NORM = 480
+
+# Capture radii must lie above this: below it _rescale_interval no longer
+# keeps eps**2 times what a pair reads clear of the subnormals.
+EPS_MIN = 1e-30
 
 
 def _rescale_interval(p_max: float) -> int:
@@ -71,7 +73,8 @@ def _rescale_interval(p_max: float) -> int:
     most r - 1 steps unscaled.  With N <= 2**480 after r steps, N**2 stays
     below 2 N / g <= 2**481 one step earlier; for r <= 4, N >= 2**-23, so
     the fourth powers stay above 2**-47 and eps**2 times them above 2**-250
-    for any eps above 1e-30: far from overflow and from subnormals.  r = 4
+    for any eps above EPS_MIN = 1e-30: far from overflow and from subnormals
+    (:func:`_check_capture_args` refuses a smaller eps).  r = 4
     holds up to |p| = 2**15.4, 3 up to 2**33.7, 2 up to 2**79.7.  At r = 1
     every pair is rescaled before it is read, and the step only forms
     |p| |W|**2 <= |p|, so r = 1 covers any finite p, p = 1e200 included.
@@ -230,16 +233,10 @@ def _start_pairs(z: np.ndarray) -> np.ndarray:
     return S
 
 
-def _point_values(pts: Sequence[SpherePoint]) -> np.ndarray:
-    """Complex values of the sphere points pts, inf for the point at infinity,
-    so that :func:`_start_pairs` makes every point into its pair."""
-    return _value_array([pt._value for pt in pts])
-
-
-def _value_array(vals) -> np.ndarray:
-    """:func:`_point_values` of orbit values (None for infinity; see
+def _value_pairs(vals) -> np.ndarray:
+    """:func:`_start_pairs` of orbit values (None for infinity; see
     :func:`qubit_chaos.sphere._extend_orbit`)."""
-    return np.array([math.inf if v is None else v for v in vals], dtype=complex)
+    return _start_pairs(np.array([math.inf if v is None else v for v in vals], dtype=complex))
 
 
 def _target_pairs(cycles):
@@ -247,14 +244,14 @@ def _target_pairs(cycles):
     cycle point, in cycle order."""
     targets = []
     for i, cycle in enumerate(cycles):
-        for tz, tw in _start_pairs(_point_values(cycle.points)).T.tolist():
+        for tz, tw in _value_pairs([pt._value for pt in cycle.points]).T.tolist():
             targets.append((tz, tw, abs(tz) ** 2 + abs(tw) ** 2, i))
     return targets
 
 
 def _check_capture_args(eps: float, max_iter: int) -> None:
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be finite and in (0, 1), got {eps!r}")
+    if not EPS_MIN < eps < 1.0:
+        raise ValueError(f"eps must be finite and in ({EPS_MIN:g}, 1), got {eps!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
 
@@ -289,7 +286,7 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
     n = m = S.shape[1]
     step, label = np.full((2, n), -1, dtype=np.int32)
     alive = np.arange(n)
-    P = np.array([[p], [-p.conjugate()]])
+    P = _pair_params(np.array([p]))
     r = _rescale_interval(abs(p))
     C2, R, hits = np.empty((2, n), complex), np.empty((5, n)), np.empty((len(targets), n), bool)
     E = np.empty(n, dtype=np.int32)  # rescale exponents
@@ -413,9 +410,9 @@ def _run_capture(p: complex, points, n: int, targets, eps: float, max_iter: int,
 
     def run(stage, idx, state, _):
         first, last = stage
-        # stage 1 starts every point; stage 2 takes its pairs and sums from stage 1
-        S = state[0].copy() if state else _start_pairs(points(idx))
-        L = state[1].copy() if certify and state else None
+        # stage 1 starts every point; stage 2 takes its pairs and sums, fresh pooled copies
+        S = state[0] if state else _start_pairs(points(idx))
+        L = state[1] if certify and state else None
         step[idx], label[idx], pk, keep, S, L = _capture(
             p, S, targets, eps2, first, last, max_iter, L, limit)
         if certify:

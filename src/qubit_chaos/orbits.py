@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import (SEED_ROUNDOFF, _check_capture_args, _pairs_within, _point_values,
-                     _run_capture, _start_pairs, _target_pairs, _value_array)
+from .kernel import (SEED_ROUNDOFF, _check_capture_args, _pairs_within, _run_capture,
+                     _target_pairs, _value_pairs)
 from .roots import aberth_roots, fixed_point_polynomial
 from .sphere import (
     INF,
@@ -213,7 +213,7 @@ def detect_cycle(orbit: Orbit, eps: float = EPS_POINT,
     A path through a critical point (rate 0) always passes, so the scan on
     coordinates (:func:`_settled_cycle`) guards nothing in
     :func:`critical_orbits`, whose orbits start at 0 and infinity.
-    Requires 0 < eps < 1 and max_period >= 1; ValueError otherwise.
+    Requires 1e-30 < eps < 1 and max_period >= 1; ValueError otherwise.
     """
     _check_cycle_args(eps, max_period)
     n = len(orbit.points)
@@ -465,7 +465,7 @@ def _periodic_orbits(param: MapParam, n: int, n_max: int, eps: float) -> list[li
         raise RootFindingError(f"periodic-point solve failed for p={param.p}: {exc}") from None
     roots = _points([None] * inf_is_root + raw.tolist())
     m = len(roots)
-    pairs = _start_pairs(_point_values(roots))  # the roots, then every point found
+    pairs = _value_pairs([pt._value for pt in roots])  # the roots, then every point found
     unclaimed = np.ones(m, dtype=bool)
     cycles = []
     for i, root in enumerate(roots):
@@ -476,7 +476,7 @@ def _periodic_orbits(param: MapParam, n: int, n_max: int, eps: float) -> list[li
         if defect:
             raise RootFindingError(
                 f"periodic-point solve failed for p={param.p}, n={n}: {defect}")
-        C = _start_pairs(_point_values(cycle))
+        C = _value_pairs([pt._value for pt in cycle])
         near = _pairs_within(C[:, :, None], pairs[:, None, :], eps * eps).any(axis=0)
         unclaimed &= ~near[:m]
         if not near[m:].any():
@@ -526,7 +526,7 @@ def critical_orbits(param: MapParam, max_iter: int = DEFAULT_MAX_ITER,
     only if both tails settled on attracting-class cycles, None (verdict
     withheld) if either orbit never settled.  No roundoff certificate backs
     a settled tail: that of :func:`detect_cycle` passes every orbit from a
-    critical point.  Requires 0 < eps < 1, max_period >= 1 and
+    critical point.  Requires 1e-30 < eps < 1, max_period >= 1 and
     max_iter >= 0; ValueError otherwise.
     """
     _check_cycle_args(eps, max_period, max_iter)
@@ -572,15 +572,12 @@ def _transient_length(vals: list, cycle: Cycle, eps: float) -> int:
     # candidates, over chunks that double in size so a short transient stays
     # cheap; the exact scalar test then decides them in orbit order
     cvals = [pt._value for pt in cycle.points]
-    CZ, CW = _start_pairs(_value_array(cvals))
-    cnorm = np.hypot(np.abs(CZ), np.abs(CW))
+    C = _value_pairs(cvals)
     start, size = 0, 16
     while start < len(vals):
         chunk = vals[start:start + size]
-        Z, W = _start_pairs(_value_array(chunk))
-        cross = np.abs(Z[:, None] * CW[None, :] - CZ[None, :] * W[:, None])
-        bound = (2.0 * eps) * np.hypot(np.abs(Z), np.abs(W))[:, None] * cnorm[None, :]
-        for k in np.flatnonzero((cross <= bound).any(axis=1)):
+        near = _pairs_within(_value_pairs(chunk)[:, :, None], C[:, None, :], 4 * eps**2)
+        for k in np.flatnonzero(near.any(axis=1)):
             if any(math.sqrt(_value_overlap(chunk[k], c)) <= eps for c in cvals):
                 return start + int(k)
         start += size
@@ -610,26 +607,35 @@ class BasinResult:
     cycles: tuple
 
 
-def _target_cycles(param: MapParam, cycles) -> tuple[Cycle, ...]:
-    """``cycles``, or by default the attracting cycles the critical orbits
-    land on; :class:`ConfigurationError` if there are none."""
-    if cycles is not None:
-        return tuple(cycles)
-    cycles = critical_orbits(param).attracting_cycles()
+def _capture_cycles(param: MapParam, points, n: int, cycles, eps: float, max_iter: int,
+                    certify: bool = False, workers: Optional[int] = 1):
+    """``render_julia`` and :func:`classify_basin` up to their outputs: check
+    eps and max_iter, take ``cycles`` or the attracting cycles the critical
+    orbits land on (:class:`ConfigurationError` if none), and run the n
+    points ``points(idx)`` through :func:`qubit_chaos.kernel._run_capture`.
+    Returns the cycles, their target pairs and the runner's (step, label, peak).
+    """
+    _check_capture_args(eps, max_iter)
+    if cycles is None:
+        cycles = critical_orbits(param).attracting_cycles()
+        refusal = f"no attracting cycle found at p={param.p}; supply target cycles explicitly"
+    else:
+        cycles, refusal = tuple(cycles), f"no target cycles given at p={param.p}"
     if not cycles:
-        raise ConfigurationError(
-            f"no attracting cycle found at p={param.p}; supply target cycles explicitly")
-    return cycles
+        raise ConfigurationError(refusal)
+    targets = _target_pairs(cycles)
+    return cycles, targets, _run_capture(param.p, points, n, targets, eps, max_iter,
+                                         certify, workers)
 
 
 def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
                    eps: float = 1e-6) -> BasinResult:
     """Which attracting cycle captures each point, with a roundoff guard.
 
-    Vectorized over ``points`` (complex array; non-finite entries stand for
-    the point at infinity).  ``cycles`` defaults to the attracting cycles the
-    critical orbits land on; :class:`ConfigurationError` if there are none
-    and none are supplied.
+    Vectorized over ``points`` (complex array; an entry with an infinite part
+    stands for the point at infinity, and one with a NaN part is refused
+    with ValueError).  ``cycles`` defaults to the attracting cycles the
+    critical orbits land on; :class:`ConfigurationError` if that leaves none.
 
     A point is labeled only when its orbit comes within ``eps``
     (sqrt-overlap units) of a target point AND a seed perturbation of one
@@ -646,12 +652,13 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     their certificate state into the second, so the scratch is one block's,
     not the input's.  The certificate is the only difference from the
     raster.
-    Requires 0 < eps < 1 and max_iter >= 0; ValueError otherwise.
+    Requires 1e-30 < eps < 1 and max_iter >= 0; ValueError otherwise.
     """
-    _check_capture_args(eps, max_iter)
     pts = np.asarray(points, dtype=complex)
-    cycles = _target_cycles(param, cycles)
     flat = pts.ravel()
-    steps, labels, peak = (a.reshape(pts.shape) for a in _run_capture(
-        param.p, flat.take, flat.size, _target_pairs(cycles), eps, max_iter, certify=True))
+    if nan := np.count_nonzero(np.isnan(flat)):
+        raise ValueError(f"{nan} of {flat.size} points have a NaN part")
+    cycles, _, out = _capture_cycles(param, flat.take, flat.size, cycles, eps, max_iter,
+                                     certify=True)
+    steps, labels, peak = (a.reshape(pts.shape) for a in out)
     return BasinResult(labels.astype(int), steps.astype(int), peak, cycles)

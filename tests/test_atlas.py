@@ -37,10 +37,10 @@ from qubit_chaos.kernel import (
     _pair_rescale,
     _pair_scratch,
     _pair_step,
-    _point_values,
     _rescale_interval,
     _start_pairs,
     _target_pairs,
+    _value_pairs,
 )
 from qubit_chaos.orbits import (
     SEED_ROUNDOFF,
@@ -498,6 +498,33 @@ def test_julia_last_stage_pools_nothing(monkeypatch):
     assert len(live_sizes) == 2 and live_sizes[0][0] > 0
 
 
+def test_parameter_raster_last_stage_returns_no_columns(monkeypatch):
+    # the last stage decides every pixel it runs, so it hands the runner no
+    # live columns (it gathered the last state of each unsettled pixel,
+    # which the runner then dropped)
+    returned = []
+    run_blocks = atlas._run_blocks
+
+    def spy(n, block, workers, stages, fn, *args):
+        def recorded(stage, idx, state, buf):
+            keep, *out = fn(stage, idx, state, buf)
+            returned.append((stage == stages[-1], idx.size, keep.size,
+                             *(a.shape[-1] for a in out)))
+            return keep, *out
+
+        run_blocks(n, block, workers, stages, recorded, *args)
+
+    monkeypatch.setattr(atlas, "_run_blocks", spy)
+    monkeypatch.setattr(atlas, "BLOCK_PIXELS", 128)
+    win = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 24, 24)
+    raster = render_parameter_space(win, transient=300, max_period=16, workers=2)
+    assert not raster.converged.all()
+    last = [r[1:] for r in returned if r[0]]
+    assert sum(size for size, *_ in last) > 0
+    assert all(cols == [0, 0] for _, *cols in last)
+    assert any(keep > 0 for last_stage, _, keep, _ in returned if not last_stage)
+
+
 _TOY_STAGES = ("a", "b", "c")
 
 
@@ -629,6 +656,25 @@ def test_parameter_raster_shared_buffers_under_thread_switching():
     assert np.array_equal(got, want)
 
 
+def test_julia_pooled_pairs_under_thread_switching(monkeypatch):
+    # the second stage steps each block's columns of the pooled pairs in
+    # place: more workers than cores and a short switch interval make any
+    # two blocks writing one column show up as changed steps
+    monkeypatch.setattr(kernel, "JULIA_BLOCK_PIXELS", 256)
+    win = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 60, 60)
+    param = MapParam(0.5j)  # every pixel runs on past step K, and all are captured
+    want = render_julia(param, win, max_iter=300, workers=1)
+    assert (want.steps > _K).all() and want.converged.all()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = render_julia(param, win, max_iter=300, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.steps, want.steps)
+    assert np.array_equal(got.period, want.period)
+
+
 def test_parameter_raster_transient_guard():
     win = Window.from_bounds(0.0, 1.0, 0.0, 1.0, 3, 3)
     with pytest.raises(ValueError):
@@ -671,7 +717,7 @@ def _pow2_step(p, pc, Z, W):
 
 
 def _orbit_start(p, z0):
-    z, w = _start_pairs(_point_values([as_point(z0)]))[:, 0]
+    z, w = _value_pairs([as_point(z0)._value])[:, 0]
     return np.full(p.shape, z, dtype=complex), np.full(p.shape, w, dtype=complex)
 
 

@@ -117,6 +117,7 @@ def test_usage_errors_exit_two(outdir, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--eps=nan", "--eps=0", "--eps=2", "--eps=inf",
+                                  "--eps=1e-170", "--eps=1e-30",
                                   "--max-period=0", "--max-period=-3",
                                   "--threads=0", "--threads=-1", "--threads=1.5"])
 def test_params_invalid_numbers_exit_two(outdir, capsys, flag):
@@ -125,7 +126,8 @@ def test_params_invalid_numbers_exit_two(outdir, capsys, flag):
     assert not (outdir / "bad.ppm").exists()
 
 
-@pytest.mark.parametrize("flag", ["--eps=0", "--eps=nan", "--max-iter=-1",
+@pytest.mark.parametrize("flag", ["--eps=0", "--eps=nan", "--eps=1e-170", "--eps=1e-30",
+                                  "--max-iter=-1",
                                   "--threads=0", "--threads=-1", "--threads=two"])
 def test_julia_invalid_numbers_exit_two(outdir, capsys, flag):
     assert run(["julia", "--p=1", "--res=8", flag, "--out=bad"]) == 2

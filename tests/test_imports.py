@@ -1,5 +1,6 @@
 """Source checks over the modules of the package: every name a module imports
-is used there, and no refusal reads numpy's floating-point flags."""
+is used there, no refusal reads numpy's floating-point flags, and the pair
+kernel imports no module of the package."""
 
 import ast
 import pathlib
@@ -82,3 +83,37 @@ def test_no_module_reads_floating_point_flags():
     reads = {path.stem: lines for path in sorted(PACKAGE.glob("*.py"))
              if (lines := _flag_reads(path.read_text()))}
     assert not reads, reads
+
+
+def _package_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import a module of the package: a relative
+    import, or an absolute one of ``qubit_chaos`` or below it."""
+    def ours(name):
+        return name is not None and name.split(".")[0] == "qubit_chaos"
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or ours(node.module)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(ours(a.name) for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_finds_a_package_import():
+    source = "\n".join([
+        "from .sphere import SpherePoint",
+        "from . import orbits",
+        "import qubit_chaos.sphere as sphere",
+        "from qubit_chaos import atlas",
+        "import numpy as np, qubit_chaos",
+        "from __future__ import annotations",
+        "import qubit_chaosx",
+        "from math import inf",
+    ])
+    assert sorted(_package_imports(source)) == [1, 2, 3, 4, 5]
+
+
+def test_the_kernel_imports_no_package_module():
+    # the pair kernel is the bottom layer: every vector pipeline builds on it
+    assert _package_imports((PACKAGE / "kernel.py").read_text()) == []

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qubit_chaos import orbits
-from qubit_chaos.atlas import Window, render_julia
+from qubit_chaos.atlas import Window, render_julia, render_parameter_space
+from qubit_chaos.kernel import EPS_MIN
 from qubit_chaos.orbits import (
     ATTRACTING,
     ATTRACTING_CLASSES,
@@ -903,6 +904,36 @@ def test_classify_basin_requires_targets():
         classify_basin(MapParam(1.2j), np.array([0.2 + 0.1j]))
 
 
+def test_capture_front_ends_refuse_an_empty_target_list():
+    # an empty list used to run: the raster came back with no pixel
+    # captured and the classifier labeled every point -1
+    win = Window.from_bounds(-1.0, 1.0, -1.0, 1.0, 4, 4)
+    for cycles in ([], ()):
+        with pytest.raises(ConfigurationError, match="no target cycles given at p="):
+            render_julia(P1, win, max_iter=50, cycles=cycles)
+        with pytest.raises(ConfigurationError, match="no target cycles given at p="):
+            classify_basin(P1, win.grid(), cycles=cycles)
+    for run in (lambda: render_julia(MapParam(1.2j), win, max_iter=50),
+                lambda: classify_basin(MapParam(1.2j), win.grid())):
+        with pytest.raises(ConfigurationError, match=r"^no attracting cycle found at "
+                           r"p=1\.2j; supply target cycles explicitly$"):
+            run()
+
+
+def test_classify_basin_refuses_nan_points():
+    # a NaN entry used to be filed as captured by infinity at step 0
+    pts = np.array([complex(math.nan, 0.0), complex(math.nan, 1.0), math.inf, 0.5, 2.0])
+    with pytest.raises(ValueError, match="2 of 5 points have a NaN part"):
+        classify_basin(P0, pts)
+    with pytest.raises(ValueError, match="1 of 1 points"):
+        classify_basin(P0, complex(math.inf, math.nan))
+    # an infinite part with no NaN still stands for infinity (label 1 at p = 0)
+    res = classify_basin(P0, np.array([math.inf, complex(-math.inf, 1.0),
+                                       complex(0.5, math.inf), 0.5]))
+    assert list(res.labels) == [1, 1, 1, 0]
+    assert list(res.steps) == [0, 0, 0, 5]
+
+
 def test_classify_basin_preserves_shape():
     pts = np.full((3, 4), 0.25 + 0j)
     res = classify_basin(P0, pts)
@@ -932,6 +963,26 @@ def test_classify_basin_argument_guards(kwargs):
     # returned all -1
     with pytest.raises(ValueError):
         classify_basin(P0, np.array([0.5, 2.0, 0.3 + 0.1j]), **kwargs)
+
+
+def test_capture_radius_floor():
+    # below EPS_MIN, eps**2 leaves the range the kernel's rescale keeps clear
+    # of the subnormals: julia --eps=1e-170 used to capture no pixel and
+    # 1e-160 every pixel
+    assert EPS_MIN == 1e-30
+    win = Window.from_bounds(-1.0, 1.0, -1.0, 1.0, 4, 4)
+    orbit = iterate_orbit(P1, 0j, 40)
+    runs = [
+        lambda eps: render_julia(P1, win, max_iter=20, eps=eps),
+        lambda eps: render_parameter_space(win, transient=16, max_period=4, eps=eps),
+        lambda eps: classify_basin(P1, win.grid(), max_iter=20, eps=eps),
+        lambda eps: critical_orbits(P1, max_iter=40, max_period=4, eps=eps),
+        lambda eps: detect_cycle(orbit, eps=eps, max_period=4),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=r"eps must be finite and in \(1e-30, 1\)"):
+            run(1e-30)
+        run(1e-29)
 
 
 def _inline_classify(param, pts, cycles, max_iter, eps):
@@ -1004,7 +1055,7 @@ def _square(half, n):
 
 
 _P0_SET = np.concatenate([
-    [0j, np.inf, complex(np.nan, 0.0), 1.0, -1.0, 1j, -1j, 0.5, 2.0, 0.3 + 0.1j],
+    [0j, np.inf, complex(-np.inf, 1.0), 1.0, -1.0, 1j, -1j, 0.5, 2.0, 0.3 + 0.1j],
     np.exp(2j * math.pi * np.arange(64) / 64),           # on the unit circle
     np.linspace(0.01, 0.99, 40) * np.exp(0.7j * np.arange(40)),
     np.linspace(1.01, 100.0, 40) * np.exp(1.3j * np.arange(40)),
