@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import colorsys
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -166,7 +166,7 @@ class Raster:
     converged: np.ndarray
     steps: np.ndarray
     period: np.ndarray
-    config: dict = field(default_factory=dict)
+    config: dict
 
 
 @dataclass
@@ -177,7 +177,7 @@ class Sweep:
     start_step: int         # global index of the first recorded step
     abs_z: np.ndarray       # (samples, record) float, junk where is_infinity
     is_infinity: np.ndarray  # (samples, record) bool
-    config: dict = field(default_factory=dict)
+    config: dict
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +256,7 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     reports, so ``steps`` records transient + 2*max_period for every pixel,
     the depth the period stands for.
     """
-    _check_cycle_args(eps, max_period)
-    if transient < 2 * max_period:
-        raise ValueError("transient must be at least 2*max_period")
+    _check_cycle_args(eps, max_period, transient, "transient")
     z0 = as_point(z0)
     eps2 = eps * eps
     total = window.nx * window.ny
@@ -352,17 +350,15 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
 # ---------------------------------------------------------------------------
 # artifact writers
 
-def julia_grayscale(raster: Raster, max_iter: Optional[int] = None) -> np.ndarray:
+def julia_grayscale(raster: Raster) -> np.ndarray:
     """Steps-to-capture as 8-bit grayscale: dark = fast, 255 = never captured.
 
     Captured pixels map monotonically dark-to-light as
-    floor(255 * steps / max_iter), clipped to 254 so the white level stays
-    reserved for non-convergence.  With max_iter = 0 every captured pixel
-    started on a target and is black.
+    floor(255 * steps / max_iter), with max_iter from ``raster.config``,
+    clipped to 254 so the white level stays reserved for non-convergence.
+    With max_iter = 0 every captured pixel started on a target and is black.
     """
-    if max_iter is None:
-        max_iter = int(raster.config.get("max_iter", raster.steps.max() or 1))
-    gray = np.floor(255.0 * raster.steps / max(max_iter, 1)).astype(np.int64)
+    gray = np.floor(255.0 * raster.steps / max(raster.config["max_iter"], 1)).astype(np.int64)
     gray = np.minimum(gray, 254)
     return np.where(raster.converged, gray, 255).astype(np.uint8)
 
@@ -377,10 +373,10 @@ def period_palette(max_period: int) -> np.ndarray:
     return pal
 
 
-def period_rgb(raster: Raster, max_period: Optional[int] = None) -> np.ndarray:
-    """Period raster as RGB: hue keyed to period, white where unresolved."""
-    if max_period is None:
-        max_period = int(raster.config.get("max_period", max(1, raster.period.max())))
+def period_rgb(raster: Raster) -> np.ndarray:
+    """Period raster as RGB: hue keyed to period over 1..max_period of
+    ``raster.config``, white where unresolved."""
+    max_period = raster.config["max_period"]
     pal = period_palette(max_period)
     idx = np.clip(raster.period, 0, max_period)
     rgb = pal[idx]

@@ -22,22 +22,27 @@ from .sphere import INF, MapParam, SpherePoint, as_point
 
 # A state counts as pure when 1 - Tr(rho**2) is below this.
 PURITY_TOL = 1e-8
+# Largest entry of |rho - rho^dagger| a density matrix may have.
+HERM_TOL = 1e-12
+# Largest |Tr rho - 1| validate_density accepts (the step path allows 1e-10).
+TRACE_TOL = 1e-12
+# Lowest eigenvalue validate_density accepts: roundoff may dip this far below 0.
+EIG_FLOOR = -1e-10
 
-def validate_density(rho, dim: int = 2, *, herm_tol: float = 1e-12,
-                     trace_tol: float = 1e-12, eig_floor: float = -1e-10) -> np.ndarray:
+def validate_density(rho, dim: int = 2) -> np.ndarray:
     """Check finite entries, Hermiticity, unit trace, and positivity; return the array.
 
     Accepts anything ``np.asarray`` can turn into a complex (..., dim, dim)
     stack.  Raises ValueError naming the violated invariant.
     """
-    rho = _as_density(rho, dim, herm_tol, trace_tol)
+    rho = _as_density(rho, dim, TRACE_TOL)
     low = np.linalg.eigvalsh(rho).min()
-    if not (low >= eig_floor):
+    if not (low >= EIG_FLOOR):
         raise ValueError(f"matrix has negative eigenvalue {low:.3e}")
     return rho
 
 
-def _as_density(rho, dim: int, herm_tol: float = 1e-12, trace_tol: float = 1e-10) -> np.ndarray:
+def _as_density(rho, dim: int, trace_tol: float = 1e-10) -> np.ndarray:
     # light per-call check: shape, finiteness, Hermiticity, trace (positivity
     # is the caller's responsibility; use validate_density for the full gate).
     # Finiteness comes first, so that inf - inf raises no RuntimeWarning.
@@ -47,7 +52,7 @@ def _as_density(rho, dim: int, herm_tol: float = 1e-12, trace_tol: float = 1e-10
     if not np.isfinite(rho).all():
         raise ValueError("matrix has a NaN or infinite entry")
     herm = np.abs(rho - rho.swapaxes(-1, -2).conj()).max()
-    if not (herm <= herm_tol):
+    if not (herm <= HERM_TOL):
         raise ValueError(f"matrix is not Hermitian (max asymmetry {herm:.3e})")
     off = np.abs(rho.diagonal(0, -2, -1).real.sum(-1) - 1.0).max()
     if not (off <= trace_tol):
@@ -144,17 +149,17 @@ def pure_to_density(z) -> np.ndarray:
     return np.array([[t * n2, zv * n2], [zv.conjugate() * n2, n2]], dtype=complex)
 
 
-def density_to_pure(rho, purity_tol: float = PURITY_TOL) -> SpherePoint:
+def density_to_pure(rho) -> SpherePoint:
     """Sphere coordinate of a (numerically) pure density matrix.
 
-    Raises ValueError when 1 - Tr(rho**2) exceeds ``purity_tol``; mixed
+    Raises ValueError when 1 - Tr(rho**2) exceeds ``PURITY_TOL``; mixed
     states have no sphere coordinate.
     """
     rho = _as_density(rho, 2)
     if rho.ndim != 2:
         raise ValueError("the pure-state bridge takes a single 2x2 matrix")
     pur = float((np.abs(rho) ** 2).sum())
-    if pur < 1.0 - purity_tol:
+    if pur < 1.0 - PURITY_TOL:
         raise ValueError(f"state is not pure enough: Tr(rho^2) = {pur:.12f}")
     bb = rho[1, 1].real
     if bb == 0.0:

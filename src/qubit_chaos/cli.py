@@ -217,7 +217,7 @@ def _cmd_julia(args):
     param = MapParam(args.p)
     raster = render_julia(param, window, max_iter=args.max_iter, eps=args.eps,
                           workers=args.threads)
-    gray = julia_grayscale(raster, args.max_iter)
+    gray = julia_grayscale(raster)
     path = _resolve_out(args.out) + ".pgm"
     write_pgm(path, gray)
     return path, raster.config, {}
@@ -229,7 +229,7 @@ def _cmd_params(args):
     raster = render_parameter_space(window, z0=args.z0, transient=args.transient,
                                     max_period=args.max_period, eps=args.eps,
                                     workers=args.threads)
-    rgb = period_rgb(raster, args.max_period)
+    rgb = period_rgb(raster)
     path = _resolve_out(args.out) + ".ppm"
     write_ppm(path, rgb)
     return path, raster.config, {"palette_version": PALETTE_VERSION}
@@ -297,7 +297,7 @@ def _cmd_orbit(args):
 
 def _cmd_twoqubit(args):
     _bind("twoqubit")
-    rho0 = load_density_json(args.rho0, 4) if args.rho0 else default_initial_state()
+    rho0 = load_density_json(args.rho0) if args.rho0 else default_initial_state()
     target = basis_state(args.target_basis) if args.target_basis is not None else None
     angles = (args.x1, args.phi1, args.x2, args.phi2)
     trace = purification_trace(rho0, angles, n=args.steps, target=target)

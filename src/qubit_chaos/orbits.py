@@ -35,6 +35,7 @@ from .sphere import (
     LyapunovEstimate,  # re-exported with the two estimators: callers take them from here
     MapParam,
     Orbit,
+    POINT_TOL as EPS_POINT,  # point identity: the tolerance of SpherePoint equality
     RootFindingError,
     SpherePoint,
     _chart_step,
@@ -61,8 +62,6 @@ NEUTRAL_IRRATIONAL = "neutral-irrational"
 
 ATTRACTING_CLASSES = frozenset({SUPERATTRACTING, ATTRACTING})
 
-# Point-identity tolerance in sqrt(overlap) units.
-EPS_POINT = 1e-9
 # Cycle search caps for critical-orbit tracing.
 DEFAULT_MAX_PERIOD = 64
 DEFAULT_MAX_ITER = 10_000
@@ -74,6 +73,8 @@ NEUTRAL_TOL = 1e-9
 PARABOLIC_MAX_ROOT = 64
 # ... within this tolerance.
 PARABOLIC_TOL = 1e-8
+# Newton iterations _polish_cycle runs on one cycle, at most.
+POLISH_ITERS = 40
 
 
 def _point_key(pt: SpherePoint):
@@ -189,10 +190,13 @@ class CriticalReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _check_cycle_args(eps: float, max_period: int, max_iter: int = 0) -> None:
-    _check_capture_args(eps, max_iter)
+def _check_cycle_args(eps: float, max_period: int, steps: int, name: str) -> None:
+    # a tail scan for periods up to max_period reads a run's last 2*max_period steps
     if max_period < 1:
         raise ValueError(f"max_period must be at least 1, got {max_period}")
+    if steps < 2 * max_period:
+        raise ValueError(f"{name} must be at least 2*max_period = 2*{max_period}, got {steps}")
+    _check_capture_args(eps, steps)
 
 
 def detect_cycle(orbit: Orbit, eps: float = EPS_POINT,
@@ -215,13 +219,7 @@ def detect_cycle(orbit: Orbit, eps: float = EPS_POINT,
     :func:`critical_orbits`, whose orbits start at 0 and infinity.
     Requires 1e-30 < eps < 1 and max_period >= 1; ValueError otherwise.
     """
-    _check_cycle_args(eps, max_period)
-    n = len(orbit.points)
-    if n <= 2 * max_period:
-        raise ValueError(
-            f"orbit of length {n} is too short to certify periods up to "
-            f"{max_period}; need more than {2 * max_period} points"
-        )
+    _check_cycle_args(eps, max_period, len(orbit.points) - 1, "the orbit's step count")
     return _settled_cycle(orbit.param, [pt._value for pt in orbit.points], eps, max_period)
 
 
@@ -326,21 +324,17 @@ def _multiplier(p: complex, pts: list[SpherePoint]) -> complex:
     return lam
 
 
-def cycle_multiplier(param: MapParam, points, tol: float = EPS_POINT) -> tuple[complex, str]:
+def cycle_multiplier(param: MapParam, points) -> tuple[complex, str]:
     """Multiplier and stability class of a verified cycle.
 
     ``points`` must be ordered along the orbit, pairwise distinct beyond
-    ``EPS_POINT``, and each must map to the next (cyclically) within ``tol``
-    in sqrt-overlap units; otherwise ValueError.  The multiplier is the
-    chart-correct product of per-step derivatives, so cycles through
-    infinity are fine.
+    ``EPS_POINT``, and each must map to the next (cyclically) within
+    ``EPS_POINT`` in sqrt-overlap units; otherwise ValueError.  The
+    multiplier is the chart-correct product of per-step derivatives, so
+    cycles through infinity are fine.
     """
-    pts = [as_point(z) for z in points]
-    defect = _cycle_defect(param, pts, tol)
-    if defect:
-        raise ValueError(defect)
-    lam = _multiplier(param.p, pts)
-    return lam, classify_multiplier(lam)
+    cycle = make_cycle(param, points)
+    return cycle.multiplier, cycle.stability
 
 
 def classify_multiplier(lam: complex) -> str:
@@ -372,7 +366,7 @@ def make_cycle(param: MapParam, points) -> Cycle:
 # ---------------------------------------------------------------------------
 # Newton polishing of whole cycles in chart-correct coordinates
 
-def _polish_cycle(p: complex, pts: list[SpherePoint], iters: int = 40) -> list[SpherePoint]:
+def _polish_cycle(p: complex, pts: list[SpherePoint]) -> list[SpherePoint]:
     """Newton-refine orbit-ordered points toward an exact cycle of the map.
 
     Newton's method on the cyclic system f(x_k) = x_{k+1} (k mod q), with
@@ -382,9 +376,9 @@ def _polish_cycle(p: complex, pts: list[SpherePoint], iters: int = 40) -> list[S
     solves a_k d_k - d_{k+1} = -r_k: transporting the misses once around
     the cycle gives R, so d_0 = R / (1 - lam) with lam = prod a_k, and the
     other corrections follow link by link.  An iteration costs q chart
-    steps.  Iterates while the largest chordal link residual falls, and
-    returns the best iterate if that residual is at most EPS_POINT, the
-    input otherwise.
+    steps.  Iterates while the largest chordal link residual falls, at most
+    POLISH_ITERS times, and returns the best iterate if that residual is at
+    most EPS_POINT, the input otherwise.
     """
     q = len(pts)
     charts = [_preferred_chart(pt) for pt in pts]
@@ -392,7 +386,7 @@ def _polish_cycle(p: complex, pts: list[SpherePoint], iters: int = 40) -> list[S
     flags = [w for _, w in charts]
     best, best_res = coords, math.inf
     try:
-        for _ in range(iters):
+        for _ in range(POLISH_ITERS):
             nxt = coords[1:] + coords[:1]
             links = [_chart_step(p, c, flags[k], flags[(k + 1) % q])
                      for k, c in enumerate(coords)]
@@ -417,31 +411,31 @@ def _polish_cycle(p: complex, pts: list[SpherePoint], iters: int = 40) -> list[S
             for c, w in zip(best, flags)]
 
 
-def _polish_periodic_point(param: MapParam, point: SpherePoint, q: int,
-                           iters: int = 40) -> list[SpherePoint]:
+def _polish_periodic_point(param: MapParam, point: SpherePoint, q: int) -> list[SpherePoint]:
     """The cycle through a near-periodic point of period dividing q: its
     orbit of q points polished whole by :func:`_polish_cycle` (raw if that
     fails), cut to its smallest period by :func:`_reduce_period`."""
     orbit = _points(_extend_orbit(param.p, [point._value], q))
-    return _reduce_period(_polish_cycle(param.p, orbit, iters))
+    return _reduce_period(_polish_cycle(param.p, orbit))
 
 
 # ---------------------------------------------------------------------------
 # Exact periodic points via the polynomial route
 
-def _periodic_orbits(param: MapParam, n: int, n_max: int, eps: float) -> list[list[SpherePoint]]:
+def _periodic_orbits(param: MapParam, n: int, n_max: int) -> list[list[SpherePoint]]:
     """The cycles of period dividing n, in orbit order, each polished once.
 
     The roots of the fixed-point polynomial (infinity first when it is one)
     are walked in order.  An unclaimed root seeds one
     :func:`_polish_periodic_point` call, whose cycle claims every root
-    within ``eps`` of one of its points.  A seed whose cycle was already
-    found (its root lay farther than ``eps`` from its polished point) adds
-    nothing, so the points are pairwise distinct beyond ``eps``.  Raises
-    :class:`RootFindingError`, naming p and n, when a cycle does not close
-    under the map within ``eps`` (:func:`_cycle_defect`), and before any
-    solve when the trimmed leading coefficient reports infinity as a root
-    but n steps do not bring infinity back within ``eps``.
+    within ``EPS_POINT`` of one of its points.  A seed whose cycle was
+    already found (its root lay farther than ``EPS_POINT`` from its polished
+    point) adds nothing, so the points are pairwise distinct beyond
+    ``EPS_POINT``.  Raises :class:`RootFindingError`, naming p and n, when a
+    cycle does not close under the map within ``EPS_POINT``
+    (:func:`_cycle_defect`), and before any solve when the trimmed leading
+    coefficient reports infinity as a root but n steps do not bring
+    infinity back within ``EPS_POINT``.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
@@ -454,7 +448,7 @@ def _periodic_orbits(param: MapParam, n: int, n_max: int, eps: float) -> list[li
     if inf_is_root:
         image = _extend_orbit(param.p, [None], n + 1)[n]
         miss = math.sqrt(_value_overlap(image, None))
-        if miss > eps:
+        if miss > EPS_POINT:
             raise RootFindingError(
                 f"periodic-point solve failed for p={param.p}, n={n}: the leading "
                 f"coefficient of G_{n} was trimmed as zero (degree {len(coeffs) - 1} of "
@@ -472,12 +466,12 @@ def _periodic_orbits(param: MapParam, n: int, n_max: int, eps: float) -> list[li
         if not unclaimed[i]:
             continue
         cycle = _polish_periodic_point(param, root, n)
-        defect = _cycle_defect(param, cycle, eps)
+        defect = _cycle_defect(param, cycle, EPS_POINT)
         if defect:
             raise RootFindingError(
                 f"periodic-point solve failed for p={param.p}, n={n}: {defect}")
         C = _value_pairs([pt._value for pt in cycle])
-        near = _pairs_within(C[:, :, None], pairs[:, None, :], eps * eps).any(axis=0)
+        near = _pairs_within(C[:, :, None], pairs[:, None, :], EPS_POINT**2).any(axis=0)
         unclaimed &= ~near[:m]
         if not near[m:].any():
             cycles.append(cycle)
@@ -485,20 +479,19 @@ def _periodic_orbits(param: MapParam, n: int, n_max: int, eps: float) -> list[li
     return cycles
 
 
-def find_periodic_points(param: MapParam, n: int, n_max: int = 4,
-                         eps: float = EPS_POINT) -> list[SpherePoint]:
+def find_periodic_points(param: MapParam, n: int, n_max: int = 4) -> list[SpherePoint]:
     """All points of period dividing n, including the point at infinity.
 
     Solves the degree-(2**n + 1) fixed-point polynomial of the n-fold
     composite with the Aberth-Ehrlich iteration and groups the roots into
-    cycles, each Newton-polished once as a whole; a root within ``eps`` of
-    a polished point is on its cycle.  ``n_max`` guards the exponential
-    degree growth; raise it explicitly for deeper searches (cost roughly
-    quadruples per unit of n).  Raises :class:`RootFindingError`, naming
+    cycles, each Newton-polished once as a whole; a root within
+    ``EPS_POINT`` of a polished point is on its cycle.  ``n_max`` guards the
+    exponential degree growth; raise it explicitly for deeper searches (cost
+    roughly quadruples per unit of n).  Raises :class:`RootFindingError`, naming
     the parameter, if the solve fails or returns points whose cycles do not
-    close under the map within ``eps``.
+    close under the map within ``EPS_POINT``.
     """
-    pts = [pt for cycle in _periodic_orbits(param, n, n_max, eps) for pt in cycle]
+    pts = [pt for cycle in _periodic_orbits(param, n, n_max) for pt in cycle]
     pts.sort(key=_point_key)
     return pts
 
@@ -507,7 +500,7 @@ def periodic_cycles(param: MapParam, n: int, n_max: int = 4) -> list[Cycle]:
     """The periodic points of period dividing n, grouped into the cycles
     :func:`find_periodic_points` polishes and checks under the map."""
     cycles = [_make_cycle_unchecked(param, pts)
-              for pts in _periodic_orbits(param, n, n_max, EPS_POINT)]
+              for pts in _periodic_orbits(param, n, n_max)]
     cycles.sort(key=lambda c: (c.period,) + _point_key(c.points[0]))
     return cycles
 
@@ -527,9 +520,9 @@ def critical_orbits(param: MapParam, max_iter: int = DEFAULT_MAX_ITER,
     withheld) if either orbit never settled.  No roundoff certificate backs
     a settled tail: that of :func:`detect_cycle` passes every orbit from a
     critical point.  Requires 1e-30 < eps < 1, max_period >= 1 and
-    max_iter >= 0; ValueError otherwise.
+    max_iter >= 2*max_period; ValueError otherwise.
     """
-    _check_cycle_args(eps, max_period, max_iter)
+    _check_cycle_args(eps, max_period, max_iter, "max_iter")
     results = []
     for start in (SpherePoint(0j), INF):
         results.append(_trace_critical(param, start, max_iter, eps, max_period))

@@ -21,6 +21,9 @@ import numpy as np
 
 from .sphere import RootFindingError
 
+# aberth_roots stops once each correction is at most this times its root's modulus.
+ABERTH_TOL = 1e-13
+
 
 def map_polynomials(p: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Numerator/denominator coefficient pair of the n-fold composite map.
@@ -97,7 +100,7 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def aberth_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
+def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
     """All complex roots of an ascending-coefficient polynomial.
 
     Simultaneous Aberth-Ehrlich iteration from Bini's Newton-polygon start
@@ -105,7 +108,7 @@ def aberth_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
     puts each root near its own modulus from the first sweep.  Exact zero
     trailing coefficients are deflated first (each contributes a root at
     0).  Raises :class:`RootFindingError` when the corrections have not all
-    dropped below ``tol`` times the modulus of their root within
+    dropped below ``ABERTH_TOL`` times the modulus of their root within
     ``max_iter`` sweeps (repeated roots are the usual culprit), and as soon
     as a value, a derivative or an iterate overflows to a non-finite number.
     """
@@ -127,6 +130,7 @@ def aberth_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
         return origin
 
     dc = c[1:] * np.arange(1, deg + 1)
+    tol = ABERTH_TOL  # a local: every sweep reads it
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         x = _newton_polygon_start(c)

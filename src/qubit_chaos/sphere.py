@@ -33,13 +33,21 @@ from typing import ClassVar
 # every stored value a normal float pair and makes the map total.
 SNAP_MAGNITUDE = 1e150
 
-# Default tolerance for treating two points as the same, measured in
-# sqrt(overlap_distance) units (i.e. a chordal length on the unit sphere).
+# Point identity as a chordal length, sqrt(overlap_distance): the tolerance
+# of SpherePoint equality, and orbits' EPS_POINT.
 POINT_TOL = 1e-9
 
 # Orbit values lyapunov_derivative holds at a time: it extends the orbit
 # chunk by chunk from the last value, in constant memory.
 ORBIT_CHUNK = 4096
+# lyapunov_derivative is unreliable past this fraction of excluded critical hits.
+CRITICAL_HIT_LIMIT = 0.01
+# lyapunov_overlap's fit window closes once the overlap reaches this ...
+OVERLAP_SATURATION = 0.01
+# ... its seeds may start at most this far apart in overlap distance ...
+OVERLAP_MAX_INITIAL = 1e-16
+# ... and its estimate is unreliable with fewer window points than this.
+OVERLAP_MIN_WINDOW = 5
 
 
 class ConfigurationError(RuntimeError):
@@ -61,8 +69,8 @@ class SpherePoint:
     Finite values always have normal floating-point components: NaN input is
     rejected, and any magnitude above ``SNAP_MAGNITUDE`` (including genuine
     float infinities produced by overflow) collapses to the tagged infinity.
-    Equality is tolerance-based through :func:`overlap_distance`, never
-    bitwise, so instances are deliberately unhashable.
+    Equality is tolerance-based, sqrt(:func:`overlap_distance`) within
+    ``POINT_TOL``, never bitwise, so instances are deliberately unhashable.
     """
 
     __slots__ = ("_value",)
@@ -97,16 +105,12 @@ class SpherePoint:
             return self
         return SpherePoint(self._value.conjugate())
 
-    def isclose(self, other, tol: float = POINT_TOL) -> bool:
-        """True when the chordal separation sqrt(overlap) is within tol."""
-        return overlap_distance(self, other) <= tol * tol
-
     def __eq__(self, other) -> bool:
         try:
             other = as_point(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return self.isclose(other)
+        return overlap_distance(self, other) <= POINT_TOL * POINT_TOL
 
     # tolerance-based equality is incompatible with hashing
     __hash__ = None  # type: ignore[assignment]
@@ -405,13 +409,12 @@ class LyapunovEstimate:
         }
 
 
-def lyapunov_derivative(param: MapParam, z0, n: int,
-                        exclusion_limit: float = 0.01) -> LyapunovEstimate:
+def lyapunov_derivative(param: MapParam, z0, n: int) -> LyapunovEstimate:
     """Mean log expansion rate along n steps of the orbit from z0.
 
     Exact critical hits contribute log(0); they are excluded from the mean
     and counted, and the estimate is marked unreliable when they exceed
-    ``exclusion_limit`` as a fraction of n (an orbit glued to a
+    ``CRITICAL_HIT_LIMIT`` as a fraction of n (an orbit glued to a
     superattracting cycle has no meaningful finite exponent).  Returns
     -inf when every step was excluded.
     """
@@ -431,23 +434,21 @@ def lyapunov_derivative(param: MapParam, z0, n: int,
                 used += 1
     excluded = n - used
     value = total / used if used else float("-inf")
-    reliable = used > 0 and excluded <= exclusion_limit * n
+    reliable = used > 0 and excluded <= CRITICAL_HIT_LIMIT * n
     return LyapunovEstimate(value, "derivative", used, False, reliable)
 
 
-def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200,
-                     saturation: float = 0.01, max_initial: float = 1e-16,
-                     min_window: int = 5) -> LyapunovEstimate:
+def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200) -> LyapunovEstimate:
     """Growth rate of the overlap distance between two nearby orbits.
 
     Both seeds evolve together and log(overlap) is fitted by least squares
     (:func:`_fit_slope`) over the pre-saturation window (overlap below
-    ``saturation``).  The seeds must start distinct but no farther apart
-    than ``max_initial`` in overlap distance, so growth is measured before
-    the sphere folds it.  ``saturated`` is set when the window closed before
-    n_max; the estimate is unreliable when the window has fewer than
-    ``min_window`` points, and NaN when it has one (the orbits merged at the
-    first step).
+    ``OVERLAP_SATURATION``).  The seeds must start distinct but no farther
+    apart than ``OVERLAP_MAX_INITIAL`` in overlap distance, so growth is
+    measured before the sphere folds it.  ``saturated`` is set when the
+    window closed before n_max; the estimate is unreliable when the window
+    has fewer than ``OVERLAP_MIN_WINDOW`` points, and NaN when it has one
+    (the orbits merged at the first step).
 
     Because the overlap distance is quadratic in state separation, this
     estimator runs at twice the derivative estimator's value for the same
@@ -459,13 +460,14 @@ def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200,
     d0 = _value_overlap(va[0], vb[0])
     if d0 == 0.0:
         raise ValueError("seeds coincide; overlap separation must be positive")
-    if d0 > max_initial:
+    if d0 > OVERLAP_MAX_INITIAL:
         raise ValueError(
-            f"initial overlap {d0:.3e} exceeds {max_initial:.0e}; start closer "
+            f"initial overlap {d0:.3e} exceeds {OVERLAP_MAX_INITIAL:.0e}; start closer "
             "so the growth window is usable"
         )
     logs = [math.log(d0)]
     saturated = False
+    saturation = OVERLAP_SATURATION  # a local: the loop reads it every step
     for k in range(1, n_max + 1):
         if k == len(va):  # both orbits end here: double their length
             goal = min(2 * k, n_max + 1)
@@ -481,7 +483,7 @@ def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200,
     window = len(logs)
     slope = _fit_slope(logs) if window >= 2 else float("nan")
     return LyapunovEstimate(slope, "overlap", window, saturated,
-                            window >= min_window)
+                            window >= OVERLAP_MIN_WINDOW)
 
 
 def _fit_slope(ys: list) -> float:

@@ -13,7 +13,7 @@ No entanglement measures beyond reduced-state purity are provided here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -102,7 +102,7 @@ class PurificationTrace:
     purity: np.ndarray
     fidelity: Optional[np.ndarray]
     selection_prob: np.ndarray
-    config: dict = field(default_factory=dict)
+    config: dict
 
 
 def purification_trace(rho0, angles=DEFAULT_ANGLES, n: int = 50,
@@ -147,11 +147,11 @@ def write_trace_csv(path, trace: PurificationTrace) -> None:
             fh.write(f"{int(trace.steps[k])},{float(trace.purity[k])!r},{fid},{sel}\n")
 
 
-def load_density_json(path, dim: int = 4) -> np.ndarray:
-    """Load a density matrix from a JSON file of rows of [re, im] pairs.
+def load_density_json(path) -> np.ndarray:
+    """Load a two-qubit density matrix from a JSON file of rows of [re, im] pairs.
 
-    The file holds the matrix row-major: a list of ``dim`` rows, each a list
-    of ``dim`` two-element [re, im] entries.  The result must pass the full
+    The file holds the 4x4 matrix row-major: a list of 4 rows, each a list
+    of 4 two-element [re, im] entries.  The result must pass the full
     density-matrix validation (Hermitian, unit trace, positive).  A file that
     cannot be opened or parsed raises ValueError naming the path.
     """
@@ -164,6 +164,6 @@ def load_density_json(path, dim: int = 4) -> np.ndarray:
         )
     except (OSError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"cannot read a density matrix from {path}: {exc}") from None
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix in {path}, got {rho.shape}")
-    return validate_density(rho, dim)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix in {path}, got {rho.shape}")
+    return validate_density(rho, 4)

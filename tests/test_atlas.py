@@ -1280,10 +1280,10 @@ def test_sweep_runs_a_finite_segment_at_either_parity():
 # ---------------------------------------------------------------------------
 # image transfer functions
 
-def _tiny_raster(steps, converged, period, max_iter):
+def _tiny_raster(steps, converged, period, max_iter, **config):
     win = Window.from_bounds(0.0, 1.0, 0.0, 1.0, 2, 2)
     return Raster(win, np.asarray(converged), np.asarray(steps),
-                  np.asarray(period), {"max_iter": max_iter})
+                  np.asarray(period), {"max_iter": max_iter, **config})
 
 
 def test_grayscale_transfer():
@@ -1327,8 +1327,8 @@ def test_period_palette_shape_and_anchor():
 
 
 def test_period_rgb_marks_unsettled_white():
-    raster = _tiny_raster([[3, 7]], [[True, False]], [[2, -1]], 10)
-    rgb = period_rgb(raster, max_period=8)
+    raster = _tiny_raster([[3, 7]], [[True, False]], [[2, -1]], 10, max_period=8)
+    rgb = period_rgb(raster)
     assert rgb.shape == (1, 2, 3)
     assert list(rgb[0, 1]) == [255, 255, 255]
     assert list(rgb[0, 0]) != [255, 255, 255]
@@ -1359,6 +1359,7 @@ def test_sweep_csv_layout(tmp_path):
         start_step=51,
         abs_z=np.array([[1.0, 0.0]]),
         is_infinity=np.array([[False, True]]),
+        config={},
     )
     path = tmp_path / "tail.csv"
     write_sweep_csv(path, sweep)

@@ -1,13 +1,16 @@
 """Source checks over the modules of the package: every name a module imports
-is used there, no refusal reads numpy's floating-point flags, and the pair
-kernel imports no module of the package."""
+is used there, no refusal reads numpy's floating-point flags, the pair
+kernel imports no module of the package, and every parameter default is
+overridden by some call."""
 
 import ast
+import math
 import pathlib
 
 import qubit_chaos
 
 PACKAGE = pathlib.Path(qubit_chaos.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # (module, name): imported without a use in the module, for the caller named
 ALLOWED = {
@@ -117,3 +120,76 @@ def test_the_check_finds_a_package_import():
 def test_the_kernel_imports_no_package_module():
     # the pair kernel is the bottom layer: every vector pipeline builds on it
     assert _package_imports((PACKAGE / "kernel.py").read_text()) == []
+
+
+def _defaulted_parameters(source: str) -> list[tuple[str, str, str, int | None]]:
+    """(qualified name, called name, parameter, position) for each defaulted
+    parameter of a top-level function or method of ``source``.  The
+    position counts the arguments a call writes, so a method's first
+    parameter (self or cls) is not one; it is None for a keyword-only one."""
+    defs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            defs.append((node.name, node, 0))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{d.name}", d, 1) for d in node.body
+                     if isinstance(d, ast.FunctionDef)]
+    out = []
+    for qualname, d, bound in defs:
+        args = d.args.posonlyargs + d.args.args
+        first = len(args) - len(d.args.defaults)
+        out += [(qualname, d.name, a.arg, i - bound)
+                for i, a in enumerate(args) if i >= first]
+        out += [(qualname, d.name, a.arg, None)
+                for a, v in zip(d.args.kwonlyargs, d.args.kw_defaults) if v is not None]
+    return out
+
+
+def _unpassed_defaults(package: dict[str, str], callers: list[str]) -> set[tuple[str, str]]:
+    """("module.function", parameter) for each defaulted parameter of the
+    ``package`` sources (module name -> source) that no call in ``callers``
+    passes, by keyword or by position.  Calls match by the called name
+    alone; one with ``*args`` fills every position and one with
+    ``**kwargs`` names every keyword."""
+    keywords, positions = {}, {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+                filled = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                          else len(node.args))
+                positions[name] = max(positions.get(name, 0), filled)
+    return {(f"{module}.{qualname}", arg) for module, source in package.items()
+            for qualname, name, arg, i in _defaulted_parameters(source)
+            if not ({arg, None} & keywords.get(name, set())
+                    or (i is not None and i < positions.get(name, 0)))}
+
+
+def test_the_check_finds_a_default_no_call_sets():
+    package = {"m": "\n".join([
+        "def f(a, b=1, c=2, *, d=3, e=4): pass",
+        "class C:",
+        "    def g(self, x=0, y=1): pass",
+        "def h(u=0): pass",
+        "def k(v=0): pass",
+        "def outer():",
+        "    def inner(w=0): pass",
+    ])}
+    callers = [
+        "f(0, 1, e=5)",  # b by position, e by keyword
+        "C().g(7)",  # x by position: self is no call argument
+        "h(*args)",  # *args may fill any position
+        "k(**opts)",  # **opts may name any keyword
+    ]
+    assert _unpassed_defaults(package, callers) == {
+        ("m.f", "c"), ("m.f", "d"), ("m.C.g", "y")}
+
+
+def test_every_parameter_default_is_overridden():
+    # a default that no call in the repository overrides is an option with
+    # one value in use: it is a constant beside the code that reads it
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [path.read_text() for top in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    assert _unpassed_defaults(package, callers) == set()

@@ -314,6 +314,19 @@ def test_critical_orbits_argument_guards(kwargs):
         critical_orbits(P1, **kwargs)
 
 
+def test_critical_orbits_refuses_a_budget_below_one_tail_scan():
+    # the first tail scan reads 2*max_period steps: unchecked, max_iter=0 at
+    # p = 0.3+0.3i ran both orbits 128 steps and reported the orbit of
+    # infinity converged at step 128 with transient 54
+    param = MapParam(0.3 + 0.3j)
+    for max_iter, max_period in ((0, 64), (7, 4)):
+        with pytest.raises(ValueError, match=rf"max_iter must be at least "
+                           rf"2\*max_period = 2\*{max_period}, got {max_iter}$"):
+            critical_orbits(param, max_iter=max_iter, max_period=max_period)
+    report = critical_orbits(param, max_iter=8, max_period=4)
+    assert [r.steps for r in report.critical] == [8, 8]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"eps": math.nan}, {"eps": 0.0}, {"eps": 2.0}, {"eps": -1e-9}, {"max_period": 0},
 ])
