@@ -5,6 +5,9 @@ Three instruments:
 * :func:`render_julia` -- per-pixel convergence of initial conditions toward
   the known attracting cycles of a fixed parameter (steps-to-capture raster,
   written as a grayscale PGM: dark = fast capture, white = never captured).
+  The map squares before it rotates, so f(-z) = f(z), and on a window
+  centred at 0 the raster runs the top half of the rows and mirrors the
+  rest, re-running only the mirrored pixels a capture at step 0 decides.
 * :func:`render_parameter_space` -- per-pixel period of the cycle the
   critical orbit settles into as the parameter varies (period raster,
   written as a color PPM keyed by period; white = no settling).
@@ -34,12 +37,15 @@ from __future__ import annotations
 
 import colorsys
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .kernel import (
+    JULIA_BLOCK_PIXELS,
+    _capture,
     _lag_scan,
     _pair_params,
     _pair_rate,
@@ -47,6 +53,8 @@ from .kernel import (
     _pair_scratch,
     _rescale_interval,
     _run_blocks,
+    _run_capture,
+    _start_pairs,
     _value_pairs,
 )
 from .orbits import (
@@ -94,7 +102,9 @@ class Window:
     Pixel centers span the rectangle inclusively: column 0 / column nx-1
     sit exactly on the left/right edges, row 0 is the TOP edge (maximum
     imaginary part).  The grid formulas are sign-symmetric, so a window
-    centered on the real axis samples exactly conjugate pixel pairs.
+    centered on the real axis samples exactly conjugate pixel pairs, and on
+    a window centered at 0 flat pixel N-1-f is exactly pixel f negated
+    (N = nx*ny; a zero part may differ in sign).
     """
 
     center: complex
@@ -104,6 +114,12 @@ class Window:
     ny: int
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"resolution {name} must be an integer, got {value!r}") from None
         c = complex(self.center)
         if not all(map(math.isfinite, (c.real, c.imag, self.width, self.height))):
             raise ValueError("window center and extents must be finite")
@@ -216,14 +232,28 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     max_iter >= 0; ValueError otherwise.  The pixels run through the
     capture front end :func:`qubit_chaos.orbits._capture_cycles`, which
     ``classify_basin`` runs with the roundoff certificate on.
+
+    On a window centred at 0 only the top ceil(ny/2) rows run, and the
+    rest take the outcome of the pixel they negate (:func:`_mirror_half`):
+    f(-z) = f(z), and the pair kernel steps -z to the bits of z's first
+    step.  The exception is a capture at step 0, which tests the pixel
+    itself, so the mirrored pixels that it decides for either pixel of the
+    pair run the full path.  Every other window runs every pixel.  The
+    output is the same bits either way.
     """
+    total = window.nx * window.ny
+    n = -(-window.ny // 2) * window.nx if window.center == 0 else total
     cycles, targets, (steps, label, _) = _capture_cycles(
-        param, window.at, window.nx * window.ny, cycles, eps, max_iter, workers=workers)
+        param, window.at, n, cycles, eps, max_iter, workers=workers)
+    if n < total:
+        steps, label = _mirror_half(param.p, window, targets, eps, max_iter, steps, label,
+                                    workers)
     shape = (window.ny, window.nx)
     # label -1 (never captured) picks the trailing -1
     period = np.array([c.period for c in cycles] + [-1], np.int32)[label].reshape(shape)
     converged = period >= 0
-    steps = np.where(converged, steps.reshape(shape), max_iter)
+    steps = steps.reshape(shape)
+    steps[~converged] = max_iter
     config = {
         "kind": "julia", "p": _json_complex(param.p),
         "window": window.to_json_dict(), "max_iter": max_iter, "eps": eps,
@@ -231,6 +261,37 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
                     for tz, tw, _, i in targets],
     }
     return Raster(window, converged, steps, period, config)
+
+
+def _mirror_half(p: complex, window: Window, targets, eps: float, max_iter: int,
+                 steps: np.ndarray, label: np.ndarray, workers: Optional[int]):
+    """The capture ``steps`` and ``label`` of every pixel of a window
+    centred at 0, from those of its first n flat pixels: pixel N-1-f is
+    pixel f negated, so the flat outcome h goes on with h[:N-n] reversed.
+
+    A mirrored pixel keeps its source's outcome unless step 0 decides
+    either of them: its source was captured at step 0, or its own
+    coordinates pass the step-0 target test (the first step of
+    :func:`qubit_chaos.kernel._capture`, run in blocks on their own pairs).
+    Those pixels alone run the full path, :func:`_run_capture`.
+    """
+    n = steps.size
+    m = window.nx * window.ny - n
+    steps = np.concatenate([steps, steps[:m][::-1]])
+    label = np.concatenate([label, label[:m][::-1]])
+    redo = steps[n:] == 0  # the source was captured at step 0
+
+    def run(_, idx, state, buf):
+        start = _start_pairs(window.at(n + idx))
+        redo[idx] |= _capture(p, start, targets, eps * eps, 0, 0)[1] >= 0
+        return (np.empty(0, np.intp),)
+
+    _run_blocks(m, JULIA_BLOCK_PIXELS, workers, [(0, 0)], run)
+    fix = n + np.flatnonzero(redo)
+    if fix.size:
+        steps[fix], label[fix], _ = _run_capture(p, lambda idx: window.at(fix[idx]), fix.size,
+                                                 targets, eps, max_iter, workers=workers)
+    return steps, label
 
 
 def render_parameter_space(window: Window, z0=0j, transient: int = 2000,

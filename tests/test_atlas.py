@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -35,6 +38,7 @@ from qubit_chaos.kernel import (
     _pair_params,
     _pair_rate,
     _pair_rescale,
+    _pair_run,
     _pair_scratch,
     _pair_step,
     _rescale_interval,
@@ -46,6 +50,7 @@ from qubit_chaos.orbits import (
     SEED_ROUNDOFF,
     periodic_cycles,
     Cycle,
+    _capture_cycles,
     classify_basin,
     critical_orbits,
     make_cycle,
@@ -96,6 +101,15 @@ def test_window_refuses_non_finite_geometry():
         with pytest.raises(ValueError):
             Window.from_bounds(*bounds, 4, 4)
     assert Window(1e200, 1e199, 1e199, 8, 8).at(np.arange(64)).real.min() > 9e199
+
+
+def test_window_refuses_a_non_integral_resolution():
+    for nx, ny, bad in ((5.5, 5, "5.5"), (4, 4.0, "4.0"), (4, "4", "'4'")):
+        with pytest.raises(ValueError, match=bad):
+            Window(0j, 4.0, 4.0, nx, ny)
+    win = Window(0j, 4.0, 4.0, np.int64(5), np.int32(4))
+    assert (win.nx, win.ny) == (5, 4) and win.grid().shape == (4, 5)
+    json.dumps(win.to_json_dict())
 
 
 def test_window_json_round_trip():
@@ -189,6 +203,218 @@ def test_julia_config_records_inputs():
     assert raster.config["max_iter"] == 60
     assert raster.config["eps"] == 1e-5
     json.dumps(raster.config)
+
+
+# ---------------------------------------------------------------------------
+# the centred julia raster: half the rows run, the rest mirror
+
+def _full_path(param, window, max_iter, cycles=None, workers=1, eps=1e-6):
+    """(steps, converged, period) of every pixel of ``window`` run through
+    the capture front end, with no mirror."""
+    cycles, _, (step, label, _) = _capture_cycles(
+        param, window.at, window.nx * window.ny, cycles, eps, max_iter, workers=workers)
+    period = np.array([c.period for c in cycles] + [-1])[label].reshape(window.ny, window.nx)
+    return np.where(period >= 0, step.reshape(period.shape), max_iter), period >= 0, period
+
+
+def _assert_full_path(param, window, max_iter, cycles=None, workers=1):
+    raster = render_julia(param, window, max_iter=max_iter, cycles=cycles, workers=workers)
+    steps, converged, period = _full_path(param, window, max_iter, cycles, workers)
+    assert np.array_equal(raster.steps, steps)
+    assert np.array_equal(raster.converged, converged)
+    assert np.array_equal(raster.period, period)
+    return raster
+
+
+def _centred_windows(seed):
+    """Seeded windows centred at 0: odd and even nx and ny, non-square,
+    built from bounds and from a center of 0j."""
+    rng = np.random.default_rng(seed)
+    for nx, ny in ((31, 30), (30, 31), (27, 27), (26, 40)):
+        hx, hy = rng.uniform(1.0, 2.5, 2)
+        yield Window.from_bounds(-hx, hx, -hy, hy, nx, ny)
+        yield Window(0j, 2 * hx, 2 * hy, ny, nx)
+
+
+@pytest.mark.parametrize("p, max_iter, seed", [
+    (1.0 + 0j, 150, 1), (1.5 + 0j, 150, 2), (0.3 + 0.3j, 400, 3), (0.5j, 200, 4),
+    (-0.2 + 0.7j, 300, 5),
+], ids=["p1", "p1.5", "p0.3+0.3i", "p0.5i", "p-0.2+0.7i"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_centred_julia_equals_the_full_path(p, max_iter, seed, workers):
+    # f(-z) = f(z): the mirrored half is the full path's, bit for bit
+    for window in _centred_windows(seed):
+        assert window.center == 0
+        _assert_full_path(MapParam(p), window, max_iter, workers=workers)
+
+
+@pytest.mark.parametrize("nx, ny", [(21, 20), (20, 21), (21, 21)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_centred_julia_targets_on_pixels_equal_the_full_path(nx, ny, workers):
+    # one extra target sits on a pixel of the top half, one on a pixel of
+    # the bottom half: the first pixel is captured at step 0 and its mirror
+    # is not; the second pixel's own step-0 test captures it and its source
+    # is not captured there
+    window = Window.from_bounds(-2.0, 2.0, -1.5, 1.5, nx, ny)
+    grid = window.grid()
+    top, bottom = (2, 5), (ny - 4, 3)
+    cycles = [*critical_orbits(P1).attracting_cycles(),
+              *(Cycle(1, (SpherePoint(complex(grid[at])),), 0j, "attracting")
+                for at in (top, bottom))]
+    raster = _assert_full_path(P1, window, 120, cycles, workers)
+    for at in (top, bottom):
+        mirror = (ny - 1 - at[0], nx - 1 - at[1])
+        assert raster.steps[at] == 0 and raster.converged[at]
+        assert raster.steps[mirror] > 0
+
+
+def test_centred_huge_parameter_equals_the_full_path():
+    # p = 1e200: every step rescales (r = 1), and -z still steps to z's bits
+    window = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 25, 24)
+    cycles = [Cycle(2, (SpherePoint(-1e-200), INF), 0j, "superattracting")]
+    _assert_full_path(MapParam(1e200 + 0j), window, 60, cycles)
+
+
+def test_off_centre_julia_runs_every_pixel():
+    for window in (Window.from_bounds(-2.0, 1.9, -2.0, 2.0, 30, 31),
+                   Window.from_bounds(-2.0, 2.0, -2.0, 2.1, 31, 30),
+                   Window(1e-300j, 4.0, 4.0, 30, 30)):
+        _assert_full_path(P1, window, 150, workers=2)
+
+
+def test_centred_julia_step_zero_pass_under_thread_switching(monkeypatch):
+    # the step-0 pass marks the mirrored pixels to run again from every
+    # block: at eps = 0.5 step 0 decides 601 of the 820, and more workers
+    # than cores with a short switch interval make a lost mark show up as a
+    # pixel that keeps its source's outcome
+    monkeypatch.setattr(kernel, "JULIA_BLOCK_PIXELS", 64)
+    monkeypatch.setattr(atlas, "JULIA_BLOCK_PIXELS", 64)
+    param, window = MapParam(0.3 + 0.3j), Window.from_bounds(-1.5, 1.5, -1.5, 1.5, 41, 40)
+    steps, converged, period = _full_path(param, window, 100, eps=0.5)
+    assert np.count_nonzero((converged & (steps == 0))[20:]) > 300
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = render_julia(param, window, max_iter=100, eps=0.5, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.steps, steps)
+    assert np.array_equal(got.period, period)
+
+
+def _count_started(monkeypatch, param, window, cycles):
+    """(pairs the capture runner starts, pairs the step-0 test of the
+    mirrored half forms) in one render of ``window``."""
+    counts = [0, 0]
+
+    def counting(i, start):
+        def spy(z):
+            counts[i] += z.size
+            return start(z)
+        return spy
+
+    monkeypatch.setattr(kernel, "_start_pairs", counting(0, kernel._start_pairs))
+    monkeypatch.setattr(atlas, "_start_pairs", counting(1, atlas._start_pairs))
+    render_julia(param, window, max_iter=150, cycles=cycles, workers=2)
+    monkeypatch.undo()
+    # _target_pairs starts one pair per cycle point
+    return counts[0] - sum(len(c.points) for c in cycles), counts[1]
+
+
+def test_centred_julia_starts_half_the_pairs(monkeypatch):
+    param = MapParam(0.3 + 0.3j)
+    cycles = critical_orbits(param).attracting_cycles()
+    nx, ny = 41, 40
+    window = Window.from_bounds(-1.5, 1.5, -1.5, 1.5, nx, ny)
+    steps, converged, _ = _full_path(param, window, 150, cycles)
+    n, total = -(-ny // 2) * nx, nx * ny
+    at_zero = (converged & (steps == 0)).ravel()
+    # a mirrored pixel runs again where step 0 captures it or its source
+    fixups = np.count_nonzero((at_zero | at_zero[::-1])[n:])
+    assert _count_started(monkeypatch, param, window, cycles) == (n + fixups, total - n)
+    # with a target on a pixel of the bottom half, that pixel runs again
+    target = Cycle(1, (SpherePoint(complex(window.grid()[ny - 3, 7])),), 0j, "attracting")
+    assert _count_started(monkeypatch, param, window, [*cycles, target]) == (
+        n + fixups + 1, total - n)
+    shifted = Window.from_bounds(-1.5, 1.6, -1.5, 1.5, nx, ny)
+    assert _count_started(monkeypatch, param, shifted, cycles) == (total, 0)
+
+
+@pytest.mark.parametrize("nx, ny", [(7, 6), (6, 7), (7, 7), (8, 6)])
+def test_centred_window_pixels_are_negated_in_reverse_flat_order(nx, ny):
+    # bit for bit, but for the sign of a zero part (the centre row or
+    # column), which no test on a pair reads
+    for window in (Window.from_bounds(-1.3, 1.3, -0.7, 0.7, nx, ny),
+                   Window(0j, 2.6, 1.4, nx, ny), Window(complex(-0.0, -0.0), 3.1, 5.9, nx, ny)):
+        f = np.arange(nx * ny)
+        got, want = window.at(f[::-1]), -window.at(f)
+        assert np.array_equal((got + 0j).view(np.uint64), (want + 0j).view(np.uint64))
+
+
+def _seeded_points(seed, n=4000):
+    """Seeded points with moduli from 1e-8 to 1e8 and no zero part."""
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-8, 8, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+
+
+def test_start_pairs_of_negated_points_negate_z():
+    z = _seeded_points(11)
+    S, neg = _start_pairs(z), _start_pairs(-z)
+    assert np.array_equal(neg[0].view(np.uint64), (-S[0]).view(np.uint64))
+    assert np.array_equal(neg[1].view(np.uint64), S[1].view(np.uint64))
+
+
+@pytest.mark.parametrize("p", [1.0 + 0j, 0.3 + 0.3j, -0.2 + 0.7j, 1e200 + 0j])
+def test_one_step_of_a_negated_pair_gives_identical_bits(p):
+    # (-Z)(-Z) rounds as Z Z does, and the rescale before the step reads
+    # moduli only
+    z = _seeded_points(12)
+    S = _start_pairs(z)
+    negated = S * np.array([[-1.0], [1.0]])
+    P, scratch = _pair_params(np.array([p])), _pair_scratch(z.size)
+    r = _rescale_interval(abs(p))
+    a = _pair_run(P, S.copy() * 8.0, scratch, 1, r)
+    b = _pair_run(P, negated * 8.0, scratch, 1, r)
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_CROSS_CLASS = textwrap.dedent("""
+    import numpy as np
+    from qubit_chaos import MapParam
+    from qubit_chaos.atlas import Window, render_julia
+    from qubit_chaos.orbits import _capture_cycles
+
+    umath = np._core._multiarray_umath
+    assert not [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    for p, half, nx, ny, max_iter in ((1.0, 2.0, 61, 60, 200), (1.5, 1.5, 60, 61, 200),
+                                      (0.3 + 0.3j, 1.5, 41, 41, 600)):
+        param, window = MapParam(p), Window.from_bounds(-half, half, -half, half, nx, ny)
+        raster = render_julia(param, window, max_iter=max_iter, workers=2)
+        cycles, _, (step, label, _) = _capture_cycles(
+            param, window.at, nx * ny, None, 1e-6, max_iter, workers=2)
+        period = np.array([c.period for c in cycles] + [-1])[label].reshape(ny, nx)
+        assert np.array_equal(raster.period, period), p
+        assert np.array_equal(raster.steps,
+                              np.where(period >= 0, step.reshape(ny, nx), max_iter)), p
+    print("mirror holds")
+""")
+
+
+def test_centred_julia_equals_the_full_path_on_the_baseline_loops():
+    # sign symmetry does not rest on fused multiply-add: numpy's baseline
+    # loops, with every dispatch target above them disabled, mirror too
+    umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+    targets = getattr(umath, "__cpu_dispatch__", None)
+    if not targets:
+        pytest.skip("this numpy names no dispatch targets above its baseline")
+    src = os.path.dirname(os.path.dirname(atlas.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _CROSS_CLASS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "mirror holds"
 
 
 def _reference_capture(p, S, targets, eps2, max_iter, limit=None, live=False):
