@@ -5,9 +5,11 @@ Three instruments:
 * :func:`render_julia` -- per-pixel convergence of initial conditions toward
   the known attracting cycles of a fixed parameter (steps-to-capture raster,
   written as a grayscale PGM: dark = fast capture, white = never captured).
-  The map squares before it rotates, so f(-z) = f(z), and on a window
-  centred at 0 the raster runs the top half of the rows and mirrors the
-  rest, re-running only the mirrored pixels a capture at step 0 decides.
+  The map squares before it rotates, so f(-z) = f(z), and at real p it
+  commutes with conjugation: the raster runs only the fundamental domain
+  of the window's symmetries (the top rows, or the top-left quadrant at
+  real p on a window centred at 0) and mirrors the rest, re-running only
+  the negated pixels a capture at step 0 decides.
 * :func:`render_parameter_space` -- per-pixel period of the cycle the
   critical orbit settles into as the parameter varies (period raster,
   written as a color PPM keyed by period; white = no settling).
@@ -39,6 +41,7 @@ import colorsys
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -153,8 +156,17 @@ class Window:
     def at(self, idx: np.ndarray) -> np.ndarray:
         """Pixel centers of the flat indices idx, as grid().ravel() has them
         (formed per block: the whole grid would raise the peak memory)."""
-        row, col = np.divmod(idx, self.nx)
-        return self.real_axis()[col] + 1j * self.imag_axis()[row]
+        return self.block(0, 0, self.nx)(idx)
+
+    def block(self, row0: int, col0: int, cols: int):
+        """:meth:`at` of the block ``cols`` columns wide whose top-left pixel
+        is (row0, col0): a function of flat indices within the block."""
+        re, im = self.real_axis()[col0:], self.imag_axis()[row0:]
+
+        def at(idx):
+            row, col = np.divmod(idx, cols)
+            return re[col] + 1j * im[row]
+        return at
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,30 +241,43 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     ``steps`` entry is the first iteration count at which it came within
     eps of a target point (0 = already there); unconverged pixels carry
     steps = max_iter and period = -1.  Requires 1e-30 < eps < 1 and
-    max_iter >= 0; ValueError otherwise.  The pixels run through the
-    capture front end :func:`qubit_chaos.orbits._capture_cycles`, which
-    ``classify_basin`` runs with the roundoff certificate on.
+    max_iter >= 0; ValueError otherwise.  The targets come from
+    :func:`qubit_chaos.orbits._capture_cycles` and the pixels run through
+    :func:`qubit_chaos.kernel._run_capture`, as in ``classify_basin``, which
+    adds the roundoff certificate.
 
-    On a window centred at 0 only the top ceil(ny/2) rows run, and the
-    rest take the outcome of the pixel they negate (:func:`_mirror_half`):
-    f(-z) = f(z), and the pair kernel steps -z to the bits of z's first
-    step.  The exception is a capture at step 0, which tests the pixel
-    itself, so the mirrored pixels that it decides for either pixel of the
-    pair run the full path.  Every other window runs every pixel.  The
-    output is the same bits either way.
+    Only the fundamental domain of the window's symmetries runs, and
+    :func:`_mirror` reflects ``steps`` and ``label`` into the rest.  The map
+    squares before it rotates, so f(-z) = f(z): on a window centred at 0
+    only the top ceil(ny/2) rows run.  At real p, f(conj z) = conj f(z): on
+    a window centred on the real axis whose targets are closed under
+    conjugation (:func:`_conjugate_closed`) the bottom rows conjugate the
+    top ones, and if the window is centred at 0 as well only the top-left
+    ceil(ny/2) x ceil(nx/2) quadrant runs.  Every other window runs every
+    pixel.  The route is decided from the targets before any pixel runs,
+    and the output is the same bits on every route.
     """
-    total = window.nx * window.ny
-    n = -(-window.ny // 2) * window.nx if window.center == 0 else total
-    cycles, targets, (steps, label, _) = _capture_cycles(
-        param, window.at, n, cycles, eps, max_iter, workers=workers)
-    if n < total:
-        steps, label = _mirror_half(param.p, window, targets, eps, max_iter, steps, label,
-                                    workers)
-    shape = (window.ny, window.nx)
+    cycles, targets = _capture_cycles(param, cycles, eps, max_iter)
+    p, nx, ny = param.p, window.nx, window.ny
+    conj = p.imag == 0 and window.center.imag == 0 and _conjugate_closed(targets)
+    point = window.center == 0
+    rows = -(-ny // 2) if conj or point else ny
+    cols = -(-nx // 2) if conj and point else nx
+    out = _run_capture(p, window.block(0, 0, cols), rows * cols, targets, eps, max_iter,
+                       workers=workers)
+    # apart: the raster keeps steps, and a shared base would keep label too;
+    # formed once the run has freed its scratch, whose memory they reuse
+    # (formed before it, an 800^2 render page-faults some 3 500 times more)
+    steps, label = (np.empty((ny, nx), dtype=np.int32) for _ in range(2))
+    steps[:rows, :cols], label[:rows, :cols] = (a.reshape(rows, cols) for a in out[:2])
+    mirror = partial(_mirror, p, window, targets, eps, max_iter, steps, label, workers=workers)
+    if cols < nx:  # z -> -conj z fills the top right
+        mirror((rows, cols), (1,))
+    if rows < ny:  # z -> conj z or z -> -z the bottom
+        mirror((rows, nx), (0,) if conj else (0, 1))
     # label -1 (never captured) picks the trailing -1
-    period = np.array([c.period for c in cycles] + [-1], np.int32)[label].reshape(shape)
+    period = np.array([c.period for c in cycles] + [-1], np.int32)[label]
     converged = period >= 0
-    steps = steps.reshape(shape)
     steps[~converged] = max_iter
     config = {
         "kind": "julia", "p": _json_complex(param.p),
@@ -263,35 +288,57 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     return Raster(window, converged, steps, period, config)
 
 
-def _mirror_half(p: complex, window: Window, targets, eps: float, max_iter: int,
-                 steps: np.ndarray, label: np.ndarray, workers: Optional[int]):
-    """The capture ``steps`` and ``label`` of every pixel of a window
-    centred at 0, from those of its first n flat pixels: pixel N-1-f is
-    pixel f negated, so the flat outcome h goes on with h[:N-n] reversed.
+def _conjugate_closed(targets) -> bool:
+    """Whether the conjugate of every target pair is a target pair of the
+    same cycle, compared by value (so +0 and -0 are equal)."""
+    pairs = {(tz, tw, i) for tz, tw, _, i in targets}
+    return all((tz.conjugate(), tw.conjugate(), i) in pairs for tz, tw, _, i in targets)
 
-    A mirrored pixel keeps its source's outcome unless step 0 decides
-    either of them: its source was captured at step 0, or its own
-    coordinates pass the step-0 target test (the first step of
-    :func:`qubit_chaos.kernel._capture`, run in blocks on their own pairs).
-    Those pixels alone run the full path, :func:`_run_capture`.
+
+def _mirror(p: complex, window: Window, targets, eps: float, max_iter: int,
+            steps: np.ndarray, label: np.ndarray, filled: tuple, flip: tuple,
+            workers: Optional[int]):
+    """Reflect the capture ``steps`` and ``label`` (shape (ny, nx), in
+    place) of the window's top-left ``filled`` = (rows, cols) corner along
+    axis flip[0]: the rest of that axis takes the corner's leading entries,
+    reversed along the axes in ``flip``.
+
+    The grid formulas are sign-symmetric (:class:`Window`): flip (0,) maps
+    pixel z to conj z on a window centred on the real axis, and (1,) to
+    -conj z and (0, 1) to -z on one centred at 0.  The targets list each
+    cycle's points together and in cycle order, so a label is the least
+    cycle index of the targets hit.  At real p with targets closed under
+    conjugation, conj z is captured by the conjugates of z's targets at
+    every step, step 0 included.  The map squares first, so -z and -conj z
+    step to the bits of z and conj z from step 1 on, but step 0 tests the
+    pixel itself: where the columns reverse, the reflected pixels that step
+    0 decides (their source was captured at step 0, or their own pairs pass
+    the step-0 target test of :func:`qubit_chaos.kernel._capture`, run in
+    blocks) run the full path, :func:`_run_capture`.
     """
-    n = steps.size
-    m = window.nx * window.ny - n
-    steps = np.concatenate([steps, steps[:m][::-1]])
-    label = np.concatenate([label, label[:m][::-1]])
-    redo = steps[n:] == 0  # the source was captured at step 0
+    axis, n = flip[0], filled[flip[0]]
+    src, dst = list(map(slice, filled)), list(map(slice, filled))
+    src[axis], dst[axis] = slice(steps.shape[axis] - n), slice(n, None)
+    src, dst = tuple(src), tuple(dst)
+    rev = tuple(slice(None, None, -1 if a in flip else 1) for a in (0, 1))
+    for a in (steps, label):
+        a[dst] = a[src][rev]
+    if 1 not in flip:
+        return
+    new_steps, new_label = steps[dst], label[dst]
+    at = window.block(*(n if a == axis else 0 for a in (0, 1)), new_steps.shape[1])
+    redo = (new_steps == 0).ravel()  # the source was captured at step 0
 
     def run(_, idx, state, buf):
-        start = _start_pairs(window.at(n + idx))
-        redo[idx] |= _capture(p, start, targets, eps * eps, 0, 0)[1] >= 0
+        redo[idx] |= _capture(p, _start_pairs(at(idx)), targets, eps * eps, 0, 0)[1] >= 0
         return (np.empty(0, np.intp),)
 
-    _run_blocks(m, JULIA_BLOCK_PIXELS, workers, [(0, 0)], run)
-    fix = n + np.flatnonzero(redo)
+    _run_blocks(redo.size, JULIA_BLOCK_PIXELS, workers, [(0, 0)], run)
+    fix = np.flatnonzero(redo)
     if fix.size:
-        steps[fix], label[fix], _ = _run_capture(p, lambda idx: window.at(fix[idx]), fix.size,
-                                                 targets, eps, max_iter, workers=workers)
-    return steps, label
+        at_fix = np.divmod(fix, new_steps.shape[1])
+        new_steps[at_fix], new_label[at_fix], _ = _run_capture(
+            p, lambda idx: at(fix[idx]), fix.size, targets, eps, max_iter, workers=workers)
 
 
 def render_parameter_space(window: Window, z0=0j, transient: int = 2000,

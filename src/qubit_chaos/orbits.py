@@ -600,13 +600,13 @@ class BasinResult:
     cycles: tuple
 
 
-def _capture_cycles(param: MapParam, points, n: int, cycles, eps: float, max_iter: int,
-                    certify: bool = False, workers: Optional[int] = 1):
-    """``render_julia`` and :func:`classify_basin` up to their outputs: check
-    eps and max_iter, take ``cycles`` or the attracting cycles the critical
-    orbits land on (:class:`ConfigurationError` if none), and run the n
-    points ``points(idx)`` through :func:`qubit_chaos.kernel._run_capture`.
-    Returns the cycles, their target pairs and the runner's (step, label, peak).
+def _capture_cycles(param: MapParam, cycles, eps: float, max_iter: int):
+    """The capture targets of ``render_julia`` and :func:`classify_basin`,
+    resolved before any point runs: check eps and max_iter, take ``cycles``
+    or the attracting cycles the critical orbits land on
+    (:class:`ConfigurationError` if none), and return the cycles and their
+    target pairs (:func:`qubit_chaos.kernel._target_pairs`), which both
+    callers run through :func:`qubit_chaos.kernel._run_capture`.
     """
     _check_capture_args(eps, max_iter)
     if cycles is None:
@@ -616,9 +616,7 @@ def _capture_cycles(param: MapParam, points, n: int, cycles, eps: float, max_ite
         cycles, refusal = tuple(cycles), f"no target cycles given at p={param.p}"
     if not cycles:
         raise ConfigurationError(refusal)
-    targets = _target_pairs(cycles)
-    return cycles, targets, _run_capture(param.p, points, n, targets, eps, max_iter,
-                                         certify, workers)
+    return cycles, _target_pairs(cycles)
 
 
 def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
@@ -651,7 +649,7 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     flat = pts.ravel()
     if nan := np.count_nonzero(np.isnan(flat)):
         raise ValueError(f"{nan} of {flat.size} points have a NaN part")
-    cycles, _, out = _capture_cycles(param, flat.take, flat.size, cycles, eps, max_iter,
-                                     certify=True)
+    cycles, targets = _capture_cycles(param, cycles, eps, max_iter)
+    out = _run_capture(param.p, flat.take, flat.size, targets, eps, max_iter, certify=True)
     steps, labels, peak = (a.reshape(pts.shape) for a in out)
     return BasinResult(labels.astype(int), steps.astype(int), peak, cycles)

@@ -42,6 +42,7 @@ from qubit_chaos.kernel import (
     _pair_scratch,
     _pair_step,
     _rescale_interval,
+    _run_capture,
     _start_pairs,
     _target_pairs,
     _value_pairs,
@@ -150,6 +151,12 @@ def test_julia_real_parameter_raster_is_mirror_symmetric():
     assert np.array_equal(raster.steps, raster.steps[::-1, :])
     assert np.array_equal(raster.converged, raster.converged[::-1, :])
     assert np.array_equal(raster.period, raster.period[::-1, :])
+    # render_julia mirrors the rows at real p, so check the identity where
+    # every pixel runs: the full path, here and off 0 on the real axis
+    for window in (win, Window(0.4 + 0j, 3.0, 2.5, 28, 27)):
+        steps, converged, period = _full_path(P1, window, 150)
+        for a in (steps, converged, period):
+            assert np.array_equal(a, a[::-1, :])
 
 
 def test_julia_deterministic_across_worker_counts():
@@ -211,8 +218,9 @@ def test_julia_config_records_inputs():
 def _full_path(param, window, max_iter, cycles=None, workers=1, eps=1e-6):
     """(steps, converged, period) of every pixel of ``window`` run through
     the capture front end, with no mirror."""
-    cycles, _, (step, label, _) = _capture_cycles(
-        param, window.at, window.nx * window.ny, cycles, eps, max_iter, workers=workers)
+    cycles, targets = _capture_cycles(param, cycles, eps, max_iter)
+    step, label, _ = _run_capture(param.p, window.at, window.nx * window.ny, targets, eps,
+                                  max_iter, workers=workers)
     period = np.array([c.period for c in cycles] + [-1])[label].reshape(window.ny, window.nx)
     return np.where(period >= 0, step.reshape(period.shape), max_iter), period >= 0, period
 
@@ -269,10 +277,12 @@ def test_centred_julia_targets_on_pixels_equal_the_full_path(nx, ny, workers):
 
 
 def test_centred_huge_parameter_equals_the_full_path():
-    # p = 1e200: every step rescales (r = 1), and -z still steps to z's bits
+    # p = 1e200: every step rescales (r = 1), and -z still steps to z's bits;
+    # the targets are real, so the quadrant runs, and off 0 the top rows
     window = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 25, 24)
     cycles = [Cycle(2, (SpherePoint(-1e-200), INF), 0j, "superattracting")]
     _assert_full_path(MapParam(1e200 + 0j), window, 60, cycles)
+    _assert_full_path(MapParam(1e200 + 0j), Window(0.4 + 0j, 4.0, 3.0, 24, 25), 60, cycles)
 
 
 def test_off_centre_julia_runs_every_pixel():
@@ -304,7 +314,8 @@ def test_centred_julia_step_zero_pass_under_thread_switching(monkeypatch):
 
 def _count_started(monkeypatch, param, window, cycles):
     """(pairs the capture runner starts, pairs the step-0 test of the
-    mirrored half forms) in one render of ``window``."""
+    reflected pixels forms) in one render of ``window``: the fundamental
+    domain and the fix-ups, then the pixels a negating reflection fills."""
     counts = [0, 0]
 
     def counting(i, start):
@@ -338,6 +349,140 @@ def test_centred_julia_starts_half_the_pairs(monkeypatch):
         n + fixups + 1, total - n)
     shifted = Window.from_bounds(-1.5, 1.6, -1.5, 1.5, nx, ny)
     assert _count_started(monkeypatch, param, shifted, cycles) == (total, 0)
+
+
+# ---------------------------------------------------------------------------
+# real p: the bottom rows conjugate the top ones, and centred at 0 only the
+# top-left quadrant runs
+
+def _real_axis_windows(seed):
+    """Seeded windows centred at 0 and on the real axis away from 0: odd and
+    even nx and ny, non-square."""
+    rng = np.random.default_rng(seed)
+    for nx, ny in ((31, 30), (30, 31), (27, 27), (26, 40)):
+        hx, hy = rng.uniform(1.0, 2.5, 2)
+        yield Window.from_bounds(-hx, hx, -hy, hy, nx, ny)
+        yield Window(complex(rng.uniform(0.2, 0.6), 0.0), 2 * hx, 2 * hy, ny, nx)
+    yield Window(0.4 + 0j, 3.0, 3.0, 25, 24)
+
+
+@pytest.mark.parametrize("p, seed", [
+    (1.0 + 0j, 6), (1.5 + 0j, 7), (-0.7 + 0j, 8), (0.25 + 0j, 9), (complex(1.0, -0.0), 10),
+], ids=["p1", "p1.5", "p-0.7", "p0.25", "p1-0i"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_real_parameter_julia_equals_the_full_path(p, seed, workers):
+    # f(conj z) = conj f(z) at real p: the reflected rows and the quadrant's
+    # reflected columns are the full path's, bit for bit
+    for window in _real_axis_windows(seed):
+        assert window.center.imag == 0
+        _assert_full_path(MapParam(p), window, 150, workers=workers)
+
+
+def _pixel_targets(window, pixels):
+    """One attracting cycle per pixel (row, col), holding the pixel and, off
+    the real axis, its conjugate pixel (row ny-1-row, col), so that the
+    targets stay closed under conjugation."""
+    grid = window.grid()
+    cycles = []
+    for j, i in pixels:
+        pts = {j: None, window.ny - 1 - j: None}
+        cycles.append(Cycle(len(pts), tuple(SpherePoint(complex(grid[r, i])) for r in pts),
+                            0j, "attracting"))
+    return cycles
+
+
+@pytest.mark.parametrize("nx, ny", [(21, 20), (20, 21), (21, 21)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_real_targets_on_pixels_in_every_quarter_equal_the_full_path(nx, ny, workers):
+    # a target on a pixel of each quarter, each with its conjugate pixel in
+    # the same cycle, and on odd ny two on the real axis: the quadrant route
+    # runs, a target pixel is captured at step 0, and its z -> -conj z mirror
+    # is not
+    window = Window.from_bounds(-2.0, 2.0, -1.5, 1.5, nx, ny)
+    pixels = [(2, 5), (4, nx - 3), (ny - 4, 3), (ny - 2, nx - 6)]
+    if ny % 2:
+        pixels += [(ny // 2, 2), (ny // 2, nx - 5)]
+    cycles = [*critical_orbits(P1).attracting_cycles(), *_pixel_targets(window, pixels)]
+    assert atlas._conjugate_closed(_target_pairs(cycles))
+    raster = _assert_full_path(P1, window, 120, cycles, workers)
+    for at in pixels:
+        assert raster.steps[at] == 0 and raster.converged[at]
+        assert raster.steps[at[0], nx - 1 - at[1]] > 0
+    shifted = Window(0.4 + 0j, 4.0, 3.0, nx, ny)
+    _assert_full_path(P1, shifted, 120, [*cycles, *_pixel_targets(shifted, pixels)], workers)
+
+
+def test_conjugate_closed_compares_by_value_and_cycle():
+    real = Cycle(1, (SpherePoint(-1.0),), 0j, "attracting")
+    pair = Cycle(2, (SpherePoint(0.5 + 0.5j), SpherePoint(0.5 - 0.5j)), 0j, "attracting")
+    assert atlas._conjugate_closed(_target_pairs([real, pair]))
+    # +0 and -0 imaginary parts are the same point
+    signed = Cycle(1, (SpherePoint(complex(0.3, -0.0)),), 0j, "attracting")
+    assert atlas._conjugate_closed(_target_pairs([signed]))
+    # conjugates in two cycles, or a point without its conjugate, do not close
+    split = [Cycle(1, (pt,), 0j, "attracting") for pt in pair.points]
+    assert not atlas._conjugate_closed(_target_pairs(split))
+    assert not atlas._conjugate_closed(_target_pairs([real, split[0]]))
+
+
+def test_window_block_equals_the_window_pixels():
+    window = Window(0.4 + 0.1j, 3.0, 2.0, 9, 8)
+    grid = window.grid()
+    for row0, col0, cols in ((0, 0, 9), (0, 0, 5), (0, 5, 4), (4, 0, 9), (3, 2, 6)):
+        rows = window.ny - row0
+        got = window.block(row0, col0, cols)(np.arange(rows * cols))
+        assert np.array_equal(got, grid[row0:, col0:col0 + cols].ravel())
+
+
+def test_real_parameter_julia_starts_a_quarter_of_the_pairs(monkeypatch):
+    cycles = critical_orbits(P1).attracting_cycles()
+    for nx, ny in ((41, 41), (40, 39), (41, 40)):
+        # on odd nx and ny the pixel -1 lies on a target: its mirror, +1, runs again
+        window = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, nx, ny)
+        steps, converged, _ = _full_path(P1, window, 150, cycles)
+        rows, cols, m = -(-ny // 2), -(-nx // 2), nx // 2
+        at_zero = converged & (steps == 0)
+        # a pixel of the top-right quarter runs again where step 0 captures
+        # it or its z -> -conj z source
+        fixups = np.count_nonzero(at_zero[:rows, cols:] | at_zero[:rows, :m][:, ::-1])
+        assert fixups == (nx % 2 and ny % 2)
+        assert _count_started(monkeypatch, P1, window, cycles) == (
+            rows * cols + fixups, rows * m)
+        # on the real axis away from 0 the top rows run, and step 0 needs no pass
+        shifted = Window(0.4 + 0j, 4.0, 4.0, nx, ny)
+        assert _count_started(monkeypatch, P1, shifted, cycles) == (rows * nx, 0)
+
+
+def test_real_parameter_targets_not_closed_take_the_earlier_routes(monkeypatch):
+    # one extra target cycle with a non-real point: its conjugate is no
+    # target, so a centred window runs the top rows with the -z mirror and
+    # an off-centre one every pixel; both equal the full path
+    nx, ny = 41, 40
+    window = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, nx, ny)
+    shifted = Window(0.4 + 0j, 4.0, 4.0, nx, ny)
+    extra = Cycle(1, (SpherePoint(complex(window.grid()[5, 7])),), 0j, "attracting")
+    cycles = [*critical_orbits(P1).attracting_cycles(), extra]
+    assert not atlas._conjugate_closed(_target_pairs(cycles))
+    raster = _assert_full_path(P1, window, 150, cycles, 2)
+    at_zero = (raster.converged & (raster.steps == 0)).ravel()
+    n, total = -(-ny // 2) * nx, nx * ny
+    fixups = np.count_nonzero((at_zero | at_zero[::-1])[n:])
+    assert fixups == 1  # the extra target's -z mirror
+    assert _count_started(monkeypatch, P1, window, cycles) == (n + fixups, total - n)
+    _assert_full_path(P1, shifted, 150, cycles, 2)
+    assert _count_started(monkeypatch, P1, shifted, cycles) == (total, 0)
+
+
+def test_non_real_parameter_with_closed_targets_runs_every_pixel(monkeypatch):
+    # targets closed under conjugation do not make f commute with it: off
+    # the real p a real-axis window away from 0 still runs every pixel
+    param = MapParam(0.3 + 0.3j)
+    nx, ny = 41, 40
+    shifted = Window(0.4 + 0j, 3.0, 3.0, nx, ny)
+    cycles = _pixel_targets(shifted, [(5, 7)])
+    assert atlas._conjugate_closed(_target_pairs(cycles))
+    _assert_full_path(param, shifted, 150, cycles, 2)
+    assert _count_started(monkeypatch, param, shifted, cycles) == (nx * ny, 0)
 
 
 @pytest.mark.parametrize("nx, ny", [(7, 6), (6, 7), (7, 7), (8, 6)])
@@ -382,16 +527,22 @@ _CROSS_CLASS = textwrap.dedent("""
     import numpy as np
     from qubit_chaos import MapParam
     from qubit_chaos.atlas import Window, render_julia
+    from qubit_chaos.kernel import _run_capture
     from qubit_chaos.orbits import _capture_cycles
 
     umath = np._core._multiarray_umath
     assert not [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
-    for p, half, nx, ny, max_iter in ((1.0, 2.0, 61, 60, 200), (1.5, 1.5, 60, 61, 200),
-                                      (0.3 + 0.3j, 1.5, 41, 41, 600)):
-        param, window = MapParam(p), Window.from_bounds(-half, half, -half, half, nx, ny)
+    # p = 1 and 1.5 take the quadrant, 0.3+0.3i the -z mirror, and the
+    # off-zero real-axis window the conjugate rows
+    for p, centre, half, nx, ny, max_iter in (
+            (1.0, 0.0, 2.0, 61, 60, 200), (1.5, 0.0, 1.5, 60, 61, 200),
+            (0.3 + 0.3j, 0.0, 1.5, 41, 41, 600), (1.5, 0.4, 1.5, 51, 50, 200)):
+        param = MapParam(p)
+        window = Window.from_bounds(centre - half, centre + half, -half, half, nx, ny)
         raster = render_julia(param, window, max_iter=max_iter, workers=2)
-        cycles, _, (step, label, _) = _capture_cycles(
-            param, window.at, nx * ny, None, 1e-6, max_iter, workers=2)
+        cycles, targets = _capture_cycles(param, None, 1e-6, max_iter)
+        step, label, _ = _run_capture(param.p, window.at, nx * ny, targets, 1e-6, max_iter,
+                                      workers=2)
         period = np.array([c.period for c in cycles] + [-1])[label].reshape(ny, nx)
         assert np.array_equal(raster.period, period), p
         assert np.array_equal(raster.steps,
