@@ -92,7 +92,11 @@ def squaring_map(rho) -> np.ndarray:
 
 
 def rotation_unitary(x: float, phi: float) -> np.ndarray:
-    """The step's 2x2 rotation: [[cos x, sin x e^{i phi}], [-sin x e^{-i phi}, cos x]]."""
+    """The step's 2x2 rotation: [[cos x, sin x e^{i phi}], [-sin x e^{-i phi}, cos x]].
+
+    Raises ValueError, naming both angles, when either is not finite."""
+    if not (math.isfinite(x) and math.isfinite(phi)):
+        raise ValueError(f"rotation angles must be finite, got x={x!r}, phi={phi!r}")
     c, s = math.cos(x), math.sin(x)
     e = complex(math.cos(phi), math.sin(phi))
     return np.array([[c, s * e], [-s * e.conjugate(), c]], dtype=complex)

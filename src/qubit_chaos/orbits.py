@@ -425,17 +425,15 @@ def _polish_periodic_point(param: MapParam, point: SpherePoint, q: int) -> list[
 def _periodic_orbits(param: MapParam, n: int, n_max: int) -> list[list[SpherePoint]]:
     """The cycles of period dividing n, in orbit order, each polished once.
 
-    The roots of the fixed-point polynomial (infinity first when it is one)
-    are walked in order.  An unclaimed root seeds one
+    The roots of the fixed-point polynomial (infinity first, once for each
+    exactly zero leading coefficient) are walked in order.  An unclaimed root seeds one
     :func:`_polish_periodic_point` call, whose cycle claims every root
     within ``EPS_POINT`` of one of its points.  A seed whose cycle was
     already found (its root lay farther than ``EPS_POINT`` from its polished
     point) adds nothing, so the points are pairwise distinct beyond
     ``EPS_POINT``.  Raises :class:`RootFindingError`, naming p and n, when a
     cycle does not close under the map within ``EPS_POINT``
-    (:func:`_cycle_defect`), and before any solve when the trimmed leading
-    coefficient reports infinity as a root but n steps do not bring
-    infinity back within ``EPS_POINT``.
+    (:func:`_cycle_defect`).
     """
     if n < 1:
         raise ValueError("period must be >= 1")
@@ -444,20 +442,12 @@ def _periodic_orbits(param: MapParam, n: int, n_max: int) -> list[list[SpherePoi
             f"period {n} exceeds n_max={n_max}; the polynomial degree is "
             f"2**n + 1 -- raise n_max explicitly if you mean it"
         )
-    coeffs, inf_is_root = fixed_point_polynomial(param.p, n)
-    if inf_is_root:
-        image = _extend_orbit(param.p, [None], n + 1)[n]
-        miss = math.sqrt(_value_overlap(image, None))
-        if miss > EPS_POINT:
-            raise RootFindingError(
-                f"periodic-point solve failed for p={param.p}, n={n}: the leading "
-                f"coefficient of G_{n} was trimmed as zero (degree {len(coeffs) - 1} of "
-                f"{2 ** n + 1}), but f^{n}(inf) lies {miss:.3e} from inf")
+    coeffs = fixed_point_polynomial(param.p, n)
     try:
         raw = aberth_roots(coeffs)
     except RootFindingError as exc:
         raise RootFindingError(f"periodic-point solve failed for p={param.p}: {exc}") from None
-    roots = _points([None] * inf_is_root + raw.tolist())
+    roots = _points([None] * (len(coeffs) - 1 - len(raw)) + raw.tolist())
     m = len(roots)
     pairs = _value_pairs([pt._value for pt in roots])  # the roots, then every point found
     unclaimed = np.ones(m, dtype=bool)

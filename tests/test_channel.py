@@ -108,6 +108,16 @@ def test_rotation_unitary_is_unitary():
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
 
 
+@pytest.mark.parametrize("x, phi", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, math.nan)])
+def test_non_finite_rotation_angles_are_refused(x, phi):
+    # a NaN angle made an all-NaN state, with no error
+    rho = np.diag([0.9, 0.1]).astype(complex)
+    for call in (lambda: rotation_unitary(x, phi), lambda: rotate(rho, x, phi),
+                 lambda: step_density(rho, x, phi)):
+        with pytest.raises(ValueError, match=f"x={x!r}, phi={phi!r}"):
+            call()
+
+
 def test_rotate_example():
     out = rotate(np.diag([1.0, 0.0]), math.pi / 4, 0.0)
     expected = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)

@@ -239,6 +239,16 @@ def test_cycles_writes_point_catalog(outdir):
     assert sorted(c["period"] for c in doc["cycles"]) == [1, 1, 1, 2]
 
 
+@pytest.mark.parametrize("p", ["1e200", "1e150+1e150i", "1e300"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cycles_at_huge_parameter(outdir, p, n):
+    # the first composition level formed p * conj(p)**2, which overflowed
+    # with numpy RuntimeWarnings (errors in this suite) once |p| > ~1e102
+    assert run(["cycles", f"--p={p}", f"--n={n}", "--out=c2"]) == 0
+    doc = json.loads((outdir / "c2.json").read_text())
+    assert sum(len(cyc["points"]) for cyc in doc["cycles"]) == 2 ** n + 1
+
+
 def test_lyapunov_writes_both_estimates(outdir):
     rc = run(["lyapunov", "--p", "0+0i", "--z0", "1+0i", "--method", "both",
               "--steps", "50", "--out", "l1"])
@@ -317,6 +327,15 @@ def test_twoqubit_rejects_nan_state_file(outdir, tmp_path, capsys):
     assert run(["twoqubit", f"--rho0={state}", "--out=t4"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (outdir / "t4.csv").exists()
+
+
+@pytest.mark.parametrize("angle", ["--x1=nan", "--phi1=inf", "--x2=-inf"])
+def test_twoqubit_refuses_non_finite_angles(outdir, capsys, angle):
+    # --x1=nan wrote a NaN purity row and exited 0
+    assert run(["twoqubit", angle, "--steps=1", "--out=t6"]) == 2
+    err = capsys.readouterr().err
+    assert "rotation angles must be finite" in err and "x=" in err and "phi=" in err
+    assert not (outdir / "t6.csv").exists()
 
 
 @pytest.mark.parametrize("unreadable", ["missing", "directory"])

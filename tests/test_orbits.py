@@ -597,9 +597,10 @@ def _per_root_periodic_points(param, n, eps=EPS_POINT):
     """find_periodic_points before the roots were grouped by orbit: every
     root's orbit polished on its own (here by the return-map polish), its
     first point kept, and the points deduplicated within eps."""
-    coeffs, inf_is_root = fixed_point_polynomial(param.p, n)
-    found = [INF] if inf_is_root else []
-    for r in aberth_roots(coeffs):
+    coeffs = fixed_point_polynomial(param.p, n)
+    raw = aberth_roots(coeffs)
+    found = [INF] * (len(coeffs) - 1 - len(raw))
+    for r in raw:
         found.append(_return_map_polish(param, SpherePoint(r), n))
     unique = []
     for pt in found:
@@ -742,46 +743,101 @@ def test_period_six_solves(p):
         assert chordal_distance(image, pt) <= 1e-12, pt
 
 
-# n = 7 parameters whose leading coefficient of G_7 falls below the trim
-# threshold, though infinity is not periodic: f^7(inf) lies 0.44 and 0.29
-# from inf
-_P_UNCLOSED = 0.6923106688875231 - 0.6979346744286996j
-_P_FALSE_INF = 0.5 + 0.5j
+def _index_sum_miss(cycles, n):
+    """|sum q / (1 - lam**(n/q)) - 1| over the cycles of a period-n solve:
+    the rational fixed-point formula (Milnor, Dynamics in One Complex
+    Variable, 3rd ed., 2006, section 12) applied to f^n, whose fixed points
+    on a q-cycle of multiplier lam each have multiplier lam**(n/q)."""
+    return abs(sum(c.period / (1 - c.multiplier ** (n // c.period)) for c in cycles) - 1)
 
 
-@pytest.mark.parametrize("solve", [find_periodic_points, periodic_cycles])
-def test_periodic_points_that_do_not_close_raise(solve):
-    # these solves returned 136 points, the worst 0.99 chordal from its f^7
-    # image, where 129 exist
+def _assert_complete_solve(param, n):
+    # 2**n + 1 points, each within 1e-12 of its f^n image, and cycles whose
+    # multipliers satisfy the rational fixed-point formula
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(RootFindingError, match="n=7"):
-            solve(MapParam(_P_UNCLOSED), 7, n_max=7)
+        points = find_periodic_points(param, n, n_max=n)
+        cycles = periodic_cycles(param, n, n_max=n)
+    assert len(points) == sum(c.period for c in cycles) == 2 ** n + 1
+    for pt in points:
+        image = pt
+        for _ in range(n):
+            image = apply_map(param, image)
+        assert chordal_distance(image, pt) <= 1e-12, pt
+    assert _index_sum_miss(cycles, n) <= 1e-12
+    return points
+
+
+@pytest.mark.parametrize("p", [1e-8, 1e6, 1e8])
+def test_period_six_solves_at_extreme_parameters(p):
+    # the start radii near 1e+-6..1e+-8 overflowed the degree-65 Horner sums
+    _assert_complete_solve(MapParam(p), 6)
+
+
+# n = 7 at this parameter carried a leading coefficient of G_7 below the
+# 1e-12 trim once used here, though f^7(inf) lies 0.44 from inf: the solve
+# refused as trimmed, and without the refusal returned 136 points, the worst
+# 0.99 chordal from its f^7 image, where 129 exist
+_P_UNCLOSED = 0.6923106688875231 - 0.6979346744286996j
+
+
+@pytest.mark.parametrize("p", [_P_UNCLOSED, 1 + 0j], ids=["unclosed", "one"])
+def test_period_seven_solves_close(p):
+    _assert_complete_solve(MapParam(p), 7)
+
+
+@pytest.mark.parametrize("p", [0j, 0.3 + 0.3j, 1j, 1.5 + 0j, 2 + 0.7j])
+def test_periodic_cycles_satisfy_the_fixed_point_formula(p):
+    # at p = 0 the sum is exactly 2 + (2**n - 1) / (1 - 2**n) = 1
+    for n in range(1, 6):
+        assert _index_sum_miss(periodic_cycles(MapParam(p), n, n_max=5), n) <= 1e-12, n
+
+
+def _three_periodic_infinity_parameter():
+    """A non-real p at which infinity is 3-periodic: f(inf) = -1/conj(p), so
+    f^3(inf) = inf exactly when conj(p) f(-1/conj(p))**2 = 1, which clears
+    to h(p) = (1 + p conj(p)**2)**2 - conj(p) (conj(p) - 1)**2 = 0.  h is
+    not holomorphic, so Newton's step solves a dp + b conj(dp) = -h with
+    the Wirtinger derivatives a = dh/dp and b = dh/dconj(p)."""
+    p = -0.064 + 0.654j
+    for _ in range(8):
+        pc = p.conjugate()
+        t = 1 + p * pc * pc
+        h = t * t - pc * (pc - 1) ** 2
+        a = 2 * t * pc * pc
+        b = 4 * t * p * pc - (pc - 1) * (3 * pc - 1)
+        p += (b * h.conjugate() - a.conjugate() * h) / (abs(a) ** 2 - abs(b) ** 2)
+    return p
+
+
+def test_three_periodic_infinity_is_found_without_an_exact_zero():
+    p = _three_periodic_infinity_parameter()
+    pc = p.conjugate()
+    w = (1 / pc ** 2 + p) / (1 - 1 / pc)  # f(-1/conj(p))
+    assert abs(pc * w * w - 1) <= 1e-15 and abs(p.imag) > 0.5
+    # roundoff leaves G_3's top coefficient nonzero, and it is kept:
+    # infinity is a root of huge modulus, not a deflated one
+    g = fixed_point_polynomial(p, 3)
+    assert len(g) == 2 ** 3 + 2 and g[-1] != 0
+    for n in (3, 6):
+        assert INF in _assert_complete_solve(MapParam(p), n), n
 
 
 @pytest.mark.parametrize("solve", [find_periodic_points, periodic_cycles])
 def test_cycle_that_does_not_close_raises(monkeypatch, solve):
-    # with infinity's flag dropped the degree-127 solve runs, and the
-    # polished cycles are checked under the map
-    inner = orbits.fixed_point_polynomial
-    monkeypatch.setattr(orbits, "fixed_point_polynomial", lambda p, n: (inner(p, n)[0], False))
+    # every root of the degree-129 solve, moved by 0.1, seeds an orbit the
+    # polish cannot close; the polished cycles are checked under the map
+    inner = orbits.aberth_roots
+    monkeypatch.setattr(orbits, "aberth_roots", lambda c: inner(c) + 0.1)
     with pytest.raises(RootFindingError, match="n=7: points do not form a cycle"):
         solve(MapParam(_P_UNCLOSED), 7, n_max=7)
 
 
-def test_trimmed_infinity_must_be_periodic(monkeypatch):
-    # the flag is checked under the map before any Aberth sweep
-    def no_solve(coeffs):
-        raise AssertionError("the solve ran")
-
-    monkeypatch.setattr(orbits, "aberth_roots", no_solve)
-    for solve in (find_periodic_points, periodic_cycles):
-        with pytest.raises(RootFindingError, match="leading coefficient of G_7 was trimmed"):
-            solve(MapParam(_P_FALSE_INF), 7, n_max=7)
-    monkeypatch.undo()
-    # a flagged infinity that is periodic stands: 0, and the 2-cycle {inf, -1} at p = 1
+def test_periodic_infinity_is_a_root():
+    # an exactly zero top coefficient is infinity, deflated once: 0, and
+    # the 2-cycle {inf, -1} at p = 1
     for p, n in ((0j, 3), (1 + 0j, 2), (1 + 0j, 4)):
-        assert fixed_point_polynomial(p, n)[1]
+        assert fixed_point_polynomial(p, n)[-1] == 0
         assert INF in find_periodic_points(MapParam(p), n), (p, n)
 
 

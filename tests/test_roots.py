@@ -97,9 +97,24 @@ def test_overflow_raises():
         roots = aberth_roots([1e300, 0, 0, 1])
         assert np.allclose(roots ** 3, -1e300, rtol=1e-13)
         # the roots of 1e-308 z^2 + 1e308 lie at modulus 1e308, where the
-        # square in Horner evaluation overflows
+        # square in Horner evaluation overflows, and so does the reversed
+        # derivative coefficient 2e308
         with pytest.raises(RootFindingError, match="overflowed"):
             aberth_roots([1e308, 0, 1e-308])
+
+
+def test_horner_overflow_takes_the_reversed_ratio():
+    # 1 + z^64 + 1e-200 z^65: the Horner sums at the root near -1e200
+    # overflow, so its Newton ratio comes from the polynomial in 1/z
+    coeffs = np.zeros(66, dtype=complex)
+    coeffs[[0, 64, 65]] = 1.0, 1.0, 1e-200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        roots = aberth_roots(coeffs)
+    big = np.abs(roots) > 2.0
+    assert big.sum() == 1
+    assert abs(roots[big][0] + 1e200) <= 1e-13 * 1e200
+    assert np.allclose(roots[~big] ** 64, -1.0, atol=1e-13)
 
 
 # the benchmark's periodic-point parameters: p = 0 and every eighth cell
@@ -114,8 +129,51 @@ def test_fixed_point_solves_converge_in_few_sweeps(n):
     # at p = 1e-8, whose roots span many orders of magnitude
     params = [0j] + _UPPER[::8] + [1e-8] * (n == 5)
     for p in params:
-        coeffs, _ = fixed_point_polynomial(p, n)
-        assert len(aberth_roots(coeffs, max_iter=30)) == len(coeffs) - 1, p
+        coeffs = fixed_point_polynomial(p, n)
+        assert len(coeffs) == 2 ** n + 2
+        # an exactly zero top coefficient (p = 0) is deflated
+        assert len(aberth_roots(coeffs, max_iter=30)) == len(np.trim_zeros(coeffs, "b")) - 1, p
+
+
+@pytest.mark.parametrize("p", [1e-8, 1e6, 1e8])
+def test_degree_65_solves_at_extreme_parameters(p):
+    # the start radii near 1e+-6..1e+-8 overflowed the degree-65 Horner sums
+    coeffs = fixed_point_polynomial(p, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert len(aberth_roots(coeffs)) == 65
+
+
+def _unscaled_fixed_point_polynomial(p, n):
+    # the recurrence without the power-of-two start scale
+    pc = complex(p).conjugate()
+    num = np.array([p, 0.0, 1.0], dtype=complex)
+    den = np.array([1.0, 0.0, -pc], dtype=complex)
+    for _ in range(n - 1):
+        n2, d2 = np.convolve(num, num), np.convolve(den, den)
+        num, den = n2 + p * d2, d2 - pc * n2
+        scale = max(np.abs(num).max(), np.abs(den).max())
+        num /= scale
+        den /= scale
+    g = np.concatenate([num, [0.0]]) - np.concatenate([[0.0], den])
+    return g / np.abs(g).max()
+
+
+def test_start_scale_is_exact():
+    # scaling the first level by a power of two changes no bit up to
+    # |p| = 1e100, and beyond it keeps every coefficient finite
+    rng = np.random.default_rng(53)
+    params = [0j, 1 + 0j, 1j] + [cmath.rect(10.0 ** e, a) for e, a in
+                                 zip(rng.uniform(-100, 100, 30), rng.uniform(-math.pi, math.pi, 30))]
+    for p in params:
+        for n in range(1, 6):
+            ours, ref = fixed_point_polynomial(p, n), _unscaled_fixed_point_polynomial(p, n)
+            assert np.array_equal(ours.view(float), ref.view(float)), (p, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for p in (1e150 + 1e150j, 1e200, -1e300j, 1.7e308):
+            for n in range(1, 5):
+                assert np.isfinite(fixed_point_polynomial(p, n)).all(), (p, n)
 
 
 def test_map_polynomials_evaluate_to_composite():
@@ -135,21 +193,21 @@ def test_map_polynomials_evaluate_to_composite():
 
 
 def test_fixed_point_polynomial_degree_and_infinity_root():
-    # p = 0: infinity is a fixed point, so the top coefficient vanishes
-    g0, inf0 = fixed_point_polynomial(0j, 1)
-    assert inf0
+    # p = 0: infinity is a fixed point, so the top coefficient is exactly
+    # zero, and the solve deflates it
+    g0 = fixed_point_polynomial(0j, 1)
+    assert len(g0) == 4 and g0[-1] == 0
     assert_same_roots(aberth_roots(g0), [0, 1])
     # p = 1: infinity is 2-periodic, not fixed; three finite fixed points
-    g1, inf1 = fixed_point_polynomial(1 + 0j, 1)
-    assert not inf1
-    assert len(g1) == 4  # full degree 2**1 + 1
+    g1 = fixed_point_polynomial(1 + 0j, 1)
+    assert len(g1) == 4 and g1[-1] != 0  # full degree 2**1 + 1
     for r in aberth_roots(g1):
         img = apply_map(MapParam(1 + 0j), r)
         assert not img.is_infinity
         assert abs(img.value - r) < 1e-8
     # p = 0, n = 2: G = z^4 - z plus the root at infinity
-    g2, inf2 = fixed_point_polynomial(0j, 2)
-    assert inf2
+    g2 = fixed_point_polynomial(0j, 2)
+    assert len(g2) == 6 and g2[-1] == 0
     roots = aberth_roots(g2)
     w = np.exp(2j * np.pi / 3)
     assert_same_roots(roots, [0, 1, w, w.conjugate()])
