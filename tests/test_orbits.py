@@ -824,6 +824,26 @@ def test_three_periodic_infinity_is_found_without_an_exact_zero():
 
 
 @pytest.mark.parametrize("solve", [find_periodic_points, periodic_cycles])
+def test_periodic_points_that_do_not_close_raise(monkeypatch, solve):
+    # G_7 with its top coefficients below 1e-12 zeroed, as the old trim
+    # did, claims infinity twice, though f^7(inf) lies 0.44 from inf; the
+    # polish from infinity cannot close and the solve refuses
+    inner = orbits.fixed_point_polynomial
+
+    def trimmed(p, n):
+        c = inner(p, n).copy()
+        assert np.all(np.abs(c[-2:]) < 1e-12)
+        c[-2:] = 0
+        return c
+
+    monkeypatch.setattr(orbits, "fixed_point_polynomial", trimmed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RootFindingError, match="n=7"):
+            solve(MapParam(_P_UNCLOSED), 7, n_max=7)
+
+
+@pytest.mark.parametrize("solve", [find_periodic_points, periodic_cycles])
 def test_cycle_that_does_not_close_raises(monkeypatch, solve):
     # every root of the degree-129 solve, moved by 0.1, seeds an orbit the
     # polish cannot close; the polished cycles are checked under the map
