@@ -6,10 +6,10 @@ Three instruments:
   the known attracting cycles of a fixed parameter (steps-to-capture raster,
   written as a grayscale PGM: dark = fast capture, white = never captured).
   The map squares before it rotates, so f(-z) = f(z), and at real p it
-  commutes with conjugation: the raster runs only the fundamental domain
-  of the window's symmetries (the top rows, or the top-left quadrant at
-  real p on a window centred at 0) and mirrors the rest, re-running only
-  the negated pixels a capture at step 0 decides.
+  commutes with conjugation: the window says which of these symmetries
+  its grid has, and the kernel runs only their fundamental domain (the top
+  rows, or the top-left quadrant at real p on a window centred at 0) and
+  mirrors the rest, as it does for ``classify_basin``.
 * :func:`render_parameter_space` -- per-pixel period of the cycle the
   critical orbit settles into as the parameter varies (period raster,
   written as a color PPM keyed by period; white = no settling).
@@ -19,8 +19,9 @@ Three instruments:
 Every pipeline steps projective pairs through :mod:`qubit_chaos.kernel`:
 ``_pair_run`` runs the parameter raster's transient and fills its tail
 window, and runs the sweep's transient and fills its record; the julia
-raster runs the blocked capture runner, the one ``classify_basin`` runs
-with the roundoff certificate on.
+raster runs the blocked capture runner and its symmetry routes
+(``_run_grid``), the ones ``classify_basin`` runs with the roundoff
+certificate on.
 
 Both rasters run in stages through the kernel's block runner
 ``_run_blocks``, which pools the pixels a stage leaves live into full
@@ -41,14 +42,11 @@ import colorsys
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .kernel import (
-    JULIA_BLOCK_PIXELS,
-    _capture,
     _lag_scan,
     _pair_params,
     _pair_rate,
@@ -56,8 +54,7 @@ from .kernel import (
     _pair_scratch,
     _rescale_interval,
     _run_blocks,
-    _run_capture,
-    _start_pairs,
+    _run_grid,
     _value_pairs,
 )
 from .orbits import (
@@ -243,38 +240,16 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     steps = max_iter and period = -1.  Requires 1e-30 < eps < 1 and
     max_iter >= 0; ValueError otherwise.  The targets come from
     :func:`qubit_chaos.orbits._capture_cycles` and the pixels run through
-    :func:`qubit_chaos.kernel._run_capture`, as in ``classify_basin``, which
-    adds the roundoff certificate.
-
-    Only the fundamental domain of the window's symmetries runs, and
-    :func:`_mirror` reflects ``steps`` and ``label`` into the rest.  The map
-    squares before it rotates, so f(-z) = f(z): on a window centred at 0
-    only the top ceil(ny/2) rows run.  At real p, f(conj z) = conj f(z): on
-    a window centred on the real axis whose targets are closed under
-    conjugation (:func:`_conjugate_closed`) the bottom rows conjugate the
-    top ones, and if the window is centred at 0 as well only the top-left
-    ceil(ny/2) x ceil(nx/2) quadrant runs.  Every other window runs every
-    pixel.  The route is decided from the targets before any pixel runs,
-    and the output is the same bits on every route.
+    :func:`qubit_chaos.kernel._run_grid`, as in ``classify_basin``, which
+    adds the roundoff certificate.  The window decides the route: its grid
+    is negated when it is centred at 0 and conjugated when it is centred on
+    the real axis (:class:`Window`), and only one pixel per symmetry class
+    runs, with the same output bits on every route.
     """
     cycles, targets = _capture_cycles(param, cycles, eps, max_iter)
-    p, nx, ny = param.p, window.nx, window.ny
-    conj = p.imag == 0 and window.center.imag == 0 and _conjugate_closed(targets)
-    point = window.center == 0
-    rows = -(-ny // 2) if conj or point else ny
-    cols = -(-nx // 2) if conj and point else nx
-    out = _run_capture(p, window.block(0, 0, cols), rows * cols, targets, eps, max_iter,
-                       workers=workers)
-    # apart: the raster keeps steps, and a shared base would keep label too;
-    # formed once the run has freed its scratch, whose memory they reuse
-    # (formed before it, an 800^2 render page-faults some 3 500 times more)
-    steps, label = (np.empty((ny, nx), dtype=np.int32) for _ in range(2))
-    steps[:rows, :cols], label[:rows, :cols] = (a.reshape(rows, cols) for a in out[:2])
-    mirror = partial(_mirror, p, window, targets, eps, max_iter, steps, label, workers=workers)
-    if cols < nx:  # z -> -conj z fills the top right
-        mirror((rows, cols), (1,))
-    if rows < ny:  # z -> conj z or z -> -z the bottom
-        mirror((rows, nx), (0,) if conj else (0, 1))
+    steps, label, _ = _run_grid(param.p, window.block, (window.ny, window.nx),
+                                window.center == 0, window.center.imag == 0, targets, eps,
+                                max_iter, workers=workers)
     # label -1 (never captured) picks the trailing -1
     period = np.array([c.period for c in cycles] + [-1], np.int32)[label]
     converged = period >= 0
@@ -286,59 +261,6 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
                     for tz, tw, _, i in targets],
     }
     return Raster(window, converged, steps, period, config)
-
-
-def _conjugate_closed(targets) -> bool:
-    """Whether the conjugate of every target pair is a target pair of the
-    same cycle, compared by value (so +0 and -0 are equal)."""
-    pairs = {(tz, tw, i) for tz, tw, _, i in targets}
-    return all((tz.conjugate(), tw.conjugate(), i) in pairs for tz, tw, _, i in targets)
-
-
-def _mirror(p: complex, window: Window, targets, eps: float, max_iter: int,
-            steps: np.ndarray, label: np.ndarray, filled: tuple, flip: tuple,
-            workers: Optional[int]):
-    """Reflect the capture ``steps`` and ``label`` (shape (ny, nx), in
-    place) of the window's top-left ``filled`` = (rows, cols) corner along
-    axis flip[0]: the rest of that axis takes the corner's leading entries,
-    reversed along the axes in ``flip``.
-
-    The grid formulas are sign-symmetric (:class:`Window`): flip (0,) maps
-    pixel z to conj z on a window centred on the real axis, and (1,) to
-    -conj z and (0, 1) to -z on one centred at 0.  The targets list each
-    cycle's points together and in cycle order, so a label is the least
-    cycle index of the targets hit.  At real p with targets closed under
-    conjugation, conj z is captured by the conjugates of z's targets at
-    every step, step 0 included.  The map squares first, so -z and -conj z
-    step to the bits of z and conj z from step 1 on, but step 0 tests the
-    pixel itself: where the columns reverse, the reflected pixels that step
-    0 decides (their source was captured at step 0, or their own pairs pass
-    the step-0 target test of :func:`qubit_chaos.kernel._capture`, run in
-    blocks) run the full path, :func:`_run_capture`.
-    """
-    axis, n = flip[0], filled[flip[0]]
-    src, dst = list(map(slice, filled)), list(map(slice, filled))
-    src[axis], dst[axis] = slice(steps.shape[axis] - n), slice(n, None)
-    src, dst = tuple(src), tuple(dst)
-    rev = tuple(slice(None, None, -1 if a in flip else 1) for a in (0, 1))
-    for a in (steps, label):
-        a[dst] = a[src][rev]
-    if 1 not in flip:
-        return
-    new_steps, new_label = steps[dst], label[dst]
-    at = window.block(*(n if a == axis else 0 for a in (0, 1)), new_steps.shape[1])
-    redo = (new_steps == 0).ravel()  # the source was captured at step 0
-
-    def run(_, idx, state, buf):
-        redo[idx] |= _capture(p, _start_pairs(at(idx)), targets, eps * eps, 0, 0)[1] >= 0
-        return (np.empty(0, np.intp),)
-
-    _run_blocks(redo.size, JULIA_BLOCK_PIXELS, workers, [(0, 0)], run)
-    fix = np.flatnonzero(redo)
-    if fix.size:
-        at_fix = np.divmod(fix, new_steps.shape[1])
-        new_steps[at_fix], new_label[at_fix], _ = _run_capture(
-            p, lambda idx: at(fix[idx]), fix.size, targets, eps, max_iter, workers=workers)
 
 
 def render_parameter_space(window: Window, z0=0j, transient: int = 2000,

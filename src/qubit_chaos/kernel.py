@@ -1,6 +1,6 @@
 """The projective-pair kernel of every vector pipeline, the block runner of
-every raster pipeline, and the capture runner that the julia raster and the
-basin classifier share.
+every raster pipeline, and the capture runner, with its symmetry routes,
+that the julia raster and the basin classifier share.
 
 A point is a pair (Z, W) with z = Z/W.  The step is polynomial (no
 division), infinity is the exact pair (1, 0), and the arithmetic commutes
@@ -23,6 +23,11 @@ prefix of the columns, whose holes a capture fills from its end
 (:func:`_capture`): O(captures) moves a step.  Blocks never depend on the
 worker count, and the arithmetic is elementwise, so neither the workers nor
 the order of the columns changes an output bit.
+
+Both capture pipelines enter through :func:`_run_grid`, which runs one
+point per symmetry class of a grid (f(-z) = f(z), and f(conj z) =
+conj f(z) at real p) and mirrors the outputs, the certificate's peaks
+included, into the rest.
 """
 
 from __future__ import annotations
@@ -257,7 +262,8 @@ def _check_capture_args(eps: float, max_iter: int) -> None:
 
 
 def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: int,
-             end: int | None = None, L: np.ndarray | None = None, limit: float | None = None):
+             end: int | None = None, L: np.ndarray | None = None, limit: float | None = None,
+             reflected=None, decided: np.ndarray | None = None):
     """Test the pairs S (consumed) against the targets at steps first..last
     of a run that ends at step ``end`` (default ``last``).
 
@@ -282,17 +288,26 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
     after it (:func:`_rescale_interval`), together with the moduli the
     target test has just taken, and the rate is formed in place in the rows
     the test is done with.
+
+    With ``reflected`` (each target's image under the column-reversing
+    reflection of :func:`_run_grid`), step 0 also tests the pairs
+    against the reflected targets but 0 and infinity, whose tests read
+    moduli, and sets ``decided`` (bool, per column of S) where it captures
+    the pair or would capture its reflection, refused or not.
     """
     n = m = S.shape[1]
     step, label = np.full((2, n), -1, dtype=np.int32)
     alive = np.arange(n)
     P = _pair_params(np.array([p]))
     r = _rescale_interval(abs(p))
-    C2, R, hits = np.empty((2, n), complex), np.empty((5, n)), np.empty((len(targets), n), bool)
-    E = np.empty(n, dtype=np.int32)  # rescale exponents
     # |Z tw - tz W|**2 is |Z|**2 at the target (0, 1), |W|**2 at (1, 0), bit for bit
     tests = [(tz, tw, eps2 * tn, {(0, 1): 0, (1, 0): 1}.get((tz, tw), 2))
              for tz, tw, tn, _ in targets]
+    nt = len(tests)
+    if decided is not None:
+        tests += [(*pair, thr, 2) for pair, (*_, thr, row) in zip(reflected, tests) if row == 2]
+    C2, R, hits = np.empty((2, n), complex), np.empty((5, n)), np.empty((len(tests), n), bool)
+    E = np.empty(n, dtype=np.int32)  # rescale exponents
     tlabel = np.array([i for *_, i in targets], dtype=np.int32)
     end = last if end is None else end
     certify = limit is not None
@@ -319,6 +334,9 @@ def _capture(p: complex, S: np.ndarray, targets, eps2: float, first: int, last: 
                 np.square(np.abs(C2[0], out=cross), out=cross)
             np.multiply(norm, thr, out=thr_norm)
             np.less((aZ2, aW2, cross)[row], thr_norm, out=hits[j])
+        if decided is not None and k == 0:  # with the reflected targets
+            np.logical_or.reduce(hits, axis=0, out=decided)
+            tests, hits = tests[:nt], hits[:nt]
         hit = np.logical_or.reduce(hits, axis=0)
         idx = np.flatnonzero(hit)
         if certify:
@@ -393,19 +411,22 @@ def _run_blocks(n: int, block: int, workers: Optional[int], stages: Sequence, fn
 
 
 def _run_capture(p: complex, points, n: int, targets, eps: float, max_iter: int,
-                 certify: bool = False, workers: Optional[int] = 1):
+                 certify: bool = False, workers: Optional[int] = 1,
+                 reflected=None, decided: np.ndarray | None = None):
     """:func:`_capture` over steps 0..max_iter of the n points
     ``points(idx)`` (flat indices idx) in the stages (0, K) and
     (K+1, max_iter) of the module docstring; returns int32 ``step`` and
     ``label`` and, with ``certify``, the certificate's peaks (else None).
     ``workers`` caps the thread pool.  One block runs through both stages
     too.  The points live after step K are pooled in block order, and
-    within a block in the order its compaction leaves them.
+    within a block in the order its compaction leaves them.  With
+    ``reflected``, step 0 sets ``decided`` (bool, n) as :func:`_capture`
+    says.
     """
     eps2 = eps * eps
     limit = math.log(eps / SEED_ROUNDOFF) if certify else None
     K = min(max(math.floor(math.log2(eps / SEED_ROUNDOFF)), 0), max_iter)
-    step, label = np.empty((2, n), dtype=np.int32)
+    step, label = (np.empty(n, dtype=np.int32) for _ in range(2))
     peak = np.empty(n) if certify else None
 
     def run(stage, idx, state, _):
@@ -413,8 +434,11 @@ def _run_capture(p: complex, points, n: int, targets, eps: float, max_iter: int,
         # stage 1 starts every point; stage 2 takes its pairs and sums, fresh pooled copies
         S = state[0] if state else _start_pairs(points(idx))
         L = state[1] if certify and state else None
+        flags = np.empty(idx.size, bool) if reflected and not first else None
         step[idx], label[idx], pk, keep, S, L = _capture(
-            p, S, targets, eps2, first, last, max_iter, L, limit)
+            p, S, targets, eps2, first, last, max_iter, L, limit, reflected, flags)
+        if flags is not None:
+            decided[idx] = flags
         if certify:
             peak[idx] = pk
         return (keep, S, L) if certify else (keep, S)
@@ -422,3 +446,94 @@ def _run_capture(p: complex, points, n: int, targets, eps: float, max_iter: int,
     stages = [(0, K)] + ([(K + 1, max_iter)] if K < max_iter else [])
     _run_blocks(n, JULIA_BLOCK_PIXELS, workers, stages, run)
     return step, label, peak
+
+
+def _conjugate_closed(targets) -> bool:
+    """Whether the conjugate of every target pair is a target pair of the
+    same cycle, compared by value (so +0 and -0 are equal)."""
+    pairs = {(tz, tw, i) for tz, tw, _, i in targets}
+    return all((tz.conjugate(), tw.conjugate(), i) in pairs for tz, tw, _, i in targets)
+
+
+def _run_grid(p: complex, block, shape: tuple, negated: bool, conjugated: bool, targets,
+              eps: float, max_iter: int, certify: bool = False, workers: Optional[int] = 1):
+    """:func:`_run_capture` over a grid of ``shape`` = (ny, nx) points, one
+    point per symmetry class; returns ``step``, ``label`` and ``peak`` (None
+    without ``certify``) of that shape, the bits of the run over every point.
+
+    ``block(row0, col0, cols)`` gives the points of the grid's block ``cols``
+    columns wide whose top-left point is (row0, col0), as a function of flat
+    indices within it.  ``negated`` says that point (ny-1-i, nx-1-j) is -z
+    for the point z at (i, j), and ``conjugated`` that point (ny-1-i, j) is
+    conj z, compared by value (a zero part may differ in sign, which no test
+    on a pair reads).  The map squares before it rotates, so f(-z) = f(z):
+    on a negated grid only the top ceil(ny/2) rows run.  At real p,
+    f(conj z) = conj f(z): on a conjugated grid whose targets are closed
+    under conjugation (:func:`_conjugate_closed`) the bottom rows conjugate
+    the top ones, and on one negated as well only the top-left
+    ceil(ny/2) x ceil(nx/2) quadrant runs.  Every other grid runs every
+    point.  :func:`_mirror` reflects the outputs into the rest.
+    """
+    ny, nx = shape
+    conj = conjugated and p.imag == 0 and _conjugate_closed(targets)
+    rows = -(-ny // 2) if negated or conj else ny
+    cols = -(-nx // 2) if negated and conj else nx
+    # the reflection that reverses the columns, if any: -conj z fills the
+    # quadrant's right, -z the bottom rows; its step 0 is tested with the run's
+    flip = ((1,) if conj else (0, 1)) if negated else ()
+    reflected = [(-tz.conjugate(), tw.conjugate()) if conj else (-tz, tw)
+                 for tz, tw, *_ in targets] if flip else None
+    decided = np.empty(rows * cols, bool) if flip else None
+    out = _run_capture(p, block(0, 0, cols), rows * cols, targets, eps, max_iter, certify,
+                       workers, reflected, decided)
+    if rows * cols == ny * nx:
+        return tuple(a if a is None else a.reshape(shape) for a in out)
+    # formed once the run has freed its scratch, whose memory they reuse
+    # (formed before it, an 800^2 render page-faults some 3 500 times more)
+    grid = [np.empty(shape, a.dtype) for a in out if a is not None]
+    for g, a in zip(grid, out):
+        g[:rows, :cols] = a.reshape(rows, cols)
+    mirror = partial(_mirror, p, block, targets, eps, max_iter, certify, workers, grid)
+    if cols < nx:  # z -> -conj z fills the top right
+        mirror((rows, cols), flip, decided)
+    if rows < ny:  # z -> conj z or z -> -z the bottom
+        mirror((rows, nx), (0,), None) if conj else mirror((rows, nx), flip, decided)
+    return grid[0], grid[1], grid[2] if certify else None
+
+
+def _mirror(p: complex, block, targets, eps: float, max_iter: int, certify: bool,
+            workers: Optional[int], grid: list, filled: tuple, flip: tuple, redo):
+    """Reflect the outputs ``grid`` of :func:`_run_grid` (in place) from their
+    top-left ``filled`` = (rows, cols) corner along axis flip[0]: the rest of
+    that axis takes the corner's leading entries, reversed along the axes in
+    ``flip``; ``redo`` is None where no fix-up can be needed.
+
+    Flip (0,) maps z to conj z, (1,) to -conj z and (0, 1) to -z.  The
+    targets list each cycle's points together and in cycle order, so a
+    label is the least cycle index of the targets hit.  At real p with
+    targets closed under conjugation, conj z is captured by the conjugates
+    of z's targets at every step, step 0 included.  The map squares first,
+    so -z and -conj z step to the bits of z and conj z from step 1 on, and
+    the certificate, which reads pair moduli only, sums the same rates; but
+    step 0 tests the point itself.  Where the columns reverse, the
+    reflected points whose step 0 ``redo`` marks (the corner's flat flags
+    from :func:`_capture`, reflected with the outputs) run the full path.
+    """
+    axis, n = flip[0], filled[flip[0]]
+    src, dst = list(map(slice, filled)), list(map(slice, filled))
+    src[axis], dst[axis] = slice(grid[0].shape[axis] - n), slice(n, None)
+    src, dst = tuple(src), tuple(dst)
+    rev = tuple(slice(None, None, -1 if a in flip else 1) for a in (0, 1))
+    for a in grid:
+        a[dst] = a[src][rev]
+    if redo is None:
+        return
+    new = [a[dst] for a in grid]
+    fix = np.flatnonzero(redo.reshape(filled)[src][rev])
+    if fix.size:
+        at = block(*(n if a == axis else 0 for a in (0, 1)), new[0].shape[1])
+        at_fix = np.divmod(fix, new[0].shape[1])
+        out = _run_capture(p, lambda idx: at(fix[idx]), fix.size, targets, eps, max_iter,
+                           certify, workers)
+        for a, b in zip(new, out):
+            a[at_fix] = b

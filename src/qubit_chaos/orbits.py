@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import (SEED_ROUNDOFF, _check_capture_args, _pairs_within, _run_capture,
+from .kernel import (SEED_ROUNDOFF, _check_capture_args, _pairs_within, _run_grid,
                      _target_pairs, _value_pairs)
 from .roots import aberth_roots, fixed_point_polynomial
 from .sphere import (
@@ -378,13 +378,18 @@ def _polish_cycle(p: complex, pts: list[SpherePoint]) -> list[SpherePoint]:
     other corrections follow link by link.  An iteration costs q chart
     steps.  Iterates while the largest chordal link residual falls, at most
     POLISH_ITERS times, and returns the best iterate if that residual is at
-    most EPS_POINT, the input otherwise.
+    most EPS_POINT, the input otherwise.  A coordinate w in the chart at
+    infinity is infinity when |w| is at most what one roundoff unit of the
+    point before it moves its image to first order, SEED_ROUNDOFF |a c| for
+    that point's coordinate c and link derivative a: no digit of w is then
+    known to differ from 0.  The charts keep |a| below about 4, so only
+    |w| below about 1e-15 can snap.
     """
     q = len(pts)
     charts = [_preferred_chart(pt) for pt in pts]
     coords = [c for c, _ in charts]
     flags = [w for _, w in charts]
-    best, best_res = coords, math.inf
+    best, best_res, best_links = coords, math.inf, None
     try:
         for _ in range(POLISH_ITERS):
             nxt = coords[1:] + coords[:1]
@@ -393,7 +398,7 @@ def _polish_cycle(p: complex, pts: list[SpherePoint]) -> list[SpherePoint]:
             res = max(_value_overlap(img, c) for (img, _), c in zip(links, nxt))
             if not res < best_res:
                 break
-            best, best_res = coords, res
+            best, best_res, best_links = coords, res, links
             lam, d = 1.0 + 0j, 0j
             for (img, a), c in zip(links, nxt):
                 lam *= a
@@ -407,8 +412,9 @@ def _polish_cycle(p: complex, pts: list[SpherePoint]) -> list[SpherePoint]:
         pass  # an iterate left the charts: keep the best one so far
     if not best_res <= EPS_POINT * EPS_POINT:
         return pts
-    return [(INF if c == 0 else SpherePoint(1.0 / c)) if w else SpherePoint(c)
-            for c, w in zip(best, flags)]
+    floor = [SEED_ROUNDOFF * abs(a * c) for (_, a), c in zip(best_links, best)]
+    return [(INF if abs(c) <= floor[k - 1] else SpherePoint(1.0 / c)) if w else SpherePoint(c)
+            for k, (c, w) in enumerate(zip(best, flags))]
 
 
 def _polish_periodic_point(param: MapParam, point: SpherePoint, q: int) -> list[SpherePoint]:
@@ -627,19 +633,34 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     unresolved rather than misfiled.  Orbits sitting exactly on a repelling
     invariant set (e.g. |z| = 1 under the pure squaring map) are the
     canonical unresolved case.  The points run, in one thread, through the
-    blocked capture runner ``render_julia`` uses
-    (:func:`qubit_chaos.kernel._run_capture`, whose stages the kernel
+    blocked capture runner and symmetry routes ``render_julia`` uses
+    (:func:`qubit_chaos.kernel._run_grid`, whose stages the kernel
     docstring gives), and the points still live after the first stage carry
     their certificate state into the second, so the scratch is one block's,
     not the input's.  The certificate is the only difference from the
-    raster.
+    raster.  The input decides the route: a 2-D array whose reversal
+    negates it (``pts[::-1, ::-1] == -pts`` by value, as on a
+    ``Window.grid()`` centred at 0), or at real p whose row reversal
+    conjugates it, runs a half or a quarter of its points; a corner test
+    first keeps that check off other inputs, which run every point.  Every
+    route gives the bits of the run over every point.
     Requires 1e-30 < eps < 1 and max_iter >= 0; ValueError otherwise.
     """
     pts = np.asarray(points, dtype=complex)
-    flat = pts.ravel()
-    if nan := np.count_nonzero(np.isnan(flat)):
-        raise ValueError(f"{nan} of {flat.size} points have a NaN part")
+    grid = pts if pts.ndim == 2 else pts.reshape(1, -1)
+    if nan := np.count_nonzero(np.isnan(grid)):
+        raise ValueError(f"{nan} of {grid.size} points have a NaN part")
     cycles, targets = _capture_cycles(param, cycles, eps, max_iter)
-    out = _run_capture(param.p, flat.take, flat.size, targets, eps, max_iter, certify=True)
+    plane = pts.ndim == 2 and pts.size > 0
+    negated = plane and pts[0, 0] == -pts[-1, -1] and np.array_equal(pts[::-1, ::-1], -pts)
+    conjugated = (plane and param.p.imag == 0 and pts[0, 0] == pts[-1, 0].conjugate()
+                  and np.array_equal(pts[::-1], pts.conj()))
+
+    def block(row0, col0, cols):
+        sub = grid[row0:, col0:col0 + cols]
+        return sub.ravel().take if cols == grid.shape[1] else lambda idx: sub[np.divmod(idx, cols)]
+
+    out = _run_grid(param.p, block, grid.shape, negated, conjugated, targets, eps, max_iter,
+                    certify=True)
     steps, labels, peak = (a.reshape(pts.shape) for a in out)
     return BasinResult(labels.astype(int), steps.astype(int), peak, cycles)

@@ -226,12 +226,28 @@ def _full_path(param, window, max_iter, cycles=None, workers=1, eps=1e-6):
 
 
 def _assert_full_path(param, window, max_iter, cycles=None, workers=1):
+    """The raster of ``window`` and the classification of its grid equal
+    their full paths bit for bit."""
     raster = render_julia(param, window, max_iter=max_iter, cycles=cycles, workers=workers)
     steps, converged, period = _full_path(param, window, max_iter, cycles, workers)
     assert np.array_equal(raster.steps, steps)
     assert np.array_equal(raster.converged, converged)
     assert np.array_equal(raster.period, period)
+    _assert_classifier_full_path(param, window.grid(), max_iter, cycles)
     return raster
+
+
+def _assert_classifier_full_path(param, pts, max_iter, cycles=None):
+    """classify_basin on ``pts`` gives the labels, steps and peaks, bit for
+    bit, of the certified capture runner over every point."""
+    res = classify_basin(param, pts, cycles=cycles, max_iter=max_iter)
+    _, targets = _capture_cycles(param, cycles, 1e-6, max_iter)
+    flat = pts.ravel()
+    step, label, peak = _run_capture(param.p, flat.take, flat.size, targets, 1e-6, max_iter,
+                                     certify=True)
+    assert np.array_equal(res.labels.ravel(), label)
+    assert np.array_equal(res.steps.ravel(), step)
+    assert np.array_equal(res.expansion_log_peak.ravel().view(np.uint64), peak.view(np.uint64))
 
 
 def _centred_windows(seed):
@@ -298,7 +314,6 @@ def test_centred_julia_step_zero_pass_under_thread_switching(monkeypatch):
     # than cores with a short switch interval make a lost mark show up as a
     # pixel that keeps its source's outcome
     monkeypatch.setattr(kernel, "JULIA_BLOCK_PIXELS", 64)
-    monkeypatch.setattr(atlas, "JULIA_BLOCK_PIXELS", 64)
     param, window = MapParam(0.3 + 0.3j), Window.from_bounds(-1.5, 1.5, -1.5, 1.5, 41, 40)
     steps, converged, period = _full_path(param, window, 100, eps=0.5)
     assert np.count_nonzero((converged & (steps == 0))[20:]) > 300
@@ -312,24 +327,33 @@ def test_centred_julia_step_zero_pass_under_thread_switching(monkeypatch):
     assert np.array_equal(got.period, period)
 
 
-def _count_started(monkeypatch, param, window, cycles):
-    """(pairs the capture runner starts, pairs the step-0 test of the
-    reflected pixels forms) in one render of ``window``: the fundamental
-    domain and the fix-ups, then the pixels a negating reflection fills."""
-    counts = [0, 0]
+def _count_started(monkeypatch, param, points, cycles):
+    """Pairs the capture runner starts in one render of the Window
+    ``points``, or in one classification of the array ``points``: the
+    fundamental domain and the fix-ups.  The step-0 test of the reflected
+    points reads the pairs the fundamental domain forms, and starts none."""
+    count = [0]
+    start = kernel._start_pairs
 
-    def counting(i, start):
-        def spy(z):
-            counts[i] += z.size
-            return start(z)
-        return spy
+    def spy(z):
+        count[0] += z.size
+        return start(z)
 
-    monkeypatch.setattr(kernel, "_start_pairs", counting(0, kernel._start_pairs))
-    monkeypatch.setattr(atlas, "_start_pairs", counting(1, atlas._start_pairs))
-    render_julia(param, window, max_iter=150, cycles=cycles, workers=2)
+    monkeypatch.setattr(kernel, "_start_pairs", spy)
+    if isinstance(points, Window):
+        render_julia(param, points, max_iter=150, cycles=cycles, workers=2)
+    else:
+        classify_basin(param, points, cycles=cycles, max_iter=150)
     monkeypatch.undo()
     # _target_pairs starts one pair per cycle point
-    return counts[0] - sum(len(c.points) for c in cycles), counts[1]
+    return count[0] - sum(len(c.points) for c in cycles)
+
+
+def _assert_started(monkeypatch, param, window, cycles, want):
+    """The render of ``window`` and the classification of its grid each
+    start ``want`` pairs."""
+    for points in (window, window.grid()):
+        assert _count_started(monkeypatch, param, points, cycles) == want
 
 
 def test_centred_julia_starts_half_the_pairs(monkeypatch):
@@ -342,13 +366,12 @@ def test_centred_julia_starts_half_the_pairs(monkeypatch):
     at_zero = (converged & (steps == 0)).ravel()
     # a mirrored pixel runs again where step 0 captures it or its source
     fixups = np.count_nonzero((at_zero | at_zero[::-1])[n:])
-    assert _count_started(monkeypatch, param, window, cycles) == (n + fixups, total - n)
+    _assert_started(monkeypatch, param, window, cycles, n + fixups)
     # with a target on a pixel of the bottom half, that pixel runs again
     target = Cycle(1, (SpherePoint(complex(window.grid()[ny - 3, 7])),), 0j, "attracting")
-    assert _count_started(monkeypatch, param, window, [*cycles, target]) == (
-        n + fixups + 1, total - n)
+    _assert_started(monkeypatch, param, window, [*cycles, target], n + fixups + 1)
     shifted = Window.from_bounds(-1.5, 1.6, -1.5, 1.5, nx, ny)
-    assert _count_started(monkeypatch, param, shifted, cycles) == (total, 0)
+    _assert_started(monkeypatch, param, shifted, cycles, total)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +426,7 @@ def test_real_targets_on_pixels_in_every_quarter_equal_the_full_path(nx, ny, wor
     if ny % 2:
         pixels += [(ny // 2, 2), (ny // 2, nx - 5)]
     cycles = [*critical_orbits(P1).attracting_cycles(), *_pixel_targets(window, pixels)]
-    assert atlas._conjugate_closed(_target_pairs(cycles))
+    assert kernel._conjugate_closed(_target_pairs(cycles))
     raster = _assert_full_path(P1, window, 120, cycles, workers)
     for at in pixels:
         assert raster.steps[at] == 0 and raster.converged[at]
@@ -415,14 +438,14 @@ def test_real_targets_on_pixels_in_every_quarter_equal_the_full_path(nx, ny, wor
 def test_conjugate_closed_compares_by_value_and_cycle():
     real = Cycle(1, (SpherePoint(-1.0),), 0j, "attracting")
     pair = Cycle(2, (SpherePoint(0.5 + 0.5j), SpherePoint(0.5 - 0.5j)), 0j, "attracting")
-    assert atlas._conjugate_closed(_target_pairs([real, pair]))
+    assert kernel._conjugate_closed(_target_pairs([real, pair]))
     # +0 and -0 imaginary parts are the same point
     signed = Cycle(1, (SpherePoint(complex(0.3, -0.0)),), 0j, "attracting")
-    assert atlas._conjugate_closed(_target_pairs([signed]))
+    assert kernel._conjugate_closed(_target_pairs([signed]))
     # conjugates in two cycles, or a point without its conjugate, do not close
     split = [Cycle(1, (pt,), 0j, "attracting") for pt in pair.points]
-    assert not atlas._conjugate_closed(_target_pairs(split))
-    assert not atlas._conjugate_closed(_target_pairs([real, split[0]]))
+    assert not kernel._conjugate_closed(_target_pairs(split))
+    assert not kernel._conjugate_closed(_target_pairs([real, split[0]]))
 
 
 def test_window_block_equals_the_window_pixels():
@@ -446,11 +469,10 @@ def test_real_parameter_julia_starts_a_quarter_of_the_pairs(monkeypatch):
         # it or its z -> -conj z source
         fixups = np.count_nonzero(at_zero[:rows, cols:] | at_zero[:rows, :m][:, ::-1])
         assert fixups == (nx % 2 and ny % 2)
-        assert _count_started(monkeypatch, P1, window, cycles) == (
-            rows * cols + fixups, rows * m)
+        _assert_started(monkeypatch, P1, window, cycles, rows * cols + fixups)
         # on the real axis away from 0 the top rows run, and step 0 needs no pass
         shifted = Window(0.4 + 0j, 4.0, 4.0, nx, ny)
-        assert _count_started(monkeypatch, P1, shifted, cycles) == (rows * nx, 0)
+        _assert_started(monkeypatch, P1, shifted, cycles, rows * nx)
 
 
 def test_real_parameter_targets_not_closed_take_the_earlier_routes(monkeypatch):
@@ -462,15 +484,15 @@ def test_real_parameter_targets_not_closed_take_the_earlier_routes(monkeypatch):
     shifted = Window(0.4 + 0j, 4.0, 4.0, nx, ny)
     extra = Cycle(1, (SpherePoint(complex(window.grid()[5, 7])),), 0j, "attracting")
     cycles = [*critical_orbits(P1).attracting_cycles(), extra]
-    assert not atlas._conjugate_closed(_target_pairs(cycles))
+    assert not kernel._conjugate_closed(_target_pairs(cycles))
     raster = _assert_full_path(P1, window, 150, cycles, 2)
     at_zero = (raster.converged & (raster.steps == 0)).ravel()
     n, total = -(-ny // 2) * nx, nx * ny
     fixups = np.count_nonzero((at_zero | at_zero[::-1])[n:])
     assert fixups == 1  # the extra target's -z mirror
-    assert _count_started(monkeypatch, P1, window, cycles) == (n + fixups, total - n)
+    _assert_started(monkeypatch, P1, window, cycles, n + fixups)
     _assert_full_path(P1, shifted, 150, cycles, 2)
-    assert _count_started(monkeypatch, P1, shifted, cycles) == (total, 0)
+    _assert_started(monkeypatch, P1, shifted, cycles, total)
 
 
 def test_non_real_parameter_with_closed_targets_runs_every_pixel(monkeypatch):
@@ -480,9 +502,64 @@ def test_non_real_parameter_with_closed_targets_runs_every_pixel(monkeypatch):
     nx, ny = 41, 40
     shifted = Window(0.4 + 0j, 3.0, 3.0, nx, ny)
     cycles = _pixel_targets(shifted, [(5, 7)])
-    assert atlas._conjugate_closed(_target_pairs(cycles))
+    assert kernel._conjugate_closed(_target_pairs(cycles))
     _assert_full_path(param, shifted, 150, cycles, 2)
-    assert _count_started(monkeypatch, param, shifted, cycles) == (nx * ny, 0)
+    _assert_started(monkeypatch, param, shifted, cycles, nx * ny)
+
+
+# ---------------------------------------------------------------------------
+# the classifier takes the raster's routes from its input array
+
+@pytest.mark.parametrize("p", [1.0 + 0j, 0.3 + 0.3j], ids=["p1", "p0.3+0.3i"])
+def test_classifier_routes_with_infinite_entries_equal_the_full_path(monkeypatch, p):
+    # infinity and its reflections (the same point) in the top and bottom
+    # halves of a grid that stays negated and, at real p, conjugated by value
+    param = MapParam(p)
+    cycles = critical_orbits(param).attracting_cycles()
+    for nx, ny in ((21, 20), (20, 21)):
+        pts = Window.from_bounds(-2.0, 2.0, -1.5, 1.5, nx, ny).grid()
+        pts[2, 3] = pts[ny - 3, 3] = complex(math.inf, 0.0)
+        pts[2, nx - 4] = pts[ny - 3, nx - 4] = complex(-math.inf, -0.0)
+        assert np.array_equal(pts[::-1, ::-1], -pts) and np.array_equal(pts[::-1], pts.conj())
+        _assert_classifier_full_path(param, pts, 150, cycles)
+        # the quadrant at real p, the top rows otherwise, and a few fix-ups
+        rows, cols = -(-ny // 2), -(-nx // 2) if p.imag == 0 else nx
+        assert rows * cols <= _count_started(monkeypatch, param, pts, cycles) < nx * ny
+
+
+def test_classifier_runs_every_point_of_other_inputs(monkeypatch):
+    # a 1-D grid, a grid with one point moved (the corner test passes, the
+    # whole check fails) and a grid whose corner breaks the symmetry all run
+    # every point
+    cycles = critical_orbits(P1).attracting_cycles()
+    grid = Window.from_bounds(-2.0, 2.0, -2.0, 2.0, 21, 20).grid()
+    moved, corner = grid.copy(), grid.copy()
+    moved[4, 6] += 1e-9
+    corner[0, 0] += 1e-9
+    for pts in (grid.ravel(), moved, corner, grid[:, :, None]):
+        _assert_classifier_full_path(P1, pts, 150, cycles)
+        assert _count_started(monkeypatch, P1, pts, cycles) == grid.size
+
+
+@pytest.mark.parametrize("nx, ny", [(21, 20), (21, 21)])
+def test_classifier_step_zero_refusals_run_again(nx, ny):
+    # at eps below one roundoff unit the certificate refuses every capture,
+    # step 0's too: a pixel of the fundamental domain on a target is refused
+    # at step 0 with peak 0, and its reflection, which step 0 does not
+    # capture, must run its own orbit to its own peak
+    window = Window.from_bounds(-2.0, 2.0, -1.5, 1.5, nx, ny)
+    grid = window.grid()
+    for param, at in ((P1, (2, 5)), (MapParam(0.3 + 0.3j), (2, 5)), (P1, (ny - 4, 3))):
+        cycles = [*critical_orbits(param).attracting_cycles(),
+                  Cycle(1, (SpherePoint(complex(grid[at])),), 0j, "attracting")]
+        res = classify_basin(param, grid, cycles=cycles, max_iter=60, eps=1e-20)
+        _, targets = _capture_cycles(param, cycles, 1e-20, 60)
+        step, label, peak = _run_capture(param.p, window.at, grid.size, targets, 1e-20, 60,
+                                         certify=True)
+        assert (res.labels < 0).all() and (res.steps < 0).all()
+        assert res.expansion_log_peak[at] == 0 and (res.expansion_log_peak > 0).any()
+        assert np.array_equal(res.expansion_log_peak.ravel().view(np.uint64),
+                              peak.view(np.uint64))
 
 
 @pytest.mark.parametrize("nx, ny", [(7, 6), (6, 7), (7, 7), (8, 6)])
@@ -528,7 +605,7 @@ _CROSS_CLASS = textwrap.dedent("""
     from qubit_chaos import MapParam
     from qubit_chaos.atlas import Window, render_julia
     from qubit_chaos.kernel import _run_capture
-    from qubit_chaos.orbits import _capture_cycles
+    from qubit_chaos.orbits import _capture_cycles, classify_basin
 
     umath = np._core._multiarray_umath
     assert not [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
@@ -547,6 +624,14 @@ _CROSS_CLASS = textwrap.dedent("""
         assert np.array_equal(raster.period, period), p
         assert np.array_equal(raster.steps,
                               np.where(period >= 0, step.reshape(ny, nx), max_iter)), p
+        # the classifier takes the same routes with the certificate on
+        res = classify_basin(param, window.grid(), max_iter=max_iter)
+        step, label, peak = _run_capture(param.p, window.at, nx * ny, targets, 1e-6, max_iter,
+                                         certify=True)
+        assert np.array_equal(res.labels.ravel(), label), p
+        assert np.array_equal(res.steps.ravel(), step), p
+        assert np.array_equal(res.expansion_log_peak.ravel().view(np.uint64),
+                              peak.view(np.uint64)), p
     print("mirror holds")
 """)
 

@@ -816,11 +816,15 @@ def test_three_periodic_infinity_is_found_without_an_exact_zero():
     w = (1 / pc ** 2 + p) / (1 - 1 / pc)  # f(-1/conj(p))
     assert abs(pc * w * w - 1) <= 1e-15 and abs(p.imag) > 0.5
     # roundoff leaves G_3's top coefficient nonzero, and it is kept:
-    # infinity is a root of huge modulus, not a deflated one
+    # infinity is a root of huge modulus, not a deflated one, and the polish
+    # ends it within roundoff of w = 0, which is infinity itself
     g = fixed_point_polynomial(p, 3)
     assert len(g) == 2 ** 3 + 2 and g[-1] != 0
     for n in (3, 6):
-        assert INF in _assert_complete_solve(MapParam(p), n), n
+        points = _assert_complete_solve(MapParam(p), n)
+        assert sum(pt.is_infinity for pt in points) == 1, n
+        cycles = periodic_cycles(MapParam(p), n, n_max=n)
+        assert [c.period for c in cycles if any(pt.is_infinity for pt in c.points)] == [3], n
 
 
 @pytest.mark.parametrize("solve", [find_periodic_points, periodic_cycles])
