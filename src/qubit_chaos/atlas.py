@@ -151,19 +151,11 @@ class Window:
         return self.real_axis()[None, :] + 1j * self.imag_axis()[:, None]
 
     def at(self, idx: np.ndarray) -> np.ndarray:
-        """Pixel centers of the flat indices idx, as grid().ravel() has them
-        (formed per block: the whole grid would raise the peak memory)."""
-        return self.block(0, 0, self.nx)(idx)
-
-    def block(self, row0: int, col0: int, cols: int):
-        """:meth:`at` of the block ``cols`` columns wide whose top-left pixel
-        is (row0, col0): a function of flat indices within the block."""
-        re, im = self.real_axis()[col0:], self.imag_axis()[row0:]
-
-        def at(idx):
-            row, col = np.divmod(idx, cols)
-            return re[col] + 1j * im[row]
-        return at
+        """Pixel centers of the flat indices idx, as grid().ravel() has them:
+        the capture runner's lookup, which forms one block's pixels at a
+        time (the whole grid would raise the peak memory)."""
+        row, col = np.divmod(idx, self.nx)
+        return self.real_axis()[col] + 1j * self.imag_axis()[row]
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,7 +239,7 @@ def render_julia(param: MapParam, window: Window, max_iter: int = 200,
     runs, with the same output bits on every route.
     """
     cycles, targets = _capture_cycles(param, cycles, eps, max_iter)
-    steps, label, _ = _run_grid(param.p, window.block, (window.ny, window.nx),
+    steps, label, _ = _run_grid(param.p, window.at, (window.ny, window.nx),
                                 window.center == 0, window.center.imag == 0, targets, eps,
                                 max_iter, workers=workers)
     # label -1 (never captured) picks the trailing -1

@@ -455,15 +455,15 @@ def _conjugate_closed(targets) -> bool:
     return all((tz.conjugate(), tw.conjugate(), i) in pairs for tz, tw, _, i in targets)
 
 
-def _run_grid(p: complex, block, shape: tuple, negated: bool, conjugated: bool, targets,
+def _run_grid(p: complex, points, shape: tuple, negated: bool, conjugated: bool, targets,
               eps: float, max_iter: int, certify: bool = False, workers: Optional[int] = 1):
     """:func:`_run_capture` over a grid of ``shape`` = (ny, nx) points, one
     point per symmetry class; returns ``step``, ``label`` and ``peak`` (None
     without ``certify``) of that shape, the bits of the run over every point.
 
-    ``block(row0, col0, cols)`` gives the points of the grid's block ``cols``
-    columns wide whose top-left point is (row0, col0), as a function of flat
-    indices within it.  ``negated`` says that point (ny-1-i, nx-1-j) is -z
+    ``points(idx)`` gives the points of the flat indices idx into the whole
+    grid, row by row, as ``_run_capture`` takes them; the routes map their
+    own indices onto it.  ``negated`` says that point (ny-1-i, nx-1-j) is -z
     for the point z at (i, j), and ``conjugated`` that point (ny-1-i, j) is
     conj z, compared by value (a zero part may differ in sign, which no test
     on a pair reads).  The map squares before it rotates, so f(-z) = f(z):
@@ -484,8 +484,12 @@ def _run_grid(p: complex, block, shape: tuple, negated: bool, conjugated: bool, 
     reflected = [(-tz.conjugate(), tw.conjugate()) if conj else (-tz, tw)
                  for tz, tw, *_ in targets] if flip else None
     decided = np.empty(rows * cols, bool) if flip else None
-    out = _run_capture(p, block(0, 0, cols), rows * cols, targets, eps, max_iter, certify,
-                       workers, reflected, decided)
+
+    def run(at, n, reflected, decided):
+        return _run_capture(p, at, n, targets, eps, max_iter, certify, workers, reflected, decided)
+
+    corner = points if cols == nx else lambda idx: points(idx // cols * nx + idx % cols)
+    out = run(corner, rows * cols, reflected, decided)
     if rows * cols == ny * nx:
         return tuple(a if a is None else a.reshape(shape) for a in out)
     # formed once the run has freed its scratch, whose memory they reuse
@@ -493,20 +497,19 @@ def _run_grid(p: complex, block, shape: tuple, negated: bool, conjugated: bool, 
     grid = [np.empty(shape, a.dtype) for a in out if a is not None]
     for g, a in zip(grid, out):
         g[:rows, :cols] = a.reshape(rows, cols)
-    mirror = partial(_mirror, p, block, targets, eps, max_iter, certify, workers, grid)
     if cols < nx:  # z -> -conj z fills the top right
-        mirror((rows, cols), flip, decided)
+        _mirror(run, points, grid, (rows, cols), flip, decided)
     if rows < ny:  # z -> conj z or z -> -z the bottom
-        mirror((rows, nx), (0,), None) if conj else mirror((rows, nx), flip, decided)
+        _mirror(run, points, grid, (rows, nx), (0,) if conj else flip, None if conj else decided)
     return grid[0], grid[1], grid[2] if certify else None
 
 
-def _mirror(p: complex, block, targets, eps: float, max_iter: int, certify: bool,
-            workers: Optional[int], grid: list, filled: tuple, flip: tuple, redo):
+def _mirror(run, points, grid: list, filled: tuple, flip: tuple, redo):
     """Reflect the outputs ``grid`` of :func:`_run_grid` (in place) from their
     top-left ``filled`` = (rows, cols) corner along axis flip[0]: the rest of
     that axis takes the corner's leading entries, reversed along the axes in
-    ``flip``; ``redo`` is None where no fix-up can be needed.
+    ``flip``; ``redo`` is None where no fix-up can be needed.  ``run`` is
+    the grid's :func:`_run_capture` and ``points`` its lookup by flat index.
 
     Flip (0,) maps z to conj z, (1,) to -conj z and (0, 1) to -z.  The
     targets list each cycle's points together and in cycle order, so a
@@ -528,12 +531,8 @@ def _mirror(p: complex, block, targets, eps: float, max_iter: int, certify: bool
         a[dst] = a[src][rev]
     if redo is None:
         return
-    new = [a[dst] for a in grid]
-    fix = np.flatnonzero(redo.reshape(filled)[src][rev])
-    if fix.size:
-        at = block(*(n if a == axis else 0 for a in (0, 1)), new[0].shape[1])
-        at_fix = np.divmod(fix, new[0].shape[1])
-        out = _run_capture(p, lambda idx: at(fix[idx]), fix.size, targets, eps, max_iter,
-                           certify, workers)
-        for a, b in zip(new, out):
-            a[at_fix] = b
+    row, col = np.nonzero(redo.reshape(filled)[src][rev])
+    if row.size:  # the region starts n rows down or n columns right of the corner
+        at = (row + n * (axis == 0)) * grid[0].shape[1] + col + n * (axis == 1)
+        for a, b in zip(grid, run(lambda idx: points(at[idx]), at.size, None, None)):
+            a.flat[at] = b

@@ -205,10 +205,11 @@ def detect_cycle(orbit: Orbit, eps: float = EPS_POINT,
 
     Scans lags q = 1..max_period and accepts the first q for which the last
     q pairs at lag q all lie within eps (sqrt-overlap units) -- i.e. the
-    match is sustained over one full extra period at the tail.  The raw tail
-    points are then Newton-polished into an exact cycle; if polishing cannot
-    be verified the detected raw points are returned unpolished rather than
-    dropping the cycle.  Requires len(orbit) > 2*max_period.
+    match is sustained over one full extra period at the tail.  The tail's
+    q points are then Newton-polished whole into an exact cycle
+    (:func:`_polish_periodic_point`); where the polish does not converge the
+    raw tail points are kept rather than dropping the cycle.  Requires
+    len(orbit) > 2*max_period.
 
     A matched tail is only reported when the path into it passes the
     roundoff certificate (:func:`_expansion_certified`): an orbit that hugs
@@ -227,7 +228,8 @@ def _settled_cycle(param: MapParam, vals: list, eps: float,
                    max_period: int) -> Optional[Cycle]:
     """:func:`detect_cycle` on orbit values (None for infinity), of which
     there are more than 2*max_period.  Only the last 2*max_period values are
-    compared, and sphere points are built only for the q cycle points."""
+    compared, and the cycle is polished from the first of the q tail values,
+    whose orbit :func:`_polish_periodic_point` steps to the same bits."""
     n = len(vals)
     eps2 = eps * eps
     for q in range(1, max_period + 1):
@@ -237,7 +239,8 @@ def _settled_cycle(param: MapParam, vals: list, eps: float,
         else:
             if not _expansion_certified(vals[: n - q], eps):
                 return None
-            return _build_cycle(param, _points(vals[n - q:]), eps)
+            first = _points([vals[n - q]])[0]
+            return _make_cycle_unchecked(param, _polish_periodic_point(param, first, q))
     return None
 
 
@@ -264,13 +267,6 @@ def _expansion_certified(prefix, eps: float) -> bool:
     return log_e <= limit
 
 
-def _build_cycle(param: MapParam, raw: list[SpherePoint], eps: float) -> Cycle:
-    polished = _reduce_period(_polish_cycle(param.p, raw))
-    if _cycle_defect(param, polished, eps) is None:
-        return _make_cycle_unchecked(param, polished)
-    return _make_cycle_unchecked(param, _reduce_period(raw))
-
-
 def _reduce_period(pts: list[SpherePoint]) -> list[SpherePoint]:
     # polishing can reveal that the detected period was a multiple of the
     # true one; shrink to the smallest divisor that closes the loop
@@ -283,16 +279,16 @@ def _reduce_period(pts: list[SpherePoint]) -> list[SpherePoint]:
     return pts
 
 
-def _cycle_defect(param: MapParam, pts: list[SpherePoint], tol: float) -> Optional[str]:
+def _cycle_defect(param: MapParam, pts: list[SpherePoint]) -> Optional[str]:
     """Why orbit-ordered ``pts`` are not a cycle, or None when they are: each
-    must map to the next (cyclically) within ``tol`` and all must be
-    pairwise distinct beyond ``EPS_POINT``, in sqrt-overlap units."""
+    must map to the next (cyclically) within ``EPS_POINT`` and all must be
+    pairwise distinct beyond it, in sqrt-overlap units."""
     q = len(pts)
     if q < 1:
         return "a cycle needs at least one point"
     for k in range(q):
         d = chordal_distance(apply_map(param, pts[k]), pts[(k + 1) % q])
-        if d > tol:
+        if d > EPS_POINT:
             return (f"points do not form a cycle of the map at p={param.p}: "
                     f"step {k} misses by {d:.3e}")
     if any(chordal_distance(pts[i], pts[j]) <= EPS_POINT
@@ -357,7 +353,7 @@ def classify_multiplier(lam: complex) -> str:
 def make_cycle(param: MapParam, points) -> Cycle:
     """Verified Cycle from orbit-ordered points (see :func:`cycle_multiplier`)."""
     pts = [as_point(z) for z in points]
-    defect = _cycle_defect(param, pts, EPS_POINT)
+    defect = _cycle_defect(param, pts)
     if defect:
         raise ValueError(defect)
     return _make_cycle_unchecked(param, pts)
@@ -462,7 +458,7 @@ def _periodic_orbits(param: MapParam, n: int, n_max: int) -> list[list[SpherePoi
         if not unclaimed[i]:
             continue
         cycle = _polish_periodic_point(param, root, n)
-        defect = _cycle_defect(param, cycle, EPS_POINT)
+        defect = _cycle_defect(param, cycle)
         if defect:
             raise RootFindingError(
                 f"periodic-point solve failed for p={param.p}, n={n}: {defect}")
@@ -635,15 +631,16 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     canonical unresolved case.  The points run, in one thread, through the
     blocked capture runner and symmetry routes ``render_julia`` uses
     (:func:`qubit_chaos.kernel._run_grid`, whose stages the kernel
-    docstring gives), and the points still live after the first stage carry
-    their certificate state into the second, so the scratch is one block's,
-    not the input's.  The certificate is the only difference from the
-    raster.  The input decides the route: a 2-D array whose reversal
-    negates it (``pts[::-1, ::-1] == -pts`` by value, as on a
-    ``Window.grid()`` centred at 0), or at real p whose row reversal
-    conjugates it, runs a half or a quarter of its points; a corner test
-    first keeps that check off other inputs, which run every point.  Every
-    route gives the bits of the run over every point.
+    docstring gives), which reads them by flat index into the input, as the
+    raster reads its pixels through ``Window.at``; the points still live
+    after the first stage carry their certificate state into the second, so
+    the scratch is one block's, not the input's.  The certificate is the
+    only difference from the raster.  The input decides the route: a 2-D
+    array whose reversal negates it (``pts[::-1, ::-1] == -pts`` by value,
+    as on a ``Window.grid()`` centred at 0), or at real p whose row
+    reversal conjugates it, runs a half or a quarter of its points; a corner
+    test first keeps that check off other inputs, which run every point.
+    Every route gives the bits of the run over every point.
     Requires 1e-30 < eps < 1 and max_iter >= 0; ValueError otherwise.
     """
     pts = np.asarray(points, dtype=complex)
@@ -655,12 +652,7 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
     negated = plane and pts[0, 0] == -pts[-1, -1] and np.array_equal(pts[::-1, ::-1], -pts)
     conjugated = (plane and param.p.imag == 0 and pts[0, 0] == pts[-1, 0].conjugate()
                   and np.array_equal(pts[::-1], pts.conj()))
-
-    def block(row0, col0, cols):
-        sub = grid[row0:, col0:col0 + cols]
-        return sub.ravel().take if cols == grid.shape[1] else lambda idx: sub[np.divmod(idx, cols)]
-
-    out = _run_grid(param.p, block, grid.shape, negated, conjugated, targets, eps, max_iter,
-                    certify=True)
+    out = _run_grid(param.p, grid.ravel().take, grid.shape, negated, conjugated, targets, eps,
+                    max_iter, certify=True)
     steps, labels, peak = (a.reshape(pts.shape) for a in out)
     return BasinResult(labels.astype(int), steps.astype(int), peak, cycles)

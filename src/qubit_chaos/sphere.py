@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -37,8 +38,8 @@ SNAP_MAGNITUDE = 1e150
 # of SpherePoint equality, and orbits' EPS_POINT.
 POINT_TOL = 1e-9
 
-# Orbit values lyapunov_derivative holds at a time: it extends the orbit
-# chunk by chunk from the last value, in constant memory.
+# Orbit values a Lyapunov estimator holds at a time, per orbit: it extends
+# its orbits chunk by chunk from their last values, in constant memory.
 ORBIT_CHUNK = 4096
 # lyapunov_derivative is unreliable past this fraction of excluded critical hits.
 CRITICAL_HIT_LIMIT = 0.01
@@ -448,7 +449,9 @@ def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200) -> LyapunovEstim
     measured before the sphere folds it.  ``saturated`` is set when the
     window closed before n_max; the estimate is unreliable when the window
     has fewer than ``OVERLAP_MIN_WINDOW`` points, and NaN when it has one
-    (the orbits merged at the first step).
+    (the orbits merged at the first step).  Each orbit holds at most
+    ``ORBIT_CHUNK`` values, and the window's log values move into an array
+    of doubles a chunk at a time, so memory grows by 8 bytes a window point.
 
     Because the overlap distance is quadratic in state separation, this
     estimator runs at twice the derivative estimator's value for the same
@@ -465,28 +468,40 @@ def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200) -> LyapunovEstim
             f"initial overlap {d0:.3e} exceeds {OVERLAP_MAX_INITIAL:.0e}; start closer "
             "so the growth window is usable"
         )
-    logs = [math.log(d0)]
+    logs, moved = [math.log(d0)], array("d")  # the window's log values, the older as doubles
     saturated = False
     saturation = OVERLAP_SATURATION  # a local: the loop reads it every step
-    for k in range(1, n_max + 1):
-        if k == len(va):  # both orbits end here: double their length
-            goal = min(2 * k, n_max + 1)
-            _extend_orbit(param.p, va, goal)
-            _extend_orbit(param.p, vb, goal)
-        d = _value_overlap(va[k], vb[k])
-        if d >= saturation:
-            saturated = True
-            break
-        if d == 0.0:
-            break  # orbits merged below floating-point resolution
-        logs.append(math.log(d))
+    for base in range(0, n_max, ORBIT_CHUNK - 1):  # the chunk's va[0] and vb[0] are step base
+        if base:  # go on from the last chunk's last values, with its logs moved to the doubles
+            del va[:-1], vb[:-1]
+            moved.extend(logs)
+            logs.clear()
+        end = min(ORBIT_CHUNK, n_max + 1 - base)
+        for k in range(1, end):
+            if k == len(va):  # both orbits end here: double their length
+                goal = min(2 * k, end)
+                _extend_orbit(param.p, va, goal)
+                _extend_orbit(param.p, vb, goal)
+            d = _value_overlap(va[k], vb[k])
+            if d >= saturation:
+                saturated = True
+                break
+            if d == 0.0:
+                break  # orbits merged below floating-point resolution
+            logs.append(math.log(d))
+        else:
+            continue
+        break
+    if moved:
+        moved.extend(logs)
+        logs = moved
     window = len(logs)
     slope = _fit_slope(logs) if window >= 2 else float("nan")
     return LyapunovEstimate(slope, "overlap", window, saturated,
                             window >= OVERLAP_MIN_WINDOW)
 
 
-def _fit_slope(ys: list) -> float:
+def _fit_slope(ys) -> float:
     """Least-squares slope of ``ys`` (at least two values) against 0, 1, 2, ...
 
     Closed form on the centred abscissae: sum((k - km) * y_k) over

@@ -449,11 +449,18 @@ def test_conjugate_closed_compares_by_value_and_cycle():
 
 
 def test_window_block_equals_the_window_pixels():
+    # Window.at on every index set the symmetry routes look up (the whole
+    # grid, the top rows, the top-left quadrant, scattered fix-ups in any
+    # order) and on the flat indices of blocks of the window
     window = Window(0.4 + 0.1j, 3.0, 2.0, 9, 8)
     grid = window.grid()
+    flat = np.arange(grid.size)
+    quadrant = flat[:20] // 5 * 9 + flat[:20] % 5
+    for idx in (flat, flat[:36], quadrant, np.array([70, 3, 44, 44]), flat[:0]):
+        assert np.array_equal(window.at(idx), grid.ravel()[idx])
     for row0, col0, cols in ((0, 0, 9), (0, 0, 5), (0, 5, 4), (4, 0, 9), (3, 2, 6)):
-        rows = window.ny - row0
-        got = window.block(row0, col0, cols)(np.arange(rows * cols))
+        r, c = np.divmod(np.arange((window.ny - row0) * cols), cols)
+        got = window.at((r + row0) * window.nx + c + col0)
         assert np.array_equal(got, grid[row0:, col0:col0 + cols].ravel())
 
 

@@ -165,6 +165,9 @@ def test_pure_bridge_round_trip():
 def test_bridge_rejects_mixed_states():
     with pytest.raises(ValueError):
         density_to_pure(np.eye(2) / 2)
+    pure = pure_to_density(SpherePoint(0.3 + 0.2j))
+    with pytest.raises(ValueError, match="single 2x2 matrix"):
+        density_to_pure(np.stack([pure, pure]))
 
 
 def test_step_commutes_with_sphere_map():
@@ -195,6 +198,11 @@ def test_p_from_angles_matches_param():
     assert p_from_angles(math.pi / 4, 0.0).p == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         p_from_angles(math.pi / 2, 0.0)
+
+
+def test_selection_trace_rejects_negative_steps():
+    with pytest.raises(ValueError, match="nonnegative"):
+        selection_trace(np.eye(2) / 2, 0.3, 0.1, -1)
 
 
 def test_selection_probability_examples():

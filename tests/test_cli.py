@@ -364,6 +364,18 @@ def test_overlap_lyapunov_without_steps_exits_two(outdir, capsys, steps):
     assert not (outdir / "l3.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("cycles --p=0 --n=0", "period must be >= 1"),
+    ("orbit --p=0 --z0=2 --n=-1", "orbit length must be nonnegative"),
+    ("twoqubit --steps=-1", "step count must be nonnegative"),
+    ("lyapunov --p=0 --z0=1 --method=derivative --steps=0", "need at least one step"),
+])
+def test_count_below_its_range_exits_two(outdir, capsys, argv, message):
+    assert run(argv.split() + ["--out=bad"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(outdir.glob("bad*"))
+
+
 # ---------------------------------------------------------------------------
 # output routing
 

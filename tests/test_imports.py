@@ -186,10 +186,35 @@ def test_the_check_finds_a_default_no_call_sets():
         ("m.f", "c"), ("m.f", "d"), ("m.C.g", "y")}
 
 
+def _callers(*tops: str) -> list[str]:
+    return [path.read_text() for top in tops for path in sorted((ROOT / top).rglob("*.py"))]
+
+
 def test_every_parameter_default_is_overridden():
     # a default that no call in the repository overrides is an option with
     # one value in use: it is a constant beside the code that reads it
     package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    callers = [path.read_text() for top in ("src", "tests", "perfbench")
-               for path in sorted((ROOT / top).rglob("*.py"))]
-    assert _unpassed_defaults(package, callers) == set()
+    assert _unpassed_defaults(package, _callers("src", "tests", "perfbench")) == set()
+
+
+# ("module.function", parameter): a default that only tests override, with
+# the reason it stays an option of the library
+TEST_ONLY_DEFAULTS = {
+    ("atlas.render_julia", "cycles"): "targets other than the critical orbits' cycles",
+    ("orbits.classify_basin", "cycles"): "targets other than the critical orbits' cycles",
+    ("orbits.classify_basin", "eps"): "the capture radius, which sets what the certificate refuses",
+    ("orbits.critical_orbits", "eps"): "the settling radius of the tail scan",
+    ("orbits.critical_orbits", "max_iter"): "the step budget before a verdict is withheld",
+    ("orbits.critical_orbits", "max_period"): "the longest cycle the tail scan looks for",
+    ("orbits.detect_cycle", "eps"): "the settling radius, for an orbit of the caller's own",
+    ("orbits.detect_cycle", "max_period"): "the longest cycle, bounded by the orbit's length",
+    ("orbits.Cycle.matches", "tol"): "how close two found cycles must be to be one",
+    ("roots.aberth_roots", "max_iter"): "the sweep budget before a solve is refused",
+}
+
+
+def test_test_only_defaults_are_the_named_library_options():
+    # a default that no call in src/ or perfbench/ overrides is set by tests
+    # alone: a new one must be named above with its reason, or be a constant
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unpassed_defaults(package, _callers("src", "perfbench")) == set(TEST_ONLY_DEFAULTS)

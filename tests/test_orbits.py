@@ -22,9 +22,9 @@ from qubit_chaos.orbits import (
     CriticalOrbitResult,
     CriticalReport,
     LyapunovEstimate,
-    _build_cycle,
     _cycle_defect,
     _make_cycle_unchecked,
+    _polish_periodic_point,
     _reduce_period,
     classify_basin,
     classify_multiplier,
@@ -351,7 +351,7 @@ def _sphere_point_cycle(param, pts, eps, max_period):
                 log_e += math.log(rate) if rate > 0.0 else -math.inf
             if log_e > limit:
                 return None
-            return _build_cycle(param, list(pts[n - q:]), eps)
+            return _make_cycle_unchecked(param, _polish_periodic_point(param, pts[n - q], q))
     return None
 
 
@@ -533,12 +533,14 @@ def _return_map_z(param, c, q):
     return pt.value, deriv
 
 
-def _return_map_build_cycle(param, raw, eps):
-    """_build_cycle before cycles were polished whole: each tail point on its own."""
-    polished = _reduce_period([_return_map_polish(param, pt, len(raw)) for pt in raw])
-    if _cycle_defect(param, polished, eps) is None:
-        return _make_cycle_unchecked(param, polished)
-    return _make_cycle_unchecked(param, _reduce_period(raw))
+def _return_map_periodic_point(param, point, q):
+    """_polish_periodic_point before cycles were polished whole: each point
+    of the orbit on its own, the raw orbit where those do not close."""
+    raw = [point]
+    for _ in range(q - 1):
+        raw.append(apply_map(param, raw[-1]))
+    polished = _reduce_period([_return_map_polish(param, pt, q) for pt in raw])
+    return polished if _cycle_defect(param, polished) is None else _reduce_period(raw)
 
 
 def _assert_cycles_match(new, old):
@@ -571,7 +573,7 @@ _POPULATION = _UPPER + [c.conjugate() for c in _UPPER]
 
 def _return_map_reports(params, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(orbits, "_build_cycle", _return_map_build_cycle)
+        m.setattr(orbits, "_polish_periodic_point", _return_map_periodic_point)
         return [critical_orbits(MapParam(p)) for p in params]
 
 
@@ -855,6 +857,18 @@ def test_cycle_that_does_not_close_raises(monkeypatch, solve):
     monkeypatch.setattr(orbits, "aberth_roots", lambda c: inner(c) + 0.1)
     with pytest.raises(RootFindingError, match="n=7: points do not form a cycle"):
         solve(MapParam(_P_UNCLOSED), 7, n_max=7)
+
+
+@pytest.mark.parametrize("solve", [find_periodic_points, periodic_cycles])
+def test_failed_root_solve_names_the_parameter(monkeypatch, solve):
+    def fail(coeffs):
+        raise RootFindingError("Aberth iteration stalled")
+
+    monkeypatch.setattr(orbits, "aberth_roots", fail)
+    with pytest.raises(RootFindingError) as info:
+        solve(MapParam(0.3 + 0.1j), 2)
+    assert str(info.value) == (
+        "periodic-point solve failed for p=(0.3+0.1j): Aberth iteration stalled")
 
 
 def test_periodic_infinity_is_a_root():

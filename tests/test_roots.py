@@ -82,6 +82,16 @@ def test_newton_polygon_start_radii():
     assert np.allclose(np.sort(np.abs(roots)), [1e-100] * 3 + [1e100] * 3, rtol=1e-13)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: map_polynomials(0.3 + 0.1j, 0), "composition depth must be >= 1"),
+    (lambda: aberth_roots([]), "nonempty 1-d"),
+    (lambda: aberth_roots(np.ones((2, 3))), "nonempty 1-d"),
+], ids=["depth-0", "empty", "2-d"])
+def test_invalid_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_nonconvergence_raises():
     rng = np.random.default_rng(43)
     coeffs = rng.normal(size=11) + 1j * rng.normal(size=11)

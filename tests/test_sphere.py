@@ -17,6 +17,7 @@ from qubit_chaos.sphere import (
     _extend_orbit,
     _fit_slope,
     _preferred_chart,
+    _value_overlap,
     _value_rate,
     apply_map,
     as_point,
@@ -497,7 +498,7 @@ def test_fit_slope_of_two_values_is_their_difference():
 
 
 # ---------------------------------------------------------------------------
-# the derivative estimator in chunks
+# the estimators in chunks
 
 def _whole_orbit_lyapunov_derivative(param, z0, n, exclusion_limit=0.01):
     """lyapunov_derivative as one loop over the whole n-value orbit list."""
@@ -538,3 +539,63 @@ def test_lyapunov_derivative_runs_in_constant_memory():
         tracemalloc.stop()
     assert peak < 1e6, peak
     assert got.steps_used == 10 ** 5
+
+
+def _whole_orbit_lyapunov_overlap(param, z0, z1, n_max):
+    """lyapunov_overlap on whole orbit lists, doubled in length as they run
+    out, and a list of log values."""
+    va, vb = [as_point(z0)._value], [as_point(z1)._value]
+    logs = [math.log(_value_overlap(va[0], vb[0]))]
+    saturated = False
+    for k in range(1, n_max + 1):
+        if k == len(va):
+            goal = min(2 * k, n_max + 1)
+            _extend_orbit(param.p, va, goal)
+            _extend_orbit(param.p, vb, goal)
+        d = _value_overlap(va[k], vb[k])
+        if d >= 0.01:
+            saturated = True
+            break
+        if d == 0.0:
+            break
+        logs.append(math.log(d))
+    window = len(logs)
+    slope = _fit_slope(logs) if window >= 2 else float("nan")
+    return LyapunovEstimate(slope, "overlap", window, saturated, window >= 5)
+
+
+# near the parabolic p = 0.2270833... the orbits from 0.1 and its 1e-8 turn
+# neither saturate nor merge, so the window runs the whole budget
+_SLOW = (0.22708334621107104 + 0j, 0.1 + 0j)
+
+
+def test_chunked_lyapunov_overlap_equals_whole_orbit_loop():
+    rng = np.random.default_rng(71)
+    # p = 0 doubles the distance on the unit circle and contracts it off it
+    runs = [_SLOW, (0j, 1 + 0j), (0j, 0.3 + 0j), (1 + 0j, 0.3 + 0j), (1e200 + 0j, 0.5 + 0j)]
+    runs += [(complex(*rng.uniform(-2, 2, 2)), complex(*rng.normal(size=2))) for _ in range(6)]
+    turn = cmath.exp(1e-8j)
+    for p, z0 in runs:
+        for n in (1, 40, ORBIT_CHUNK - 2, ORBIT_CHUNK - 1, ORBIT_CHUNK, 2 * ORBIT_CHUNK + 17):
+            got = lyapunov_overlap(MapParam(p), z0, z0 * turn, n)
+            want = _whole_orbit_lyapunov_overlap(MapParam(p), z0, z0 * turn, n)
+            assert (repr(got.value), got.steps_used, got.saturated, got.reliable) == (
+                repr(want.value), want.steps_used, want.saturated, want.reliable), (p, z0, n)
+            if (p, z0) == _SLOW:  # a window across every chunk boundary
+                assert got.steps_used == n + 1
+
+
+def test_lyapunov_overlap_runs_in_memory_of_its_window():
+    # the two whole 5 * 10**4-value orbit lists take about 5.6 MB, the
+    # window's log values 0.4 MB
+    param, z0 = MapParam(_SLOW[0]), _SLOW[1]
+    z1 = z0 * cmath.exp(1e-8j)
+    lyapunov_overlap(param, z0, z1, 10)
+    tracemalloc.start()
+    try:
+        got = lyapunov_overlap(param, z0, z1, 5 * 10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
+    assert got.steps_used == 5 * 10 ** 4 + 1

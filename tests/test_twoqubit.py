@@ -101,8 +101,13 @@ def test_rotate_local_acts_on_the_named_factor():
 
 def test_rotate_local_rejects_bad_index():
     rho = np.eye(4) / 4.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="qubit index must be 1 or 2"):
         rotate_local(rho, 3, 0.1, 0.0)
+    with pytest.raises(ValueError, match="qubit index must be 1 or 2"):
+        reduced_state(rho, 3)
+    for index in (-1, 4):
+        with pytest.raises(ValueError, match="basis index"):
+            basis_state(index)
 
 
 def test_basis_labels_index_convention():
