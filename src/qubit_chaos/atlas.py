@@ -265,7 +265,8 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     matches are sustained over a full extra period (the same rule the scalar
     detector uses), with eps in sqrt-overlap units.  Pixels with no settled
     lag are marked unconverged.  Requires 1e-30 < eps < 1, max_period >= 1 and
-    transient >= 2*max_period; ValueError otherwise.
+    transient >= 2*max_period, and a window whose corner pixels, where the
+    largest modulus lies, have a finite modulus; ValueError otherwise.
 
     The raster runs in stages over fixed blocks of BLOCK_PIXELS pixels
     (:func:`qubit_chaos.kernel._run_blocks`).  At each checkpoint c of
@@ -282,6 +283,10 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     z0 = as_point(z0)
     eps2 = eps * eps
     total = window.nx * window.ny
+    with np.errstate(over="ignore"):
+        corners = np.abs(window.at(np.array([0, window.nx - 1, total - window.nx, total - 1])))
+    if not np.isfinite(corners).all():
+        raise ValueError("the window reaches a parameter of non-finite modulus")
     # one window of tail states plus step scratch per worker, kept through
     # every stage: a fresh window per block inflates peak RSS through heap
     # retention
@@ -334,7 +339,7 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     Runs the orbit of z0 for ``transient`` iterations at every sampled
     parameter, then records |z| for the next ``record`` iterations.  Visits
     to the point at infinity are flagged rather than given a magnitude.
-    ValueError if a sampled parameter is not finite.
+    ValueError if a sampled parameter has no finite modulus.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -347,12 +352,14 @@ def bifurcation_sweep(start: complex = 0j, end: complex = 2j, samples: int = 800
     # depends on its SIMD loop, not on the segment
     with np.errstate(over="ignore", invalid="ignore"):
         p = (np.asarray(start) + t * (np.asarray(end) - np.asarray(start))).astype(complex)
-    if not np.isfinite(p).all():
-        raise ValueError(f"the segment from {start} to {end} samples a non-finite parameter")
+        size = np.abs(p)
+    if not np.isfinite(size).all():
+        raise ValueError(f"the segment from {start} to {end} samples a parameter "
+                         "of non-finite modulus")
     z0 = as_point(z0)
     P, S = _pair_params(p), np.repeat(_value_pairs([z0._value]), samples, axis=1)
     scratch = _pair_scratch(samples)
-    r = _rescale_interval(np.abs(p).max())
+    r = _rescale_interval(size.max())
     _pair_run(P, S, scratch, transient, r)
     tail = np.empty((record, 2, samples), dtype=complex)
     _pair_run(P, S, scratch, record, r, rows=tail)

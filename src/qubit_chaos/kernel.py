@@ -227,20 +227,21 @@ def _pair_params(p: np.ndarray) -> np.ndarray:
 
 
 def _start_pairs(z: np.ndarray) -> np.ndarray:
-    """Stacked unit pairs of the flat complex points z; a non-finite entry
-    stands for the point at infinity, (1, 0)."""
-    m = np.maximum(np.abs(z), 1.0)
+    """Stacked unit pairs of the flat complex points z; an entry of
+    non-finite modulus (a finite one may overflow it) stands for the point
+    at infinity, (1, 0)."""
     S = np.empty((2, z.size), dtype=complex)
-    with np.errstate(invalid="ignore"):  # inf / inf; such entries are reset
+    with np.errstate(over="ignore", invalid="ignore"):  # such entries are reset
+        m = np.maximum(np.abs(z), 1.0)
         np.divide(z, m, out=S[0])
     np.divide(1.0, m, out=S[1])
-    S[:, ~np.isfinite(z)] = [[1.0], [0.0]]
+    S[:, ~np.isfinite(m)] = [[1.0], [0.0]]
     return S
 
 
 def _value_pairs(vals) -> np.ndarray:
     """:func:`_start_pairs` of orbit values (None for infinity; see
-    :func:`qubit_chaos.sphere._extend_orbit`)."""
+    :func:`qubit_chaos.sphere._orbit`)."""
     return _start_pairs(np.array([math.inf if v is None else v for v in vals], dtype=complex))
 
 

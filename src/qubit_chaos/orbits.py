@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -39,9 +40,9 @@ from .sphere import (
     RootFindingError,
     SpherePoint,
     _chart_step,
-    _extend_orbit,
     _json_complex,
     _json_point,
+    _orbit,
     _points,
     _preferred_chart,
     _value_overlap,
@@ -417,7 +418,7 @@ def _polish_periodic_point(param: MapParam, point: SpherePoint, q: int) -> list[
     """The cycle through a near-periodic point of period dividing q: its
     orbit of q points polished whole by :func:`_polish_cycle` (raw if that
     fails), cut to its smallest period by :func:`_reduce_period`."""
-    orbit = _points(_extend_orbit(param.p, [point._value], q))
+    orbit = _points(islice(_orbit(param.p, point._value), q))
     return _reduce_period(_polish_cycle(param.p, orbit))
 
 
@@ -533,15 +534,16 @@ def _trace_critical(param: MapParam, start: SpherePoint, max_iter: int,
                     eps: float, max_period: int) -> CriticalOrbitResult:
     """Fate of the critical point ``start``.
 
-    The orbit is traced on coordinates (None for infinity) by
-    :func:`qubit_chaos.sphere._extend_orbit` and doubled in length until
+    The orbit is traced on coordinates (None for infinity), read from one
+    :func:`qubit_chaos.sphere._orbit` and doubled in length until
     :func:`_settled_cycle` finds a settled tail or the budget runs out; only
     the cycle points of a settled tail become sphere points.
     """
-    vals = [start._value]
+    orbit = _orbit(param.p, start._value)
+    vals = []
     goal = 2 * max_period + 1
     while True:
-        _extend_orbit(param.p, vals, goal)
+        vals.extend(islice(orbit, goal - len(vals)))
         cycle = _settled_cycle(param, vals, eps, max_period)
         if cycle is not None:
             transient = _transient_length(vals, cycle, eps)
@@ -615,10 +617,11 @@ def classify_basin(param: MapParam, points, cycles=None, max_iter: int = 1000,
                    eps: float = 1e-6) -> BasinResult:
     """Which attracting cycle captures each point, with a roundoff guard.
 
-    Vectorized over ``points`` (complex array; an entry with an infinite part
-    stands for the point at infinity, and one with a NaN part is refused
-    with ValueError).  ``cycles`` defaults to the attracting cycles the
-    critical orbits land on; :class:`ConfigurationError` if that leaves none.
+    Vectorized over ``points`` (complex array; an entry of non-finite
+    modulus stands for the point at infinity, and one with a NaN part is
+    refused with ValueError).  ``cycles`` defaults to the attracting cycles
+    the critical orbits land on; :class:`ConfigurationError` if that leaves
+    none.
 
     A point is labeled only when its orbit comes within ``eps``
     (sqrt-overlap units) of a target point AND a seed perturbation of one

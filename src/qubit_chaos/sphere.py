@@ -26,6 +26,7 @@ import cmath
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import ClassVar
 
 # Finite coordinates above this magnitude are indistinguishable from the
@@ -38,9 +39,6 @@ SNAP_MAGNITUDE = 1e150
 # of SpherePoint equality, and orbits' EPS_POINT.
 POINT_TOL = 1e-9
 
-# Orbit values a Lyapunov estimator holds at a time, per orbit: it extends
-# its orbits chunk by chunk from their last values, in constant memory.
-ORBIT_CHUNK = 4096
 # lyapunov_derivative is unreliable past this fraction of excluded critical hits.
 CRITICAL_HIT_LIMIT = 0.01
 # lyapunov_overlap's fit window closes once the overlap reaches this ...
@@ -85,7 +83,9 @@ class SpherePoint:
         value = complex(value)
         if math.isnan(value.real) or math.isnan(value.imag):
             raise ValueError("sphere point components cannot be NaN")
-        if abs(value) > SNAP_MAGNITUDE:
+        snap = SNAP_MAGNITUDE
+        # the components first: abs raises once the modulus overflows
+        if abs(value.real) > snap or abs(value.imag) > snap or abs(value) > snap:
             self._value = None
         else:
             self._value = value
@@ -149,8 +149,8 @@ def _json_point(pt: SpherePoint):
 class MapParam:
     """The complex parameter of the one-step map, p = tan(x) * exp(i*phi).
 
-    Any finite complex p is a valid parameter; the angle form exists only
-    when tan(x) is finite, which :meth:`from_angles` enforces.
+    Any complex p of finite modulus is a valid parameter; the angle form
+    exists only when tan(x) is finite, which :meth:`from_angles` enforces.
     """
 
     p: complex
@@ -161,8 +161,8 @@ class MapParam:
 
     def __post_init__(self):
         p = complex(self.p)
-        if not (math.isfinite(p.real) and math.isfinite(p.imag)):
-            raise ValueError("map parameter must be a finite complex number")
+        if not math.isfinite(math.hypot(p.real, p.imag)):
+            raise ValueError(f"map parameter must have a finite modulus, got {p!r}")
         object.__setattr__(self, "p", p)
 
     @classmethod
@@ -190,11 +190,11 @@ def apply_map(param: MapParam, z) -> SpherePoint:
     maps to -1/conj(p) (or stays at infinity when p = 0), and a vanishing
     denominator maps to infinity.  Overflow past ``SNAP_MAGNITUDE`` also
     collapses to infinity, so the result never carries NaN/Inf components.
-    This is one step of :func:`_extend_orbit`.
+    This is one step of :func:`_orbit`.
     """
     if z.__class__ is not SpherePoint:  # as_point, without a call in the common case
         z = as_point(z)
-    value = _extend_orbit(param.p, [z._value], 2)[1]
+    _, value = islice(_orbit(param.p, z._value), 2)
     if value is None:
         return INF
     # the step has already snapped the value: skip the constructor's checks
@@ -203,17 +203,16 @@ def apply_map(param: MapParam, z) -> SpherePoint:
     return out
 
 
-def _extend_orbit(p: complex, vals: list, goal: int) -> list:
-    """Append map images to the orbit ``vals`` until it holds ``goal`` values.
+def _orbit(p: complex, z: complex | None):
+    """The orbit values z, f(z), f(f(z)), ... of the map, without end.
 
     An orbit value is the ``_value`` of a :class:`SpherePoint`: a complex
     number of modulus at most ``SNAP_MAGNITUDE``, or None for infinity.
-    ``vals`` (not empty) is extended in place and returned; the branch
-    constants and the image of infinity are computed once per call.  For
-    |p| > 1 numerator and denominator are rescaled by 1/|p| so huge
-    parameters cannot overflow the numerator.  A zero denominator and any
-    value not at most ``SNAP_MAGNITUDE`` in modulus (NaN included) go to
-    infinity.
+    The branch constants and the image of infinity are computed once per
+    orbit, and each image only when it is asked for.  For |p| > 1
+    numerator and denominator are rescaled by 1/|p| so huge parameters
+    cannot overflow the numerator.  A zero denominator and any value not at
+    most ``SNAP_MAGNITUDE`` in modulus (NaN included) go to infinity.
     """
     snap = SNAP_MAGNITUDE
     pc = p.conjugate()
@@ -228,11 +227,8 @@ def _extend_orbit(p: complex, vals: list, goal: int) -> list:
         s = 1.0 / size
         q = p * s
         qc = q.conjugate()
-    z = vals[-1]
-    append = vals.append
-    n = len(vals)
-    while n < goal:
-        n += 1
+    while True:
+        yield z
         if z is None:
             z = inf_image
         else:
@@ -249,8 +245,6 @@ def _extend_orbit(p: complex, vals: list, goal: int) -> list:
                 z = num / den
                 if not abs(z) <= snap:
                     z = None
-        append(z)
-    return vals
 
 
 @dataclass(frozen=True)
@@ -272,11 +266,11 @@ def iterate_orbit(param: MapParam, z0, n: int) -> Orbit:
     """Forward orbit of length n+1 starting at z0 (total: never raises mid-orbit)."""
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
-    return Orbit(param, tuple(_points(_extend_orbit(param.p, [as_point(z0)._value], n + 1))))
+    return Orbit(param, tuple(_points(islice(_orbit(param.p, as_point(z0)._value), n + 1))))
 
 
 def _points(vals) -> list[SpherePoint]:
-    """Sphere points of orbit values (see :func:`_extend_orbit`)."""
+    """Sphere points of orbit values (see :func:`_orbit`)."""
     return [INF if v is None else SpherePoint(v) for v in vals]
 
 
@@ -354,7 +348,7 @@ def _chart_step(p: complex, coord: complex, in_w: bool, out_w: bool) -> tuple[co
     num = 1 + p w**2 and den = w**2 - conj(p); the w chart takes den/num.
     The derivatives share the Wronskian factor 2*coord*(1+|p|**2) over the
     squared divisor.  For |p| > 1 num, den and the factor are rescaled by
-    1/|p|, as in :func:`_extend_orbit`, so huge parameters cannot overflow
+    1/|p|, as in :func:`_orbit`, so huge parameters cannot overflow
     them (the derivative may then move in the last bits).  Chained
     derivatives telescope, so a product of them along an orbit is the
     chart-correct derivative of the composite map.  Raises ZeroDivisionError
@@ -423,16 +417,11 @@ def lyapunov_derivative(param: MapParam, z0, n: int) -> LyapunovEstimate:
         raise ValueError("need at least one step")
     total = 0.0
     used = 0
-    vals = [as_point(z0)._value]
-    for first in range(0, n, ORBIT_CHUNK):
-        # values first .. first + ORBIT_CHUNK - 1, after value first - 1 (z0 is value 0)
-        skip = 1 if first else 0
-        vals = _extend_orbit(param.p, vals[-1:], skip + min(ORBIT_CHUNK, n - first))
-        for v in vals[skip:]:
-            rate = _value_rate(v)
-            if rate > 0.0:
-                total += math.log(rate)
-                used += 1
+    for v in islice(_orbit(param.p, as_point(z0)._value), n):
+        rate = _value_rate(v)
+        if rate > 0.0:
+            total += math.log(rate)
+            used += 1
     excluded = n - used
     value = total / used if used else float("-inf")
     reliable = used > 0 and excluded <= CRITICAL_HIT_LIMIT * n
@@ -449,9 +438,10 @@ def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200) -> LyapunovEstim
     measured before the sphere folds it.  ``saturated`` is set when the
     window closed before n_max; the estimate is unreliable when the window
     has fewer than ``OVERLAP_MIN_WINDOW`` points, and NaN when it has one
-    (the orbits merged at the first step).  Each orbit holds at most
-    ``ORBIT_CHUNK`` values, and the window's log values move into an array
-    of doubles a chunk at a time, so memory grows by 8 bytes a window point.
+    (the orbits merged at the first step).  Both orbits are lazy
+    (:func:`_orbit`): no orbit value is kept past its step, and the
+    window's log values are one array of doubles, so memory grows by 8
+    bytes a window point.
 
     Because the overlap distance is quadratic in state separation, this
     estimator runs at twice the derivative estimator's value for the same
@@ -459,8 +449,8 @@ def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200) -> LyapunovEstim
     """
     if n_max < 1:
         raise ValueError("need at least one step")
-    va, vb = [as_point(z0)._value], [as_point(z1)._value]
-    d0 = _value_overlap(va[0], vb[0])
+    a, b = as_point(z0)._value, as_point(z1)._value
+    d0 = _value_overlap(a, b)
     if d0 == 0.0:
         raise ValueError("seeds coincide; overlap separation must be positive")
     if d0 > OVERLAP_MAX_INITIAL:
@@ -468,33 +458,17 @@ def lyapunov_overlap(param: MapParam, z0, z1, n_max: int = 200) -> LyapunovEstim
             f"initial overlap {d0:.3e} exceeds {OVERLAP_MAX_INITIAL:.0e}; start closer "
             "so the growth window is usable"
         )
-    logs, moved = [math.log(d0)], array("d")  # the window's log values, the older as doubles
+    logs = array("d", [math.log(d0)])  # the window's log values
     saturated = False
     saturation = OVERLAP_SATURATION  # a local: the loop reads it every step
-    for base in range(0, n_max, ORBIT_CHUNK - 1):  # the chunk's va[0] and vb[0] are step base
-        if base:  # go on from the last chunk's last values, with its logs moved to the doubles
-            del va[:-1], vb[:-1]
-            moved.extend(logs)
-            logs.clear()
-        end = min(ORBIT_CHUNK, n_max + 1 - base)
-        for k in range(1, end):
-            if k == len(va):  # both orbits end here: double their length
-                goal = min(2 * k, end)
-                _extend_orbit(param.p, va, goal)
-                _extend_orbit(param.p, vb, goal)
-            d = _value_overlap(va[k], vb[k])
-            if d >= saturation:
-                saturated = True
-                break
-            if d == 0.0:
-                break  # orbits merged below floating-point resolution
-            logs.append(math.log(d))
-        else:
-            continue
-        break
-    if moved:
-        moved.extend(logs)
-        logs = moved
+    for va, vb in islice(zip(_orbit(param.p, a), _orbit(param.p, b)), 1, n_max + 1):
+        d = _value_overlap(va, vb)
+        if d >= saturation:
+            saturated = True
+            break
+        if d == 0.0:
+            break  # orbits merged below floating-point resolution
+        logs.append(math.log(d))
     window = len(logs)
     slope = _fit_slope(logs) if window >= 2 else float("nan")
     return LyapunovEstimate(slope, "overlap", window, saturated,

@@ -21,8 +21,6 @@ import numpy as np
 from .channel import purity, rotation_unitary, selection_probability, squaring_channel, validate_density
 from .sphere import _json_complex
 
-BASIS_LABELS = ("00", "01", "10", "11")
-
 # Exploratory defaults for the CLI experiment; no benchmark status.
 DEFAULT_ANGLES = (0.3, 0.0, 0.3, 0.0)
 

@@ -172,6 +172,44 @@ def test_non_finite_window_or_segment_exits_two(tmp_path, argv):
     assert not list(tmp_path.glob("bad*"))
 
 
+@pytest.mark.parametrize("argv, code", [
+    # a point whose modulus overflows is the point at infinity
+    ("orbit --p=1 --z0=1.5e308+1.5e308i --n=3", 0),
+    ("lyapunov --p=1 --z0=1.5e308+1.5e308i", 2),  # no default partner seed at infinity
+    ("params --z0=1.5e308+1.5e308i --res=4x4 --transient=128", 0),
+    ("sweep --z0=1.5e308+1.5e308i --samples=3 --transient=5 --record=2", 0),
+    ("julia --p=1 --window=-1e307,1.3e308,-1e307,1.3e308 --res=4x4", 0),
+    # a parameter whose modulus overflows is refused
+    ("orbit --p=1.5e308+1.5e308i --z0=0 --n=3", 2),
+    ("lyapunov --p=1.5e308+1.5e308i --z0=0.5", 2),
+    ("cycles --p=1.5e308+1.5e308i --n=1", 2),
+    ("julia --p=1.5e308+1.5e308i --res=8x8", 2),
+    ("sweep --start=1.5e308+1.5e308i --end=1.6e308+1.5e308i --samples=3 --transient=5 "
+     "--record=2", 2),
+    ("params --window=-1e307,1.3e308,-1e307,1.3e308 --res=4x4 --transient=128", 2),
+])
+def test_overflowing_modulus_exits_without_traceback(tmp_path, monkeypatch, argv, code):
+    # each used to exit 1 with an OverflowError, or 0 or 1 after a RuntimeWarning
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    proc = _cli_process([*argv.split(), "--out=x"], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), proc.stderr
+        assert not list(tmp_path.glob("x*"))
+    else:
+        assert proc.stderr == ""
+
+
+def test_point_whose_modulus_overflows_starts_at_infinity(outdir):
+    assert run(["orbit", "--p=1", "--z0=1.5e308+1.5e308i", "--n=3", "--out=o"]) == 0
+    assert (outdir / "o.csv").read_text().splitlines()[1] == "0,,,1"
+    assert run(["julia", "--p=1", "--window=-1e307,1.3e308,-1e307,1.3e308", "--res=4x4",
+                "--out=j"]) == 0
+    # the top-right pixel, 1.3e308+1.3e308i, is infinity, on the 2-cycle of
+    # p = 1: captured at step 0, so black (it was painted white)
+    assert (outdir / "j.pgm").read_bytes()[-16:][3] == 0
+
+
 def test_degree_guard_exits_two(outdir, capsys):
     assert run(["cycles", "--p", "0+0i", "--n", "9", "--out", "big"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,11 +1,12 @@
 """Source checks over the modules of the package: every name a module imports
 is used there, no refusal reads numpy's floating-point flags, the pair
-kernel imports no module of the package, and every parameter default is
-overridden by some call."""
+kernel imports no module of the package, every parameter default is
+overridden by some call, and every module constant is read by some code."""
 
 import ast
 import math
 import pathlib
+import re
 
 import qubit_chaos
 
@@ -218,3 +219,57 @@ def test_test_only_defaults_are_the_named_library_options():
     # alone: a new one must be named above with its reason, or be a constant
     package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _unpassed_defaults(package, _callers("src", "perfbench")) == set(TEST_ONLY_DEFAULTS)
+
+
+def _constants(source: str) -> set[str]:
+    """Names of the module-level UPPER_CASE constants that ``source`` assigns."""
+    names = set()
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names.update(n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", n.id))
+    return names
+
+
+def _read_names(source: str) -> set[str]:
+    """Names that ``source`` reads, as a name or an attribute, and the names
+    it imports from a module (by their own name, whatever binds them)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_the_check_finds_a_constant_no_code_reads():
+    source = "\n".join([
+        "A = 1",
+        "B: int = 2",
+        "C, D = 3, 4",
+        "E = 5",
+        "lower = 6",
+        "class K:",
+        "    F = 7",
+        "def f():",
+        "    G = 8",
+        "    return A + G",
+    ])
+    readers = ["import m\nprint(m.C)", "from m import D as d", "import m\nm.E = 0"]
+    assert _constants(source) == {"A", "B", "C", "D", "E"}
+    reads = set().union(*map(_read_names, [source, *readers]))
+    assert _constants(source) - reads == {"B", "E"}
+
+
+def test_every_module_constant_has_a_reader():
+    # a constant that outlives the code that read it (a loop's chunk size,
+    # a table only a test asserts) is dead: code in src/ or perfbench/ must
+    # read it, not only a test
+    constants = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+                 for name in _constants(path.read_text())}
+    reads = set().union(*map(_read_names, _callers("src", "perfbench")))
+    assert {(module, name) for module, name in constants if name not in reads} == set()

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -44,8 +45,8 @@ from qubit_chaos.sphere import (
     Orbit,
     SpherePoint,
     _chart_step,
-    _extend_orbit,
     _fit_slope,
+    _orbit,
     _preferred_chart,
     _value_rate,
     apply_map,
@@ -374,14 +375,14 @@ def test_certificate_stops_at_a_critical_point_with_the_same_verdict():
     for _ in range(60):
         p = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-1.5, 0.5)
         for start in (0j, None):  # the critical orbits, through 0 and infinity
-            prefixes.append(_extend_orbit(p, [start], int(rng.integers(1, 400))))
-        orbit = _extend_orbit(p, [complex(*rng.normal(size=2))], int(rng.integers(2, 400)))
+            prefixes.append(list(islice(_orbit(p, start), int(rng.integers(1, 400)))))
+        orbit = list(islice(_orbit(p, complex(*rng.normal(size=2))), int(rng.integers(2, 400))))
         prefixes.append(orbit)
         for critical in (0j, None):  # a critical point hit mid-prefix
             hit = int(rng.integers(1, len(orbit)))
             prefixes.append(orbit[:hit] + [critical] + orbit[hit:])
     for _ in range(20):  # the unit circle at p = 0 doubles roundoff at every step
-        circle = _extend_orbit(0j, [cmath.exp(1j * rng.uniform(0, 2 * math.pi))], 120)
+        circle = list(islice(_orbit(0j, cmath.exp(1j * rng.uniform(0, 2 * math.pi))), 120))
         prefixes.append(circle)
         prefixes.append(circle + [0j])  # refused before the critical point
         prefixes.append(circle[:5] + [None] + circle)
@@ -1039,6 +1040,13 @@ def test_classify_basin_refuses_nan_points():
                                        complex(0.5, math.inf), 0.5]))
     assert list(res.labels) == [1, 1, 1, 0]
     assert list(res.steps) == [0, 0, 0, 5]
+
+
+def test_classify_basin_takes_a_point_whose_modulus_overflows_for_infinity():
+    # abs(1.3e308+1.3e308j) overflows; infinity lies on the 2-cycle of p = 1
+    res = classify_basin(P1, np.array([1.3e308 + 1.3e308j]))
+    cycle = [any(pt.is_infinity for pt in c.points) for c in res.cycles].index(True)
+    assert (res.labels[0], res.steps[0], res.expansion_log_peak[0]) == (cycle, 0, 0.0)
 
 
 def test_classify_basin_preserves_shape():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,14 +9,13 @@ import pytest
 from qubit_chaos import sphere
 from qubit_chaos.sphere import (
     INF,
-    ORBIT_CHUNK,
     SNAP_MAGNITUDE,
     LyapunovEstimate,
     MapParam,
     SpherePoint,
     _chart_step,
-    _extend_orbit,
     _fit_slope,
+    _orbit,
     _preferred_chart,
     _value_overlap,
     _value_rate,
@@ -62,6 +62,13 @@ def test_huge_values_snap_to_infinity():
     assert SpherePoint(1e200 + 0j).is_infinity
     assert SpherePoint(complex(float("inf"), 1.0)).is_infinity
     assert not SpherePoint(SNAP_MAGNITUDE / 2).is_infinity
+
+
+def test_a_point_whose_modulus_overflows_is_infinity():
+    # abs of these raises OverflowError: their moduli pass the largest float
+    for z in (1.5e308 + 1.5e308j, complex(-1.3e308, 1.3e308), complex(1e308, -1.7e308)):
+        assert SpherePoint(z).is_infinity
+    assert SpherePoint(complex(0.0, SNAP_MAGNITUDE)).value == complex(0.0, SNAP_MAGNITUDE)
 
 
 def test_equality_is_tolerance_based():
@@ -445,6 +452,12 @@ def test_param_rejects_nonfinite():
         MapParam(complex(float("inf"), 0.0))
 
 
+def test_param_refuses_a_modulus_that_overflows():
+    with pytest.raises(ValueError, match=r"finite modulus, got \(1\.5e\+308\+1\.5e\+308j\)"):
+        MapParam(1.5e308 + 1.5e308j)
+    assert MapParam(1e308 + 1e308j).p == 1e308 + 1e308j  # a modulus of 1.4e308
+
+
 def test_as_point_coercion():
     assert as_point(2).value == 2 + 0j
     assert as_point(INF) is INF
@@ -498,13 +511,13 @@ def test_fit_slope_of_two_values_is_their_difference():
 
 
 # ---------------------------------------------------------------------------
-# the estimators in chunks
+# the estimators against loops over whole orbit lists
 
 def _whole_orbit_lyapunov_derivative(param, z0, n, exclusion_limit=0.01):
     """lyapunov_derivative as one loop over the whole n-value orbit list."""
     total = 0.0
     used = 0
-    for v in _extend_orbit(param.p, [as_point(z0)._value], n):
+    for v in list(islice(_orbit(param.p, as_point(z0)._value), n)):
         rate = _value_rate(v)
         if rate > 0.0:
             total += math.log(rate)
@@ -520,7 +533,7 @@ def test_chunked_lyapunov_derivative_equals_whole_orbit_loop():
     runs = [(0j, 0j), (0j, INF), (1 + 0j, 0j), (1 + 0j, INF), (1e200 + 0j, 0j)]
     runs += [(complex(*rng.uniform(-2, 2, 2)), complex(*rng.normal(size=2))) for _ in range(6)]
     for p, z0 in runs:
-        for n in (1, 40, ORBIT_CHUNK - 1, ORBIT_CHUNK, ORBIT_CHUNK + 1, 2 * ORBIT_CHUNK + 17):
+        for n in (1, 40, 4095, 4096, 4097, 8209):
             got = lyapunov_derivative(MapParam(p), z0, n)
             want = _whole_orbit_lyapunov_derivative(MapParam(p), z0, n)
             assert (repr(got.value), got.steps_used, got.reliable) == (
@@ -542,16 +555,13 @@ def test_lyapunov_derivative_runs_in_constant_memory():
 
 
 def _whole_orbit_lyapunov_overlap(param, z0, z1, n_max):
-    """lyapunov_overlap on whole orbit lists, doubled in length as they run
-    out, and a list of log values."""
-    va, vb = [as_point(z0)._value], [as_point(z1)._value]
+    """lyapunov_overlap on the two whole (n_max + 1)-value orbit lists and a
+    list of log values."""
+    va = list(islice(_orbit(param.p, as_point(z0)._value), n_max + 1))
+    vb = list(islice(_orbit(param.p, as_point(z1)._value), n_max + 1))
     logs = [math.log(_value_overlap(va[0], vb[0]))]
     saturated = False
     for k in range(1, n_max + 1):
-        if k == len(va):
-            goal = min(2 * k, n_max + 1)
-            _extend_orbit(param.p, va, goal)
-            _extend_orbit(param.p, vb, goal)
         d = _value_overlap(va[k], vb[k])
         if d >= 0.01:
             saturated = True
@@ -576,12 +586,12 @@ def test_chunked_lyapunov_overlap_equals_whole_orbit_loop():
     runs += [(complex(*rng.uniform(-2, 2, 2)), complex(*rng.normal(size=2))) for _ in range(6)]
     turn = cmath.exp(1e-8j)
     for p, z0 in runs:
-        for n in (1, 40, ORBIT_CHUNK - 2, ORBIT_CHUNK - 1, ORBIT_CHUNK, 2 * ORBIT_CHUNK + 17):
+        for n in (1, 40, 4094, 4095, 4096, 8209):
             got = lyapunov_overlap(MapParam(p), z0, z0 * turn, n)
             want = _whole_orbit_lyapunov_overlap(MapParam(p), z0, z0 * turn, n)
             assert (repr(got.value), got.steps_used, got.saturated, got.reliable) == (
                 repr(want.value), want.steps_used, want.saturated, want.reliable), (p, z0, n)
-            if (p, z0) == _SLOW:  # a window across every chunk boundary
+            if (p, z0) == _SLOW:  # a window over the whole budget
                 assert got.steps_used == n + 1
 
 

@@ -13,7 +13,6 @@ from qubit_chaos.channel import (
 )
 from qubit_chaos.sphere import SpherePoint
 from qubit_chaos.twoqubit import (
-    BASIS_LABELS,
     DEFAULT_ANGLES,
     basis_state,
     default_initial_state,
@@ -108,12 +107,6 @@ def test_rotate_local_rejects_bad_index():
     for index in (-1, 4):
         with pytest.raises(ValueError, match="basis index"):
             basis_state(index)
-
-
-def test_basis_labels_index_convention():
-    # first label character = qubit 1, second = qubit 2
-    assert BASIS_LABELS == ("00", "01", "10", "11")
-    assert BASIS_LABELS.index("10") == 2
 
 
 # ---------------------------------------------------------------------------
