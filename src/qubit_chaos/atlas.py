@@ -278,6 +278,16 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
     and the lag scan.  A retired pixel keeps the period the full run
     reports, so ``steps`` records transient + 2*max_period for every pixel,
     the depth the period stands for.
+
+    A block runs its transient in place on one state at the full block
+    width.  Its tail window then runs over chunks of columns: each worker
+    holds one window of the first stage's 2*lags+1 states over a block (65
+    x 8192 pair-states, 17 MB, at the defaults), so a stage of more lags
+    fills and scans it over budget // (2*lags+1) columns at a time (two
+    chunks of 4 127 at 64 lags) and hands each chunk's last state back to
+    the block state.  The window does not grow with ``max_period`` beyond
+    one column's 2*max_period+1 states, and since the arithmetic is
+    elementwise per column, no output bit depends on the chunks.
     """
     _check_cycle_args(eps, max_period, transient, "transient")
     z0 = as_point(z0)
@@ -287,36 +297,50 @@ def render_parameter_space(window: Window, z0=0j, transient: int = 2000,
         corners = np.abs(window.at(np.array([0, window.nx - 1, total - window.nx, total - 1])))
     if not np.isfinite(corners).all():
         raise ValueError("the window reaches a parameter of non-finite modulus")
-    # one window of tail states plus step scratch per worker, kept through
-    # every stage: a fresh window per block inflates peak RSS through heap
-    # retention
-    cols = min(BLOCK_PIXELS, total)
-
-    def make_buffer():
-        return np.empty((2 * max_period + 1, 2, cols), dtype=complex), _pair_scratch(cols)
-
-    def run(stage, idx, state, buf):
-        done, start_step, lags = stage
-        p = window.at(idx)
-        P = _pair_params(p)
-        win, scratch = buf
-        win, scratch = win[:2 * lags + 1, :, :p.size], [a[..., :p.size] for a in scratch]
-        r = _rescale_interval(np.abs(p).max())
-        win[0] = state[0]
-        _pair_run(P, win[0], scratch, start_step - done, r)
-        _pair_run(P, win[0], scratch, 2 * lags, r, rows=win[1:])
-        # the last stage, at the end of the transient, scans at eps and keeps nothing
-        last = start_step == transient
-        period[idx] = q0 = (_lag_scan if last else _certified_period)(win, lags, eps2)
-        keep = np.flatnonzero(q0 < 0) if not last else np.empty(0, np.intp)
-        return keep, win[-1][:, keep]
-
     # (steps done, window start, lags scanned) per stage: each checkpoint whose
     # window ends inside the transient, then the transient itself
     starts = [c for c in RETIRE_CHECKPOINTS if c + 2 * min(c, max_period) <= transient]
     starts.append(transient)
     ends = [c + 2 * min(c, max_period) for c in starts]
     stages = [(done, c, min(c, max_period)) for done, c in zip([0] + ends, starts)]
+    # one block state, a window of the first stage's states over a block (or
+    # one column's longest window, if larger) and step scratch per worker,
+    # kept through every stage: a fresh window per block inflates peak RSS
+    # through heap retention
+    cols = min(BLOCK_PIXELS, total)
+    budget = max((2 * stages[0][2] + 1) * cols, 2 * max_period + 1)
+
+    def make_buffer():
+        return (np.empty((2, cols), dtype=complex), np.empty(2 * budget, dtype=complex),
+                _pair_scratch(cols))
+
+    def run(stage, idx, state, buf):
+        done, start_step, lags = stage
+        p = window.at(idx)
+        P = _pair_params(p)
+        S, win, scratch = buf
+        S, scratch = S[:, :p.size], [a[..., :p.size] for a in scratch]
+        r = _rescale_interval(np.abs(p).max())
+        S[...] = state[0]
+        _pair_run(P, S, scratch, start_step - done, r)
+        # the last stage, at the end of the transient, scans at eps and keeps nothing
+        last = start_step == transient
+        scan = _lag_scan if last else _certified_period
+        # the window runs over chunks of columns that fit the budget, and
+        # hands each chunk's last state back to S
+        rows = 2 * lags + 1
+        chunk = budget // rows
+        for c in range(0, p.size, chunk):
+            n = min(chunk, p.size - c)
+            T = win[:rows * 2 * n].reshape(rows, 2, n)
+            T[0] = S[:, c:c + n]
+            _pair_run(P[:, c:c + n], T[0], [a[..., :n] for a in scratch], 2 * lags, r,
+                      rows=T[1:])
+            period[idx[c:c + n]] = scan(T, lags, eps2)
+            S[:, c:c + n] = T[-1]
+        keep = np.flatnonzero(period[idx] < 0) if not last else np.empty(0, np.intp)
+        return keep, S[:, keep]
+
     period = np.full(total, -1, dtype=np.int32)
     S0 = _value_pairs([z0._value])
     _run_blocks(total, BLOCK_PIXELS, workers, stages, run,

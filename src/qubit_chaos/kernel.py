@@ -53,7 +53,7 @@ SEED_ROUNDOFF = float(np.finfo(float).eps)
 
 # The most steps a pair takes between two rescales (_rescale_interval), and
 # the log2 bound on |Z|**2 + |W|**2 the unscaled steps must stay below.
-RESCALE_EVERY = 4
+RESCALE_EVERY = 6
 RESCALE_LOG2_NORM = 480
 
 # Capture radii must lie above this: below it _rescale_interval no longer
@@ -76,13 +76,14 @@ def _rescale_interval(p_max: float) -> int:
     fourth powers of :func:`_pair_rate`, eps**2 |t|**2 N in the target test,
     the cross products of :func:`_pair_gap`) is formed from a pair at
     most r - 1 steps unscaled.  With N <= 2**480 after r steps, N**2 stays
-    below 2 N / g <= 2**481 one step earlier; for r <= 4, N >= 2**-23, so
-    the fourth powers stay above 2**-47 and eps**2 times them above 2**-250
+    below 2 N / g <= 2**481 one step earlier; for r <= 6, N >= 2**-95, so
+    the fourth powers stay above 2**-191 and eps**2 times them above 2**-391
     for any eps above EPS_MIN = 1e-30: far from overflow and from subnormals
-    (:func:`_check_capture_args` refuses a smaller eps).  r = 4
-    holds up to |p| = 2**15.4, 3 up to 2**33.7, 2 up to 2**79.7.  At r = 1
-    every pair is rescaled before it is read, and the step only forms
-    |p| |W|**2 <= |p|, so r = 1 covers any finite p, p = 1e200 included.
+    (:func:`_check_capture_args` refuses a smaller eps).  r = 6 holds up
+    to |p| = 9.8, 5 up to 2**7.2, 4 up to 2**15.4, 3 up to 2**33.7, 2 up
+    to 2**79.3.  At r = 1 every pair is rescaled before it is read, and the
+    step only forms |p| |W|**2 <= |p|, so r = 1 covers any finite p,
+    p = 1e200 included.
     """
     log2_g = 2.0 * math.log2(math.hypot(1.0, float(p_max)))
     r = RESCALE_EVERY

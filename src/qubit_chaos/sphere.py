@@ -219,7 +219,10 @@ def _orbit(p: complex, z: complex | None):
     inf_image = None
     if p:
         inf_image = -1.0 / pc
-        if not abs(inf_image) <= snap:
+        try:
+            if not abs(inf_image) <= snap:
+                inf_image = None
+        except OverflowError:  # a modulus past the float range
             inf_image = None
     size = abs(p)
     big = size > 1.0
@@ -243,7 +246,10 @@ def _orbit(p: complex, z: complex | None):
                 z = None
             else:
                 z = num / den
-                if not abs(z) <= snap:
+                try:
+                    if not abs(z) <= snap:
+                        z = None
+                except OverflowError:  # a modulus past the float range
                     z = None
 
 

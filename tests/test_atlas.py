@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1125,6 +1126,79 @@ def test_parameter_raster_shared_buffers_under_thread_switching():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("max_period, transient", [(64, 400), (100, 300), (300, 600)])
+def test_parameter_raster_window_chunks_are_bit_identical(monkeypatch, workers, max_period,
+                                                          transient):
+    # 7-pixel blocks budget each window 65 * 7 pair-states, the first stage's
+    # 32 lags: the 64-lag stages run chunks of 3, 3 and 1 columns, the
+    # 100-lag stage chunks of 2 and 1, and the 300-lag stage, whose 601
+    # states alone pass the budget, one column at a time
+    monkeypatch.setattr(atlas, "BLOCK_PIXELS", 7)
+    chunks, handed = [], []
+
+    def pair_run(P, S, scratch, steps, r, rows=None):
+        if rows is not None:
+            chunks.append((len(rows) + 1, rows.shape[2]))
+        return _pair_run(P, S, scratch, steps, r, rows)
+
+    run_blocks = atlas._run_blocks
+
+    def blocks(n, block, workers, stages, fn, *args):
+        def recorded(stage, idx, state, buf):
+            keep, out = fn(stage, idx, state, buf)
+            if stage != stages[-1]:
+                handed.append((stage, idx[keep], out.copy()))
+            return keep, out
+
+        run_blocks(n, block, workers, stages, recorded, *args)
+
+    monkeypatch.setattr(atlas, "_pair_run", pair_run)
+    monkeypatch.setattr(atlas, "_run_blocks", blocks)
+    win = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 11, 13)
+    p = win.grid().ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = render_parameter_space(win, transient=transient, max_period=max_period,
+                                     workers=workers).period.ravel()
+    assert np.array_equal(got, _straight_periods(p, 0j, transient, max_period, 1e-6))
+    assert (got > 0).any() and (got < 0).any()
+    budget = max(65 * 7, 2 * max_period + 1)
+    assert all(states * n <= budget for states, n in chunks)
+    last = 2 * max_period + 1
+    widths = {n for states, n in chunks if states == last}
+    assert max(widths) == max(budget // last, 1)
+    assert max_period == 300 or min(widths) < max(widths)  # a partial chunk
+    # the state a stage hands on is the last state of its chunks' windows
+    for (_, c, lags), pix, state in handed:
+        Z, W = _checkpoint_tail(p[pix], 0j, c + 2 * lags, 0)
+        assert np.array_equal(_normalized(state), np.concatenate((Z, W)))
+    assert max_period != 64 or any(c == RETIRE_CHECKPOINTS[1] for (_, c, _), *_ in handed)
+
+
+def test_parameter_raster_window_memory_is_bounded():
+    # a worker's window holds the first stage's 65 states of one 8192-pixel
+    # block at 32 bytes a pair-state, at any max_period; the slack covers the
+    # rest of each worker's block-wide arrays (state, step scratch, scan
+    # temporaries), 16 pair-rows of the block per worker
+    def peak(window, **kw):
+        tracemalloc.start()
+        try:
+            render_parameter_space(window, **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    row = BLOCK_PIXELS * 32
+    got = peak(Window.from_bounds(0.0, 3.0, 0.0, 3.0, 200, 200), workers=2)
+    assert got <= 2 * (65 + 16) * row
+    # one worker, one 8100-pixel block: the window does not grow with max_period
+    small = Window.from_bounds(0.0, 3.0, 0.0, 3.0, 90, 90)
+    a, b = (peak(small, workers=1, max_period=q) for q in (64, 256))
+    assert a <= (65 + 16) * row
+    assert abs(a - b) <= 0.01 * a
+
+
 def test_julia_pooled_pairs_under_thread_switching(monkeypatch):
     # the second stage steps each block's columns of the pooled pairs in
     # place: more workers than cores and a short switch interval make any
@@ -1561,7 +1635,7 @@ def test_outputs_do_not_depend_on_the_rescale_interval(monkeypatch, every):
     # passes through exactly, so the pipelines give the same bytes whether
     # they rescale every step or every r steps
     monkeypatch.setattr(kernel, "JULIA_BLOCK_PIXELS", 128)
-    assert kernel._rescale_interval(3.0 * math.sqrt(2.0)) == kernel.RESCALE_EVERY == 4
+    assert kernel._rescale_interval(3.0 * math.sqrt(2.0)) == kernel.RESCALE_EVERY == 6
     assert kernel._rescale_interval(1e200) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1574,6 +1648,44 @@ def test_outputs_do_not_depend_on_the_rescale_interval(monkeypatch, every):
     # the real-axis window is mirror symmetric at either interval
     period = np.frombuffer(got["params real axis"], dtype=np.int32).reshape(21, 21)
     assert np.array_equal(period, period[::-1])
+
+
+def test_rescale_interval_keeps_unscaled_pairs_in_range():
+    # the worst pairs r - 1 steps past a fresh rescale, at both edges of every
+    # band of _rescale_interval: |z| = 1, where N = |Z|**2 + |W|**2 shrinks
+    # fastest, and pairs near 0 and infinity, where it grows; each with its
+    # larger modulus at either end of [1/2, 1)
+    def edge(r):  # the largest |p| at which r unscaled steps stay below 2**480
+        return math.sqrt(2.0 ** ((kernel.RESCALE_LOG2_NORM - 2 ** r) / (2 ** r - 1)) - 1.0)
+
+    z = np.concatenate((np.exp(2j * np.pi * np.arange(16) / 16),
+                        1e-4 * np.exp(1j * np.arange(4)), 1e4 * np.exp(1j * np.arange(4))))
+    bands = [(r, edge(r + 1) * (1 + 1e-9) if r < kernel.RESCALE_EVERY else 0.0,
+              edge(r) * (1 - 1e-9)) for r in range(2, kernel.RESCALE_EVERY + 1)]
+    for r, *sizes in bands:
+        for size in sizes:
+            assert _rescale_interval(size) == r
+            log2_g = math.log2(1.0 + size * size)
+            for phase in (1.0, 1j, np.exp(0.7j)):
+                P = _pair_params(np.full(z.size, size * phase))
+                for top in (1.0, 1.0 - 2.0 ** -53):
+                    S = _start_pairs(z) * top
+                    scratch = _pair_scratch(z.size)
+                    with np.errstate(all="raise"):
+                        _pair_rescale(S, np.abs(S), np.empty(S.shape), np.empty(z.size, np.int32))
+                        for k in range(r + 1):
+                            aS = np.abs(S)
+                            log2_n = 2.0 * np.log2(np.hypot(*aS))
+                            if k == r:  # read by the rescale only
+                                assert log2_n.max() <= kernel.RESCALE_LOG2_NORM
+                                break
+                            assert log2_n.min() >= -(3 * 2 ** k - 1)
+                            assert log2_n.max() <= (2 ** k - 1) * log2_g + 2 ** k
+                            # the larger fourth power: at least half their sum
+                            fourth = np.maximum(*aS) ** 4
+                            assert fourth.max() <= 2.0 ** 481
+                            assert kernel.EPS_MIN ** 2 * fourth.min() >= 2.0 ** -392
+                            _pair_step(P, S, scratch)
 
 
 def test_huge_parameter_without_overflow():

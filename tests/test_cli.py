@@ -330,6 +330,15 @@ def test_orbit_writes_csv_with_infinity_rows(outdir):
     assert lines[4].startswith("3,-1.0,")
 
 
+def test_orbit_through_an_image_whose_modulus_overflows(outdir):
+    proc = _cli_process(["orbit", "--p=7.071067811865476e-301+7.071067811865475e-301i",
+                         "--z0=9.238795302015879e+149+3.826834314083812e+149i", "--n=2",
+                         "--out=o2"], outdir)
+    assert proc.returncode == 0, proc.stderr
+    lines = (outdir / "o2.csv").read_text().splitlines()
+    assert lines[2:] == ["1,,,1", "2,,,1"]
+
+
 def test_twoqubit_writes_trace(outdir):
     rc = run(["twoqubit", "--steps", "5", "--target-basis", "0",
               "--out", "t1"])

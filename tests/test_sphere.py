@@ -108,6 +108,13 @@ def test_overflow_snaps_to_infinity():
     assert apply_map(MapParam(0j), 1e100).is_infinity
 
 
+def test_an_image_whose_modulus_overflows_is_infinity():
+    # both images have finite components whose modulus passes the largest float
+    p = MapParam(7.071067811865476e-301 + 7.071067811865475e-301j)
+    assert apply_map(p, 9.238795302015879e+149 + 3.826834314083812e+149j) is INF
+    assert apply_map(MapParam(3.5e-309 + 3.5e-309j), INF) is INF
+
+
 def _division_apply_map(param, z):
     """apply_map before it became one step of the orbit loop: the same
     formula, validated through the SpherePoint constructor."""
